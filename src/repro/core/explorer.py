@@ -13,10 +13,11 @@ For every candidate ``(T, L, S, B)`` the explorer
 5. records a :class:`~repro.core.metrics.PerformanceEstimate`.
 
 The pipeline itself lives in :mod:`repro.engine`; :class:`MemExplorer` is
-its loop-nest consumer.  Traces depend only on ``(T, L, B)`` and miss
-vectors only on ``(trace, sets, ways)``, so the engine's process-wide
-:class:`~repro.engine.cache.EvalCache` shares them across the
-associativity sweep, across explorer instances and across layers.
+its loop-nest consumer.  The Section 4.1 layout depends only on ``(T,
+L)``, a trace on ``(T, L, B)`` (on ``B`` alone with the dense layout) and
+a miss vector on ``(trace, L, sets, ways)``, so the engine's process-wide
+:class:`~repro.engine.cache.EvalCache` shares each across the tilings or
+the associativity sweep, across explorer instances and across layers.
 """
 
 from __future__ import annotations

@@ -4,12 +4,14 @@ Every exploration layer runs the same pipeline -- trace generation, miss
 measurement, metric assembly -- and its two expensive stages are pure
 functions of small keys:
 
-* an address trace depends only on ``(workload, T, L, B)`` (the
-  associativity sweep reuses it);
+* an address trace depends only on the workload's trace key: ``(kernel,
+  T, L, B)`` with the Section 4.1 layout, ``(kernel, B)`` with the dense
+  layout, the workload alone for fixed traces (the associativity sweep
+  reuses it);
 * a miss vector depends only on ``(trace, line size, sets, ways)`` and the
   measuring backend.
 
-:class:`EvalCache` memoises both behind one bounded LRU store so that
+:class:`EvalCache` memoises both behind bounded LRU stores so that
 repeated sweeps -- within one explorer, across explorers sharing a kernel,
 or across CLI invocations in one process -- never recompute.  The cache is
 deliberately dependency-free (numpy and :mod:`repro.obs` only) so
@@ -40,7 +42,9 @@ __all__ = ["CacheStats", "EvalCache", "configure_eval_cache", "get_eval_cache"]
 class CacheStats:
     """Hit/miss/eviction counters of one :class:`EvalCache` store.
 
-    After a parallel sweep the counts include merged worker activity (see
+    The ``miss`` counters cover every small entry: miss measurements,
+    ``Add_bs`` values and kernel layouts (one per ``(T, L)``).  After a
+    parallel sweep the counts include merged worker activity (see
     :meth:`EvalCache.merge_remote`).
     """
 
@@ -203,7 +207,9 @@ class EvalCache:
         row per access), so the bound is small by default.
     max_miss_entries:
         Bound on retained miss vectors / measurements, which are one bool
-        per access (or a tiny record for sampled estimates).
+        per access (or a tiny record for sampled estimates), together with
+        the small derived entries sharing that store (``Add_bs`` values,
+        kernel layouts).
     """
 
     _STORES = ("trace", "miss")
@@ -224,7 +230,12 @@ class EvalCache:
         return self._traces.get_or_compute(key, builder)
 
     def miss(self, key: Hashable, builder: Callable[[], Any]) -> Any:
-        """The miss measurement for ``key``, computing it on first use."""
+        """The miss measurement (or other small entry) for ``key``.
+
+        Computed on first use.  Besides miss vectors and measurements this
+        store holds ``Add_bs`` values and kernel layouts, and they count
+        toward the ``miss`` :class:`CacheStats`.
+        """
         return self._miss.get_or_compute(key, builder)
 
     def miss_many(

@@ -10,9 +10,11 @@ and :class:`~repro.core.composite.CompositeProgram`) are thin consumers of
 this class.
 
 Traces and miss measurements are memoised in the process-wide
-:class:`~repro.engine.cache.EvalCache`, keyed on ``(workload, T, L, B)``
-and ``(trace, L, sets, ways, backend)`` respectively, so the associativity
-sweep and repeated sweeps across explorers never recompute shared work.
+:class:`~repro.engine.cache.EvalCache`, keyed on the workload's trace key
+(what the trace depends on, e.g. ``(kernel, T, L, B)`` with the Section
+4.1 layout or ``(kernel, B)`` without it) and on ``(trace key, L, sets,
+ways, backend)`` respectively, so the associativity sweep and repeated
+sweeps across explorers never recompute shared work.
 """
 
 from __future__ import annotations
@@ -45,10 +47,13 @@ logger = logging.getLogger(__name__)
 
 
 def order_configs(configs: Iterable[CacheConfig]) -> List[CacheConfig]:
-    """Canonical sweep order: group by trace key ``(T, L, B)``, then ways.
+    """Canonical sweep order: by ``(T, L, B)``, then ways.
 
     All engine sweeps use this order so that the associativity sweep reuses
     each generated trace and serial/parallel runs agree on result order.
+    A trace key never depends on more than ``(T, L, B)``; a dense-layout
+    kernel's depends on ``B`` alone, and :meth:`Evaluator.evaluate_batch`
+    groups such traces across sizes.
     """
     return sorted(configs, key=lambda c: (c.size, c.line_size, c.tiling, c.ways))
 
@@ -146,7 +151,9 @@ class Evaluator:
     def _bundle_for(self, config: CacheConfig) -> TraceBundle:
         key = ("trace", self.workload.trace_key(config))
         with span("trace_gen", config=config.label(full=True)):
-            return self.cache.trace(key, lambda: self.workload.trace_for(config))
+            return self.cache.trace(
+                key, lambda: self.workload.trace_for(config, self.cache)
+            )
 
     def _measure_key(self, trace_key, config: CacheConfig):
         """Cache key of a (non-vector) measurement for ``config``.

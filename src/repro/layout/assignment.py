@@ -107,9 +107,45 @@ def _pitches_with_row(decl: ArrayDecl, row_pitch: int) -> Tuple[int, ...]:
     return tuple(padded)
 
 
+@dataclass(frozen=True)
+class _GroupShape:
+    """The pitch-independent part of one group's windows.
+
+    ``subscripts`` holds each reference's subscripts at the nest's first
+    iteration point; ``slopes`` the first reference's innermost-loop
+    coefficient per dimension.  Offsets and slides under any pitches are
+    their dot products with the pitches.
+    """
+
+    group: ReferenceGroup
+    subscripts: Tuple[Tuple[int, ...], ...]
+    slopes: Tuple[int, ...]
+
+
+def _group_shapes(
+    nest: LoopNest, groups: Sequence[ReferenceGroup]
+) -> List[_GroupShape]:
+    """Per-group subscripts and slopes, computed once per array."""
+    first_point = {lp.index: lp.lower for lp in nest.loops}
+    innermost = nest.loops[-1].index if nest.loops else None
+    shapes = []
+    for group in groups:
+        subscripts = tuple(
+            nest.refs[ref_index].evaluate(first_point)
+            for ref_index in group.ref_indices
+        )
+        ref = nest.refs[group.ref_indices[0]]
+        slopes = tuple(
+            expr.coeff(innermost) if innermost is not None else 0
+            for expr in ref.indices
+        )
+        shapes.append(_GroupShape(group, subscripts, slopes))
+    return shapes
+
+
 def _group_windows(
     nest: LoopNest,
-    groups: Sequence[ReferenceGroup],
+    shapes: Sequence[_GroupShape],
     decl: ArrayDecl,
     pitches: Sequence[int],
     sweep: bool,
@@ -128,27 +164,22 @@ def _group_windows(
     is the instantaneous extent only (the fallback criterion for caches
     too small to hold sweep ranges, where no trail survives anyway).
     """
-    first_point = {lp.index: lp.lower for lp in nest.loops}
     innermost = nest.loops[-1] if nest.loops else None
     windows = []
-    for group in groups:
-        offsets = []
-        for ref_index in group.ref_indices:
-            subscripts = nest.refs[ref_index].evaluate(first_point)
-            offsets.append(sum(p * s for p, s in zip(pitches, subscripts)))
+    for shape in shapes:
+        offsets = [
+            sum(p * s for p, s in zip(pitches, subscripts))
+            for subscripts in shape.subscripts
+        ]
         anchor = min(offsets)
         width = (max(offsets) - anchor + 1) * decl.element_size
         if sweep and innermost is not None:
-            ref = nest.refs[group.ref_indices[0]]
-            delta = sum(
-                p * expr.coeff(innermost.index)
-                for p, expr in zip(pitches, ref.indices)
-            )
+            delta = sum(p * c for p, c in zip(pitches, shape.slopes))
             slide = abs(delta) * decl.element_size * innermost.step
             width += (innermost.trip_count - 1) * slide
             if delta < 0:
                 anchor -= (innermost.trip_count - 1) * abs(delta)
-        windows.append(ByteWindow(group, anchor, width))
+        windows.append(ByteWindow(shape.group, anchor, width))
     return windows
 
 
@@ -263,15 +294,16 @@ def _verified_conflict_free(
     fully-associative LRU outright -- the indexed placement protects lines
     LRU would evict -- so equality is not required.)
     """
-    from repro.cache.fastsim import fast_hit_miss_counts
+    from repro.cache.stackdist import grid_miss_counts
     from repro.loops.trace_gen import generate_trace
 
     trace = generate_trace(nest, layout=layout)
-    line_ids = trace.line_ids(line_size)
     num_lines = cache_size // line_size
-    _, direct_mapped = fast_hit_miss_counts(line_ids, num_lines, 1)
-    _, fully_assoc = fast_hit_miss_counts(line_ids, 1, num_lines)
-    return direct_mapped <= fully_assoc
+    direct_mapped, fully_assoc = (num_lines, 1), (1, num_lines)
+    counts = grid_miss_counts(
+        trace.line_ids(line_size), trace.is_write, [direct_mapped, fully_assoc]
+    )
+    return counts[direct_mapped].misses <= counts[fully_assoc].misses
 
 
 def _place(
@@ -297,8 +329,8 @@ def _place(
     required_shift: Optional[int] = None
 
     for decl in nest.arrays:
-        array_groups = by_array.get(decl.name, [])
-        if not array_groups:
+        shapes = _group_shapes(nest, by_array.get(decl.name, []))
+        if not shapes:
             # Array never referenced: dense placement, no constraints.
             placements[decl.name] = ArrayPlacement(
                 cursor, decl.row_major_strides(), decl.element_size
@@ -329,7 +361,7 @@ def _place(
             pitch_candidates.append((0 if aligned else 1, extra, row_pitch))
         for _, extra, row_pitch in sorted(pitch_candidates):
             pitches = _pitches_with_row(decl, row_pitch)
-            windows = _group_windows(nest, array_groups, decl, pitches, sweep)
+            windows = _group_windows(nest, shapes, decl, pitches, sweep)
             internal = [
                 (decl.element_size * w.anchor_elements, w.width_bytes)
                 for w in windows
@@ -354,7 +386,7 @@ def _place(
                     dense_row,
                     _group_windows(
                         nest,
-                        array_groups,
+                        shapes,
                         decl,
                         _pitches_with_row(decl, dense_row),
                         sweep,

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.cache.simulator import CacheGeometry, CacheSimulator
+from repro.core.config import design_space
 from repro.kernels import (
+    available_kernels,
+    get_kernel,
     make_compress,
     make_dequant,
     make_matadd,
@@ -13,6 +16,7 @@ from repro.kernels import (
 )
 from repro.layout.address_map import layouts_overlap
 from repro.layout.assignment import _intervals_clear, assign_offchip_layout
+from repro.loops.compat import nest_is_compatible
 
 
 class TestPaperWalkthroughs:
@@ -97,6 +101,35 @@ class TestConflictElimination:
         assert result.conflict_free
         assert unopt.miss_rate > 0.5
         assert opt.miss_rate < unopt.miss_rate / 2
+
+
+class TestConflictFreeOracle:
+    """The ``conflict_free`` flag is its definition, checked directly: a
+    compatible nest whose padded trace takes no more misses direct-mapped
+    than fully associative LRU of the same capacity, both counted by the
+    reference simulator."""
+
+    GEOMETRIES = sorted(
+        {(c.size, c.line_size) for c in design_space(max_size=256)}
+    )
+
+    @staticmethod
+    def _misses(trace, size, line, ways):
+        return CacheSimulator(CacheGeometry(size, line, ways)).run(trace).misses
+
+    @pytest.mark.parametrize("name", available_kernels())
+    def test_flag_matches_simulator_oracle(self, name):
+        kernel = get_kernel(name)
+        compatible = nest_is_compatible(kernel.nest) and bool(kernel.nest.refs)
+        for size, line in self.GEOMETRIES:
+            result = kernel.optimized_layout(size, line)
+            expected = compatible
+            if compatible:
+                trace = kernel.trace(layout=result.layout)
+                expected = self._misses(trace, size, line, 1) <= self._misses(
+                    trace, size, line, size // line
+                )
+            assert result.conflict_free == expected, (name, size, line)
 
 
 class TestLayoutSanity:

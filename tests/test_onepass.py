@@ -6,7 +6,9 @@ The load-bearing claims:
   :func:`repro.cache.fastsim.fast_miss_vector` *exactly* -- miss counts
   and read-miss counts -- for every (sets, ways) point on randomized
   traces, including non-power-of-two set counts and ways past the
-  working-set size (hypothesis property, the ISSUE's oracle requirement);
+  working-set size (hypothesis property),
+  and matches the reference simulator at the direct-mapped and fully
+  associative points the layout certificate uses;
 * :func:`repro.cache.stackdist.set_local_distances` degenerates to the
   classic fully-associative stack distances at one set;
 * :class:`~repro.engine.backends.OnePassBackend` measurements equal
@@ -26,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.distance import COLD, stack_distances
 from repro.cache.fastsim import fast_miss_vector
+from repro.cache.simulator import CacheGeometry, CacheSimulator
 from repro.cache.stackdist import (
     GridCounts,
     grid_miss_counts,
@@ -88,6 +91,25 @@ class TestGridMissCounts:
             assert counts.reads == reads
             assert counts.misses == int(miss.sum())
             assert counts.read_misses == int((miss & ~is_write).sum())
+
+    @given(
+        data=line_traces(max_line=40),
+        lines=st.sampled_from([1, 2, 4, 8, 16]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_certificate_points_match_simulator(self, data, lines):
+        """The layout certificate's two points: direct-mapped and fully
+        associative LRU of one capacity, against the reference simulator."""
+        line_ids, is_write = data
+        line_size = 4
+        direct_mapped, fully_assoc = (lines, 1), (1, lines)
+        results = grid_miss_counts(line_ids, is_write, [direct_mapped, fully_assoc])
+        trace = MemoryTrace(line_ids * line_size, is_write)
+        for (num_sets, ways) in (direct_mapped, fully_assoc):
+            geometry = CacheGeometry(lines * line_size, line_size, ways)
+            stats = CacheSimulator(geometry).run(trace)
+            assert results[(num_sets, ways)].misses == stats.misses
+            assert results[(num_sets, ways)].read_misses == stats.read_misses
 
     def test_empty_trace(self):
         empty = np.zeros(0, dtype=np.int64)
