@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
 from typing import Optional, Sequence
 
@@ -909,6 +910,11 @@ def _tenancy_policy(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ExplorationService, install_signal_handlers, make_server
 
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        # This process is threaded, so sweep workers start from a fork
+        # server (see repro.engine.parallel).  The fork server imports the
+        # service package once, so no worker imports it per pool.
+        multiprocessing.set_forkserver_preload(["repro.serve"])
     spool = args.spool if args.spool is not None else args.store + ".spool"
     service = ExplorationService(
         args.store,
