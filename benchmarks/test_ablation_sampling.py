@@ -28,7 +28,8 @@ def run_comparison():
         rows = []
         for config in FIGURE_GRID:
             exact = explorer.evaluate(config)
-            trace, _ = explorer._trace_for(config)
+            evaluator = explorer.evaluator
+            trace = evaluator.workload.trace_for(config, evaluator.cache).trace
             line_ids = trace.line_ids(config.line_size)
             sampled = {}
             for stride in STRIDES:

@@ -30,8 +30,9 @@ from repro.obs.spans import span
 
 SWEEP = dict(max_size=256, min_size=16, ways=(1, 2, 4), tilings=(1, 2))
 
-#: Spans entered per Evaluator.evaluate(): evaluate, trace_gen,
-#: miss_measure, add_bs, cycles, energy.
+#: Upper bound on spans entered per evaluated configuration: a batch of
+#: one enters evaluate_batch, trace_gen, miss_measure, add_bs, cycles and
+#: energy; a larger (trace key, line size) group shares its first four.
 SPANS_PER_EVAL = 6
 
 OVERHEAD_BUDGET = 0.05

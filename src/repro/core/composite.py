@@ -96,7 +96,32 @@ class CompositeProgram:
 
     def evaluate(self, config: CacheConfig) -> PerformanceEstimate:
         """Aggregate whole-program metrics for one configuration."""
-        parts = self.contributions(config)
+        return self.evaluate_batch([config])[0]
+
+    def evaluate_batch(
+        self, configs: Iterable[CacheConfig]
+    ) -> List[PerformanceEstimate]:
+        """Aggregate whole-program metrics, one batch per kernel evaluator."""
+        configs = list(configs)
+        batches = [
+            (name, self.trips[name], evaluator.evaluate_batch(configs))
+            for name, evaluator in self._evaluators.items()
+        ]
+        return [
+            self._aggregate(
+                config,
+                [
+                    KernelContribution(name, trip, batch[i])
+                    for name, trip, batch in batches
+                ],
+            )
+            for i, config in enumerate(configs)
+        ]
+
+    def _aggregate(
+        self, config: CacheConfig, parts: List[KernelContribution]
+    ) -> PerformanceEstimate:
+        """The Section 5 trip-weighted record of one configuration."""
         total_trip = self.total_trips
         miss_rate = sum(p.estimate.miss_rate * p.trip for p in parts) / total_trip
         read_miss_rate = (
@@ -150,7 +175,7 @@ class CompositeProgram:
                     self, ordered
                 )
             )
-        return ExplorationResult([self.evaluate(c) for c in ordered])
+        return ExplorationResult(self.evaluate_batch(ordered))
 
     def shared_cache_trace(self, config: CacheConfig) -> "MemoryTrace":
         """One interleaved trace of the whole program through a single cache.

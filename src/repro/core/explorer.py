@@ -23,18 +23,17 @@ the associativity sweep, across explorer instances and across layers.
 from __future__ import annotations
 
 import logging
-import warnings
-from typing import Callable, Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Union
 
 from repro.cache.trace import MemoryTrace
 from repro.core.config import CacheConfig
 from repro.core.metrics import PerformanceEstimate
-from repro.energy.bus import address_bus_switching
 from repro.energy.model import EnergyModel
-from repro.engine.backends import Backend, get_backend
-from repro.engine.evaluator import Evaluator, assemble_estimate
+from repro.engine.backends import Backend
+from repro.engine.cache import EvalCache
+from repro.engine.evaluator import Evaluator
 from repro.engine.result import ExplorationResult
-from repro.engine.workload import KernelWorkload, TraceBundle
+from repro.engine.workload import KernelWorkload, TraceWorkload
 from repro.kernels.base import Kernel
 
 __all__ = ["ExplorationResult", "MemExplorer", "evaluate_trace"]
@@ -65,19 +64,17 @@ def evaluate_trace(
     Figure 9 values); raw traces default to one event per access.
 
     Implemented on :mod:`repro.engine`; ``backend`` selects the miss
-    measurement (default ``fastsim``).  One-shot calls bypass the engine
-    cache -- wrap the trace in a
+    measurement (default ``fastsim``).  One-shot calls use a private
+    :class:`~repro.engine.cache.EvalCache`, so they never fill the
+    process-wide one -- wrap the trace in a
     :class:`~repro.engine.workload.TraceWorkload` and an
     :class:`~repro.engine.evaluator.Evaluator` to memoise repeated sweeps.
     """
-    model = energy_model if energy_model is not None else EnergyModel()
-    resolved = get_backend(backend)
-    bundle = TraceBundle(
-        trace=trace, conflict_free=conflict_free_layout, events=events
+    workload = TraceWorkload(trace, events, conflict_free_layout)
+    evaluator = Evaluator(
+        workload, backend, energy_model, gray_code, cache=EvalCache()
     )
-    measurement = resolved.measure(trace, config)
-    add_bs = address_bus_switching(trace.addresses, gray=gray_code)
-    return assemble_estimate(bundle, config, measurement, model, add_bs)
+    return evaluator.evaluate(config)
 
 
 class MemExplorer:
@@ -100,7 +97,7 @@ class MemExplorer:
         Gray-code the address bus when measuring ``Add_bs``.
     backend:
         Miss-measurement backend name or instance (``fastsim``,
-        ``reference``, ``sampled``, ``analytic``).
+        ``reference``, ``sampled``, ``analytic``, ``onepass``, ``auto``).
     """
 
     def __init__(
@@ -127,17 +124,6 @@ class MemExplorer:
         """The miss-measurement backend in use."""
         return self.evaluator.backend
 
-    def _trace_for(self, config: CacheConfig) -> Tuple[MemoryTrace, bool]:
-        """Deprecated: the engine's :class:`EvalCache` memoises traces now."""
-        warnings.warn(
-            "MemExplorer._trace_for is deprecated; traces are managed by "
-            "repro.engine (KernelWorkload.trace_for + EvalCache)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        bundle = self.evaluator._bundle_for(config)
-        return bundle.trace, bundle.conflict_free
-
     def evaluate(self, config: CacheConfig) -> PerformanceEstimate:
         """Estimate miss rate, cycles and energy for one configuration."""
         return self.evaluator.evaluate(config)
@@ -146,7 +132,6 @@ class MemExplorer:
         self,
         configs: Optional[Iterable[CacheConfig]] = None,
         max_size: int = 1024,
-        progress: Optional[Callable[[PerformanceEstimate], None]] = None,
         jobs: int = 1,
         resilience=None,
         **space_kwargs,
@@ -172,7 +157,6 @@ class MemExplorer:
             configs=configs,
             max_size=max_size,
             jobs=jobs,
-            progress=progress,
             resilience=resilience,
             **space_kwargs,
         )

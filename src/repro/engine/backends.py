@@ -118,19 +118,17 @@ def _measurement_from_vector(
 class Backend:
     """Protocol: measure the miss behaviour of a trace on a geometry.
 
-    ``provides_vector`` backends implement :meth:`miss_vector` (a bool per
-    access) from which :meth:`measure` is derived; estimating backends
-    implement :meth:`measure` directly.  ``provides_grid`` backends also
-    implement :meth:`measure_grid`, pricing a whole batch of same-trace,
-    same-line-size geometries in one go -- the evaluator and the parallel
-    executor group cold configurations and hand each group over at once.
-    ``params`` must make the measurement's cache key unique (e.g. the
-    sampling stride).
+    Implement :meth:`measure`, or :meth:`miss_vector` (a bool per access)
+    from which the default :meth:`measure` is derived.  The evaluator
+    hands every cold (trace, line size) group to :meth:`measure_grid`,
+    which defaults to one :meth:`measure` per configuration; override it
+    to price a whole group at once.  ``params`` must make the
+    measurement's cache key unique (e.g. the sampling stride).
+    ``requires_kernel`` backends price loop nests rather than traces and
+    are routed around the trace pipeline.
     """
 
     name: str = "?"
-    provides_vector: bool = False
-    provides_grid: bool = False
     requires_kernel: bool = False
 
     @property
@@ -152,16 +150,13 @@ class Backend:
         self, trace: MemoryTrace, configs: Sequence["CacheConfig"]
     ) -> "Dict[CacheConfig, MissMeasurement]":
         """Measure many same-trace, same-line-size geometries at once."""
-        raise NotImplementedError(
-            f"backend {self.name!r} has no batch grid measurement"
-        )
+        return {config: self.measure(trace, config) for config in configs}
 
 
 class FastSimBackend(Backend):
     """Exact vectorized LRU measurement (the default)."""
 
     name = "fastsim"
-    provides_vector = True
 
     def miss_vector(
         self, trace: MemoryTrace, config: "CacheConfig"
@@ -180,7 +175,6 @@ class ReferenceBackend(Backend):
     """
 
     name = "reference"
-    provides_vector = True
 
     def miss_vector(
         self, trace: MemoryTrace, config: "CacheConfig"
@@ -206,7 +200,6 @@ class SampledBackend(Backend):
     """
 
     name = "sampled"
-    provides_vector = False
 
     def __init__(self, sample_every: int = 4, offset: int = 0) -> None:
         if sample_every < 1:
@@ -269,7 +262,6 @@ class AnalyticBackend(Backend):
     """
 
     name = "analytic"
-    provides_vector = False
     requires_kernel = True
 
     def measure(
@@ -298,8 +290,6 @@ class OnePassBackend(Backend):
     """
 
     name = "onepass"
-    provides_vector = False
-    provides_grid = True
 
     def measure(
         self, trace: MemoryTrace, config: "CacheConfig"

@@ -9,7 +9,9 @@ exploration layers (:class:`~repro.core.explorer.MemExplorer`,
 and :class:`~repro.core.composite.CompositeProgram`) are thin consumers of
 this class.
 
-Traces and miss measurements are memoised in the process-wide
+:meth:`Evaluator.evaluate_batch` is the one evaluation path: a single
+:meth:`~Evaluator.evaluate` is a batch of one, and a serial sweep is one
+batch.  Traces and miss measurements are memoised in the process-wide
 :class:`~repro.engine.cache.EvalCache`, keyed on the workload's trace key
 (what the trace depends on, e.g. ``(kernel, T, L, B)`` with the Section
 4.1 layout or ``(kernel, B)`` without it) and on ``(trace key, L, sets,
@@ -21,19 +23,14 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Union
 
 from repro.core.config import CacheConfig, design_space
 from repro.core.cycles import processor_cycles
 from repro.core.metrics import PerformanceEstimate
 from repro.energy.bus import address_bus_switching
 from repro.energy.model import EnergyModel
-from repro.engine.backends import (
-    Backend,
-    MissMeasurement,
-    _measurement_from_vector,
-    get_backend,
-)
+from repro.engine.backends import Backend, MissMeasurement, get_backend
 from repro.engine.cache import EvalCache, get_eval_cache
 from repro.engine.resilience import ResilienceOptions
 from repro.engine.result import ExplorationResult
@@ -109,7 +106,7 @@ class Evaluator:
         Any :class:`~repro.engine.workload.Workload`.
     backend:
         Backend instance or name (``fastsim``, ``reference``, ``sampled``,
-        ``analytic``).
+        ``analytic``, ``onepass``, ``auto``).
     energy_model:
         Section 2.3 model; defaults to the paper's constants.
     gray_code:
@@ -156,11 +153,7 @@ class Evaluator:
             )
 
     def _measure_key(self, trace_key, config: CacheConfig):
-        """Cache key of a (non-vector) measurement for ``config``.
-
-        Shared by the single and the batch path, so a warm single
-        evaluation hits whatever a grouped one-pass sweep filled in.
-        """
+        """Cache key of the miss measurement of ``config`` on a trace."""
         return (
             "measure",
             trace_key,
@@ -170,33 +163,6 @@ class Evaluator:
             self.backend.name,
             self.backend.params,
         )
-
-    def _measure(
-        self, bundle: TraceBundle, config: CacheConfig
-    ) -> MissMeasurement:
-        trace_key = self.workload.trace_key(config)
-        with span(
-            "miss_measure",
-            backend=self.backend.name,
-            config=config.label(full=True),
-        ):
-            if self.backend.provides_vector:
-                key = (
-                    "vec",
-                    trace_key,
-                    config.line_size,
-                    config.num_sets,
-                    config.ways,
-                    self.backend.name,
-                )
-                vector = self.cache.miss(
-                    key, lambda: self.backend.miss_vector(bundle.trace, config)
-                )
-                return _measurement_from_vector(bundle.trace, vector)
-            return self.cache.miss(
-                self._measure_key(trace_key, config),
-                lambda: self.backend.measure(bundle.trace, config),
-            )
 
     def _add_bs(self, bundle: TraceBundle, config: CacheConfig) -> float:
         key = ("addbs", self.workload.trace_key(config), self.gray_code)
@@ -222,65 +188,62 @@ class Evaluator:
             )
         return self._analytic
 
+    def _observe(self, count: int, elapsed: float) -> None:
+        """Count ``count`` evaluations that took ``elapsed`` seconds.
+
+        The per-eval histograms see the amortised latency so their totals
+        still sum to wall-clock evaluation time.  Instruments are looked
+        up by name each call: histograms hold a Lock, so a picklable
+        evaluator must not cache instrument references.
+        """
+        metrics = get_metrics()
+        metrics.counter("engine.configs_evaluated").inc(count)
+        amortised = elapsed / count
+        overall = metrics.histogram("engine.eval")
+        per_backend = metrics.histogram("engine.eval." + self.backend.name)
+        for _ in range(count):
+            overall.observe(amortised)
+            per_backend.observe(amortised)
+
     def evaluate(self, config: CacheConfig) -> PerformanceEstimate:
         """One configuration -> one :class:`PerformanceEstimate`."""
-        metrics = get_metrics()
-        metrics.counter("engine.configs_evaluated").inc()
-        started = time.perf_counter()
-        try:
-            with span("evaluate", config=config.label(full=True)):
-                self.workload.validate(config)
-                if self.backend.requires_kernel:
-                    return self._analytic_explorer().evaluate(config)
-                bundle = self._bundle_for(config)
-                measurement = self._measure(bundle, config)
-                add_bs = self._add_bs(bundle, config)
-                return assemble_estimate(
-                    bundle, config, measurement, self.energy_model, add_bs
-                )
-        finally:
-            # Per-eval latency, overall and per backend.  Looked up by
-            # name each call: histograms hold a Lock, so a picklable
-            # evaluator must not cache instrument references.
-            elapsed = time.perf_counter() - started
-            metrics.histogram("engine.eval").observe(elapsed)
-            metrics.histogram(
-                "engine.eval." + self.backend.name
-            ).observe(elapsed)
+        return self.evaluate_batch([config])[0]
 
     def evaluate_batch(
         self, configs: Iterable[CacheConfig]
     ) -> List[PerformanceEstimate]:
-        """Many configurations at once, grouped for grid-capable backends.
+        """Many configurations -> estimates in input order.
 
-        Configurations are grouped by ``(trace key, line size)`` and each
-        group's *cold* measurements are obtained from one
-        :meth:`~repro.engine.backends.Backend.measure_grid` pass; warm
-        ones come from the :class:`EvalCache` exactly as in
-        :meth:`evaluate`, through the same keys, so single and grouped
-        evaluation fill and hit one another's entries.  Estimates are
-        returned in input order and are byte-identical to per-config
-        :meth:`evaluate` calls (asserted by the test suite).  Backends
-        without ``provides_grid`` (and the kernel-bound analytic backend)
-        simply fall back to per-config evaluation.
+        Configurations are grouped by ``(trace key, line size)``.  Each
+        group generates (or looks up) its trace once, obtains its *cold*
+        measurements from one
+        :meth:`~repro.engine.backends.Backend.measure_grid` call, takes
+        warm ones from the :class:`EvalCache`, and emits one
+        ``evaluate_batch`` span.  The kernel-bound analytic backend prices
+        loop nests rather than traces and is routed to
+        :class:`~repro.core.analytic.AnalyticExplorer` instead.
         """
         configs = list(configs)
-        if not self.backend.provides_grid or self.backend.requires_kernel:
-            return [self.evaluate(config) for config in configs]
-        metrics = get_metrics()
-        groups: "dict[tuple, List[tuple[int, CacheConfig]]]" = {}
-        group_order: List[tuple] = []
-        for position, config in enumerate(configs):
+        for config in configs:
             self.workload.validate(config)
+        if self.backend.requires_kernel:
+            started = time.perf_counter()
+            with span(
+                "evaluate_batch",
+                backend=self.backend.name,
+                configs=len(configs),
+            ):
+                analytic = self._analytic_explorer()
+                estimates = [analytic.evaluate(config) for config in configs]
+            if configs:
+                self._observe(len(configs), time.perf_counter() - started)
+            return estimates
+        groups: "dict[tuple, List[tuple[int, CacheConfig]]]" = {}
+        for position, config in enumerate(configs):
             group_key = (self.workload.trace_key(config), config.line_size)
-            if group_key not in groups:
-                groups[group_key] = []
-                group_order.append(group_key)
-            groups[group_key].append((position, config))
+            groups.setdefault(group_key, []).append((position, config))
         results: List[Optional[PerformanceEstimate]] = [None] * len(configs)
-        for group_key in group_order:
-            trace_key, line_size = group_key
-            members = groups[group_key]
+        for (trace_key, line_size), members in groups.items():
             started = time.perf_counter()
             with span(
                 "evaluate_batch",
@@ -291,7 +254,8 @@ class Evaluator:
                 bundle = self._bundle_for(members[0][1])
                 by_key: "dict[tuple, CacheConfig]" = {}
                 for _, config in members:
-                    by_key.setdefault(self._measure_key(trace_key, config), config)
+                    key = self._measure_key(trace_key, config)
+                    by_key.setdefault(key, config)
 
                 def _measure_missing(missing, _bundle=bundle, _by_key=by_key):
                     cold = [_by_key[key] for key in missing]
@@ -318,16 +282,7 @@ class Evaluator:
                         self.energy_model,
                         add_bs,
                     )
-            elapsed = time.perf_counter() - started
-            metrics.counter("engine.configs_evaluated").inc(len(members))
-            # The per-eval histograms see the amortised group latency so
-            # their totals still sum to wall-clock evaluation time.
-            amortised = elapsed / len(members)
-            overall = metrics.histogram("engine.eval")
-            per_backend = metrics.histogram("engine.eval." + self.backend.name)
-            for _ in members:
-                overall.observe(amortised)
-                per_backend.observe(amortised)
+            self._observe(len(members), time.perf_counter() - started)
         return list(results)
 
     def sweep(
@@ -335,7 +290,6 @@ class Evaluator:
         configs: Optional[Iterable[CacheConfig]] = None,
         max_size: int = 1024,
         jobs: int = 1,
-        progress: Optional[Callable[[PerformanceEstimate], None]] = None,
         resilience: Optional[ResilienceOptions] = None,
         **space_kwargs,
     ) -> ExplorationResult:
@@ -371,21 +325,8 @@ class Evaluator:
                 estimates = ParallelSweep(
                     jobs=jobs or 1, resilience=resilience
                 ).run(self, ordered)
-                if progress is not None:
-                    for estimate in estimates:
-                        progress(estimate)
-            elif self.backend.provides_grid and not self.backend.requires_kernel:
-                estimates = self.evaluate_batch(ordered)
-                if progress is not None:
-                    for estimate in estimates:
-                        progress(estimate)
             else:
-                estimates = []
-                for config in ordered:
-                    estimate = self.evaluate(config)
-                    estimates.append(estimate)
-                    if progress is not None:
-                        progress(estimate)
+                estimates = self.evaluate_batch(ordered)
         elapsed = time.perf_counter() - started
         metrics = get_metrics()
         metrics.counter("engine.sweeps").inc()

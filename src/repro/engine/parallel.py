@@ -6,7 +6,8 @@ memoisation: a trace is shared by the whole associativity sub-sweep, so
 scattering those configurations across workers regenerates it per worker.
 :class:`ParallelSweep` therefore chunks the (canonically ordered) sweep
 along ``(trace key, line size)`` boundaries, ships whole groups to
-workers, and restores the deterministic order on collection.  Results are
+workers (each chunk is one ``evaluate_batch`` call), and restores the
+deterministic order on collection.  Results are
 bit-identical to the serial path (asserted by the test suite).
 
 Failure handling is per-chunk, not per-sweep (see
@@ -127,29 +128,9 @@ def _diff_cache_counters(
 def _evaluate_pairs(
     evaluator: Any, indexed: Sequence[Tuple[int, CacheConfig]]
 ) -> List[Tuple[int, PerformanceEstimate]]:
-    """Evaluate an indexed chunk, batched when the backend allows it.
-
-    Grid-capable backends (``provides_grid``) get the whole chunk at once
-    through ``evaluate_batch`` -- one stack-filter pass per (trace, line
-    size) group instead of one simulation per configuration.  Everything
-    else (vector backends, the kernel-bound analytic backend, evaluators
-    without a batch method such as :class:`CompositeProgram`) keeps the
-    historical per-config loop.  Results are bit-identical either way.
-    """
-    backend = getattr(evaluator, "backend", None)
-    batch = getattr(evaluator, "evaluate_batch", None)
-    if (
-        batch is not None
-        and backend is not None
-        and getattr(backend, "provides_grid", False)
-        and not getattr(backend, "requires_kernel", False)
-    ):
-        estimates = batch([config for _, config in indexed])
-        return [
-            (index, estimate)
-            for (index, _), estimate in zip(indexed, estimates)
-        ]
-    return [(index, evaluator.evaluate(config)) for index, config in indexed]
+    """Evaluate an indexed chunk as one ``evaluate_batch`` call."""
+    estimates = evaluator.evaluate_batch([config for _, config in indexed])
+    return [(index, est) for (index, _), est in zip(indexed, estimates)]
 
 
 def _evaluate_chunk(
@@ -365,8 +346,9 @@ class ParallelSweep:
     ) -> List[PerformanceEstimate]:
         """Evaluate ``configs`` (already ordered) and return estimates in order.
 
-        ``evaluator`` is anything with a picklable ``evaluate(config)``
-        method -- an :class:`~repro.engine.evaluator.Evaluator`, a
+        ``evaluator`` is anything with a picklable
+        ``evaluate_batch(configs)`` method -- an
+        :class:`~repro.engine.evaluator.Evaluator`, a
         :class:`~repro.core.composite.CompositeProgram`, etc.
         """
         configs = list(configs)

@@ -13,10 +13,8 @@ exploration.
 from __future__ import annotations
 
 import logging
-import warnings
 from typing import Iterable, Optional, Union
 
-from repro.cache.trace import MemoryTrace
 from repro.core.config import CacheConfig, design_space
 from repro.core.metrics import PerformanceEstimate
 from repro.energy.model import EnergyModel
@@ -51,17 +49,6 @@ class ICacheExplorer:
             energy_model=self.energy_model,
             gray_code=gray_code,
         )
-
-    @property
-    def trace(self) -> MemoryTrace:
-        """Deprecated: the engine workload owns the fetch trace now."""
-        warnings.warn(
-            "ICacheExplorer.trace is deprecated; use "
-            "ICacheExplorer.workload.trace (repro.engine.InstructionWorkload)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.workload.trace
 
     def evaluate(self, config: CacheConfig) -> PerformanceEstimate:
         """Metrics of one instruction-cache configuration."""

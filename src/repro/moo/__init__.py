@@ -9,7 +9,8 @@ pieces:
   plus :class:`NSGA2Searcher` and :class:`GrammaticalEvolutionSearcher`,
   registered under the ``searcher`` registry kind;
 * :mod:`repro.moo.heuristics` -- the classic greedy-descent and pruned
-  sweep strategies, migrated from ``repro.core.search``;
+  sweep strategies (:func:`greedy_descent`, :func:`pruned_min_energy`,
+  both returning a :class:`SearchOutcome`);
 * :mod:`repro.moo.grammar` -- the integer-genome -> configuration
   grammar evolutionary searchers breed over;
 * :mod:`repro.moo.archive` -- the bounded elitist
@@ -47,7 +48,13 @@ from repro.moo.driver import (
     search_fingerprint,
 )
 from repro.moo.grammar import ConfigGrammar
-from repro.moo.heuristics import GreedyDescentSearcher, PrunedSweepSearcher
+from repro.moo.heuristics import (
+    GreedyDescentSearcher,
+    PrunedSweepSearcher,
+    SearchOutcome,
+    greedy_descent,
+    pruned_min_energy,
+)
 from repro.moo.objectives import OBJECTIVES, objective_vector, reference_point
 from repro.moo.searchers import (
     GrammaticalEvolutionSearcher,
@@ -68,13 +75,16 @@ __all__ = [
     "NSGA2Searcher",
     "PrunedSweepSearcher",
     "SearchCheckpoint",
+    "SearchOutcome",
     "SearchRun",
     "SearchSettings",
     "Searcher",
     "analytic_seeds",
     "crowding_distances",
     "fast_nondominated_sort",
+    "greedy_descent",
     "objective_vector",
+    "pruned_min_energy",
     "reference_point",
     "run_search",
     "search_fingerprint",

@@ -377,10 +377,7 @@ def _evaluate(
         return ParallelSweep(jobs=jobs, resilience=resilience).run(
             evaluator, configs
         )
-    batch = getattr(evaluator, "evaluate_batch", None)
-    if callable(batch):
-        return batch(configs)
-    return [evaluator.evaluate(config) for config in configs]
+    return evaluator.evaluate_batch(configs)
 
 
 def run_search(

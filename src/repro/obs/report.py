@@ -10,7 +10,7 @@ Schema (``repro.obs/1``)::
 
     {
       "schema": "repro.obs/1",
-      "spans":  [{"path": ["sweep","evaluate","trace_gen"],
+      "spans":  [{"path": ["sweep","evaluate_batch","trace_gen"],
                   "name": "trace_gen", "count": 12, "total_s": 0.034}],
       "stages": {"trace_gen": {"calls": 12, "total_s": 0.034,
                                "mean_s": 0.0028}, ...},
@@ -68,7 +68,7 @@ SCHEMA = "repro.obs/1"
 #: Pipeline stages in execution order; unknown stages sort after these.
 _STAGE_ORDER = (
     "sweep",
-    "evaluate",
+    "evaluate_batch",
     "trace_gen",
     "miss_measure",
     "add_bs",

@@ -12,7 +12,8 @@ one call per stage (the overhead budget is asserted in
 ``--profile`` flag, the ``repro stats`` subcommand or
 :func:`enable_profiling` -- each exit records ``(path, elapsed)`` into the
 process-local :class:`SpanCollector`, where *path* is the tuple of active
-span names on the current thread (``("sweep", "evaluate", "trace_gen")``),
+span names on the current thread
+(``("sweep", "evaluate_batch", "trace_gen")``),
 preserving parent/child nesting.
 
 Collectors aggregate rather than stream: one entry per distinct path with

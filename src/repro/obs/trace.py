@@ -9,9 +9,10 @@ bare submissions) and installed in a :mod:`contextvars` context, so every
 lands here -- with wall-clock start/end, not just a duration sum.
 
 Events aggregate by span *path* (the tuple of active span names), exactly
-like the span collector: a chunk evaluating 200 configurations produces
-one ``("job", "sweep", "chunk[0]", "evaluate")`` event with ``count=200``,
-its earliest start and latest end, not 200 records.  Chunk wrappers get
+like the span collector: a chunk evaluating 200 configurations of one
+trace produces one ``("job", "sweep", "chunk[0]", "evaluate_batch",
+"energy")`` event with ``count=200``, its earliest start and latest end,
+not 200 records.  Chunk wrappers get
 unique names (``chunk[<first config index>]``), so the fan-out stays
 visible per chunk and per worker pid.
 

@@ -329,9 +329,8 @@ class ExplorationService:
                     # estimates repopulate the store.
                     get_metrics().counter("serve.results_rebuilt").inc()
                     evaluator = job.spec.build_evaluator(self.store)
-
                     result = ExplorationResult(
-                        [evaluator.evaluate(config) for config in configs]
+                        evaluator.evaluate_batch(configs)
                     )
             job.result = result
         return {
@@ -368,9 +367,7 @@ class ExplorationService:
                 return result
             get_metrics().counter("serve.results_rebuilt").inc()
             evaluator = job.spec.build_evaluator(self.store)
-            return ExplorationResult(
-                [evaluator.evaluate(config) for config in configs]
-            )
+            return ExplorationResult(evaluator.evaluate_batch(configs))
         get_metrics().counter("serve.results_rebuilt").inc()
         evaluator = job.spec.build_evaluator(self.store)
         run = run_search(evaluator, job.spec.configs(), job.spec.search)

@@ -805,10 +805,11 @@ class ResultStore:
 class StoreBackedEvaluator:
     """An evaluator with the persistent store as its L2 result tier.
 
-    ``evaluate(config)`` returns the stored estimate when one exists --
+    ``evaluate_batch(configs)`` returns the stored estimates that exist --
     skipping trace generation, miss measurement and the in-memory
-    :class:`~repro.engine.cache.EvalCache` entirely -- and otherwise
-    delegates to the wrapped evaluator and records the fresh estimate.
+    :class:`~repro.engine.cache.EvalCache` entirely -- and delegates the
+    rest to the wrapped evaluator's ``evaluate_batch``, recording the
+    fresh estimates.
     Every delegated attribute (``workload``, ``backend``, ``cache``,
     ``energy_model``, ``gray_code``) mirrors the inner evaluator, so
     checkpoint fingerprints and sweep chunking do not change when the
@@ -869,13 +870,8 @@ class StoreBackedEvaluator:
         return getattr(self.inner, "cache", None)
 
     def evaluate(self, config: CacheConfig) -> PerformanceEstimate:
-        """One configuration, from the store when possible."""
-        stored = self.store.get(self.eval_id, config)
-        if stored is not None:
-            return stored
-        estimate = self.inner.evaluate(config)
-        self.store.put(self.eval_id, config, estimate)
-        return estimate
+        """One configuration, from the store when possible (a batch of one)."""
+        return self.evaluate_batch([config])[0]
 
     def evaluate_batch(
         self, configs: Any
@@ -885,9 +881,8 @@ class StoreBackedEvaluator:
         Keeps the grouped cold path (one stack-filter pass per trace/line
         size group) intact underneath the store tier: stored estimates
         are returned as-is and only the misses reach the inner
-        evaluator's ``evaluate_batch`` -- falling back to per-config
-        evaluation when the inner evaluator has no batch method.  Fresh
-        estimates are recorded exactly as :meth:`evaluate` records them.
+        evaluator's ``evaluate_batch``; fresh estimates are recorded in
+        the store.
         """
         configs = list(configs)
         results: "list[Optional[PerformanceEstimate]]" = [None] * len(configs)
@@ -901,11 +896,7 @@ class StoreBackedEvaluator:
                 cold.append(config)
                 cold_at.append(position)
         if cold:
-            inner_batch = getattr(self.inner, "evaluate_batch", None)
-            if inner_batch is not None:
-                fresh = inner_batch(cold)
-            else:
-                fresh = [self.inner.evaluate(config) for config in cold]
+            fresh = self.inner.evaluate_batch(cold)
             for position, config, estimate in zip(cold_at, cold, fresh):
                 self.store.put(self.eval_id, config, estimate)
                 results[position] = estimate

@@ -13,7 +13,6 @@ The load-bearing claims:
 
 import multiprocessing
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -48,7 +47,6 @@ from repro.engine.backends import (
 )
 from repro.engine.parallel import _pool_context
 from repro.icache.blocks import ControlFlowTrace, Program
-from repro.icache.explorer import ICacheExplorer
 from repro.kernels import Kernel, get_kernel
 
 
@@ -194,15 +192,31 @@ class TestEvalCache:
 
     def test_sweep_hits_the_cache(self):
         cache = EvalCache()
-        evaluator = Evaluator(
-            KernelWorkload(get_kernel("compress")), cache=cache
+        workload = KernelWorkload(get_kernel("compress"))
+        generated = []
+        trace_for = workload.trace_for
+        workload.trace_for = lambda config, store: (
+            generated.append(workload.trace_key(config))
+            or trace_for(config, store)
         )
-        evaluator.sweep(max_size=64, min_size=32, ways=(1, 2), tilings=(1,))
-        stats = cache.stats()
-        # The associativity sweep reuses each (T, L, B) trace.
-        assert stats.trace_hits > 0
-        # Add_bs depends only on the trace, so the ways sweep hits it too.
-        assert stats.miss_hits > 0
+        evaluator = Evaluator(workload, cache=cache)
+        configs = list(
+            design_space(max_size=64, min_size=32, ways=(1, 2), tilings=(1,))
+        )
+        evaluator.sweep(configs)
+        # The associativity sweep shares each (T, L, B) trace: every
+        # distinct trace key is generated exactly once.
+        assert sorted(generated) == sorted(
+            {workload.trace_key(config) for config in configs}
+        )
+        first = cache.stats()
+        # A repeated sweep is served entirely from the cache.
+        evaluator.sweep(configs)
+        again = cache.stats()
+        assert len(generated) == first.trace_misses
+        assert again.trace_misses == first.trace_misses
+        assert again.miss_misses == first.miss_misses
+        assert again.miss_hits > first.miss_hits
 
     def test_cached_miss_vector_memoises(self):
         cache = EvalCache()
@@ -383,6 +397,11 @@ class TestEvaluator:
         config = CacheConfig(64, 8)
         assert clone.evaluate(config) == evaluator.evaluate(config)
 
+    def test_explorer_exposes_engine_evaluator(self):
+        explorer = MemExplorer(get_kernel("compress"), backend="sampled")
+        assert isinstance(explorer.evaluator, Evaluator)
+        assert explorer.backend.name == "sampled"
+
 
 class TestParallelSweep:
     def test_parallel_identical_to_serial(self):
@@ -450,37 +469,6 @@ class TestParallelSweep:
         configs = [CacheConfig(32, 4), CacheConfig(64, 4)]
         estimates = ParallelSweep(jobs=1).run(evaluator, configs)
         assert [e.config for e in estimates] == configs
-
-
-class TestLegacyShims:
-    def test_trace_for_deprecation(self):
-        explorer = MemExplorer(get_kernel("compress"))
-        with pytest.warns(DeprecationWarning):
-            trace, conflict_free = explorer._trace_for(CacheConfig(64, 8))
-        assert len(trace) > 0 and isinstance(conflict_free, bool)
-
-    def test_trace_for_delegates_to_engine(self):
-        explorer = MemExplorer(get_kernel("compress"))
-        config = CacheConfig(64, 8)
-        with pytest.warns(DeprecationWarning):
-            trace, conflict_free = explorer._trace_for(config)
-        bundle = explorer.evaluator._bundle_for(config)
-        assert trace is bundle.trace
-        assert conflict_free == bundle.conflict_free
-
-    def test_icache_trace_deprecation(self):
-        explorer = ICacheExplorer(_loop_execution())
-        with pytest.warns(DeprecationWarning):
-            trace = explorer.trace
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert explorer.trace is trace  # identity preserved
-        assert trace is explorer.workload.trace  # delegation, not a copy
-
-    def test_explorer_exposes_engine_evaluator(self):
-        explorer = MemExplorer(get_kernel("compress"), backend="sampled")
-        assert isinstance(explorer.evaluator, Evaluator)
-        assert explorer.backend.name == "sampled"
 
 
 class TestCliFlags:

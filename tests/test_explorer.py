@@ -96,13 +96,13 @@ class TestMemExplorer:
         assert "C32L4" in labels and "C64L8" in labels
 
     def test_explore_explicit_configs_and_progress(self, compress_small):
-        seen = []
-        configs = [CacheConfig(32, 4), CacheConfig(64, 8)]
-        result = MemExplorer(compress_small).explore(
-            configs=configs, progress=seen.append
-        )
-        assert len(result) == 2
-        assert len(seen) == 2
+        configs = [CacheConfig(64, 8), CacheConfig(32, 4)]
+        result = MemExplorer(compress_small).explore(configs=configs)
+        # Exactly the explicit configurations, in canonical sweep order.
+        assert [e.config for e in result] == [
+            CacheConfig(32, 4),
+            CacheConfig(64, 8),
+        ]
 
 
 class TestExplorationResult:

@@ -210,7 +210,14 @@ class TestEvalCacheStats:
 
 
 class TestEvaluatorInstrumentation:
-    STAGES = ("evaluate", "trace_gen", "miss_measure", "add_bs", "cycles", "energy")
+    STAGES = (
+        "evaluate_batch",
+        "trace_gen",
+        "miss_measure",
+        "add_bs",
+        "cycles",
+        "energy",
+    )
 
     def test_profiled_evaluate_produces_stage_spans(self, compress_small):
         evaluator = Evaluator(KernelWorkload(compress_small), cache=EvalCache())
@@ -258,10 +265,12 @@ class TestParallelMergeBack:
             result = evaluator.sweep(configs=configs, jobs=4)
         assert len(result) == len(configs)
 
-        # Every worker-side evaluation landed in the parent collector.
+        # Every worker-side evaluation landed in the parent collector:
+        # one batch (and one trace) per (T, L, B) group of the grid.
+        groups = {(c.size, c.line_size, c.tiling) for c in configs}
         stages = collector.by_stage()
-        assert stages["evaluate"]["calls"] == len(configs)
-        assert stages["trace_gen"]["calls"] == len(configs)
+        assert stages["evaluate_batch"]["calls"] == len(groups)
+        assert stages["trace_gen"]["calls"] == len(groups)
         assert stages["sweep"]["calls"] == 1
 
         delta = obs.get_metrics().diff(base)
@@ -277,7 +286,7 @@ class TestParallelMergeBack:
             - cache_base.trace_hits
             - cache_base.trace_misses
         )
-        assert requests == len(configs)
+        assert requests == len(groups)
 
     def test_parallel_matches_serial(self, compress_small):
         configs = self._configs()

@@ -210,7 +210,6 @@ class TestOnePassBackend:
         backend = get_backend("auto")
         assert isinstance(backend, OnePassBackend)
         assert backend.name == "onepass"
-        assert backend.provides_grid and not backend.provides_vector
 
 
 class TestEvalCacheMissMany:

@@ -118,34 +118,3 @@ class TestPrunedSweep:
     def test_empty_configs_rejected(self, explorer):
         with pytest.raises(ValueError):
             pruned_min_energy(explorer.evaluate, [], lambda c: 0.0)
-
-
-class TestDeprecatedShims:
-    """The historical repro.core.search entry points keep working."""
-
-    def test_greedy_shim_warns_and_matches(self, explorer):
-        from repro.core import search as legacy
-
-        kwargs = dict(
-            objective="energy",
-            sizes=(16, 32, 64),
-            line_sizes=(4, 8),
-            ways=(1,),
-            tilings=(1,),
-        )
-        with pytest.warns(DeprecationWarning, match="repro.moo.heuristics"):
-            shimmed = legacy.greedy_descent(explorer.evaluate, **kwargs)
-        direct = greedy_descent(explorer.evaluate, **kwargs)
-        assert shimmed.best.config == direct.best.config
-        assert shimmed.visited == direct.visited
-
-    def test_pruned_shim_warns_and_matches(self, explorer):
-        from repro.core import search as legacy
-
-        configs = [CacheConfig(t, 4) for t in (16, 32, 64)]
-        with pytest.warns(DeprecationWarning, match="repro.moo.heuristics"):
-            shimmed = legacy.pruned_min_energy(
-                explorer.evaluate, configs, lambda c: 0.0
-            )
-        direct = pruned_min_energy(explorer.evaluate, configs, lambda c: 0.0)
-        assert shimmed.best.config == direct.best.config

@@ -380,16 +380,14 @@ class TestTracing:
             ]
             assert chunks, "chunk spans present in the timeline"
 
-            # Every chunk nests under the sweep, and the chunks' evaluate
-            # spans cover the whole grid exactly once.
+            # Every chunk nests under the sweep and evaluates through an
+            # evaluate_batch span, and the chunks cover the whole grid
+            # exactly once.
             sweep = by_path[("job", "sweep")]
             for chunk in chunks:
                 assert chunk["parent_id"] == sweep["span_id"]
-            evaluated = sum(
-                e["count"]
-                for e in doc["events"]
-                if e["name"] == "evaluate"
-            )
+                assert (*chunk["path"], "evaluate_batch") in by_path
+            evaluated = sum(chunk["attrs"]["configs"] for chunk in chunks)
             assert evaluated == len(BIG.configs())
 
             # With a real process pool the chunks ran on several worker
