@@ -17,6 +17,7 @@ import time
 from repro.engine import EvalCache, Evaluator, KernelWorkload
 from repro.kernels import get_kernel
 from repro.serve import ExplorationService, JobSpec
+from repro.serve.jobs import result_to_json
 
 SPEC = JobSpec(
     kernel="compress", max_size=256, min_size=16, ways=(1, 2, 4),
@@ -44,13 +45,13 @@ def test_perf_serve_overhead(benchmark, report, tmp_path):
             job, _ = service.manager.submit(SPEC)
             service.manager.wait(job.job_id, timeout_s=300)
             t_served = time.perf_counter() - t0
-            served = list(job.result.estimates)
+            served = service.job_result(job)["estimates"]
 
             t0 = time.perf_counter()
             again, _ = service.manager.submit(SPEC)
             service.manager.wait(again.job_id, timeout_s=300)
             t_stored = time.perf_counter() - t0
-            stored = list(again.result.estimates)
+            stored = service.job_result(again)["estimates"]
         finally:
             service.stop()
         return direct, served, stored, t_direct, t_served, t_stored
@@ -60,8 +61,8 @@ def test_perf_serve_overhead(benchmark, report, tmp_path):
     )
 
     # The service must not change results -- on either path.
-    assert served == direct
-    assert stored == direct
+    assert served == result_to_json(direct)
+    assert stored == result_to_json(direct)
 
     n = len(direct)
     report(

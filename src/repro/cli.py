@@ -913,8 +913,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if "forkserver" in multiprocessing.get_all_start_methods():
         # This process is threaded, so sweep workers start from a fork
         # server (see repro.engine.parallel).  The fork server imports the
-        # service package once, so no worker imports it per pool.
-        multiprocessing.set_forkserver_preload(["repro.serve"])
+        # engine once; workers never touch the store, so the service
+        # package (sqlite, HTTP) stays out of every worker.
+        multiprocessing.set_forkserver_preload(["repro.engine.parallel"])
     spool = args.spool if args.spool is not None else args.store + ".spool"
     service = ExplorationService(
         args.store,

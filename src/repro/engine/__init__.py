@@ -12,7 +12,8 @@ implementation, consumed by every exploration layer:
   :class:`EvalCache` memoising traces and miss vectors;
 * :mod:`repro.engine.evaluator` -- the :class:`Evaluator` pipeline;
 * :mod:`repro.engine.parallel` -- :class:`ParallelSweep`, chunked
-  multi-process fan-out with deterministic, bit-identical results;
+  multi-process fan-out with deterministic, bit-identical results, on
+  a :class:`WorkerPool` a long-lived caller can reuse across sweeps;
 * :mod:`repro.engine.resilience` -- fault tolerance for sweeps: per-chunk
   retries with backoff, watchdog timeouts, and the append-only
   :class:`SweepCheckpoint` journal behind ``--checkpoint``/``--resume``;
@@ -50,7 +51,7 @@ from repro.engine.cache import (
 )
 from repro.engine.evaluator import Evaluator, assemble_estimate, order_configs
 from repro.engine.faults import FaultInjector, InjectedCrash
-from repro.engine.parallel import ParallelSweep
+from repro.engine.parallel import ParallelSweep, WorkerPool
 from repro.engine.resilience import (
     CheckpointError,
     CheckpointMismatchError,
@@ -100,6 +101,7 @@ __all__ = [
     "TraceBundle",
     "TraceWorkload",
     "TransientChunkError",
+    "WorkerPool",
     "Workload",
     "assemble_estimate",
     "available_backends",

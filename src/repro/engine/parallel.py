@@ -34,6 +34,12 @@ elapses without *any* chunk completing, the in-flight chunks are declared
 wedged, the pool is abandoned (hung workers are never joined), and only
 those chunks are re-dispatched to a fresh pool.
 
+Workers come from a :class:`WorkerPool`.  A standalone sweep builds one
+that lives for its :meth:`ParallelSweep.run`; a long-lived caller (the
+exploration service's job runner) passes its own, so consecutive sweeps
+reuse warm workers.  Either way a round that breaks the pool or abandons
+it discards it unjoined, and the next round starts a fresh one.
+
 Observability crosses the process boundary with the results: each worker
 evaluates its chunk under a fresh :class:`~repro.obs.spans.SpanCollector`
 (when the parent is profiling) and computes its metric and
@@ -55,7 +61,16 @@ import os
 import pickle
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.config import CacheConfig
 from repro.core.metrics import PerformanceEstimate
@@ -84,7 +99,7 @@ from repro.obs.spans import (
     span,
 )
 
-__all__ = ["ParallelSweep"]
+__all__ = ["ParallelSweep", "WorkerPool"]
 
 logger = logging.getLogger(__name__)
 
@@ -253,18 +268,91 @@ def _group_key(evaluator: Any, config: CacheConfig):
 def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
     """The start method of a worker pool: a fork server under threads.
 
-    A worker forked while another thread holds a lock (sqlite's internal
-    mutex, a logging handler's) blocks on it forever -- ``repro serve``
-    forks from its HTTP and job-runner threads.  A fork server is a
-    single-threaded process, so its children start with no lock held.  A
-    single-threaded caller, or a platform without a fork server, keeps
-    the default start method.
+    A worker forked while another thread holds a lock blocks on it the
+    first time it takes that lock.  Workers never open the result store,
+    but every chunk still takes locks other threads of ``repro serve``
+    hold at any moment: the metrics registry's (the HTTP ``/metrics``
+    handler), the global ``EvalCache``'s and the logging handlers'.  A
+    fork server is a single-threaded process, so its children start with
+    no lock held.  A single-threaded caller, or a platform without a fork
+    server, keeps the default start method.
     """
     if threading.active_count() > 1 and (
         "forkserver" in multiprocessing.get_all_start_methods()
     ):
         return multiprocessing.get_context("forkserver")
     return None
+
+
+#: How often a worker checks that the process owning its pool still runs.
+_OWNER_POLL_S = 0.5
+
+
+def _exit_with_owner(owner_pid: int) -> None:
+    """Worker initializer: exit once the pool's owner process is gone.
+
+    A worker holds both ends of its pool's call queue, so it never sees
+    end-of-file when the owner dies; after a ``kill -9`` of a long-lived
+    owner its workers (and the fork server they keep alive) would idle
+    forever.  A daemon thread polls the owner's pid instead.
+    """
+
+    def watch() -> None:
+        while True:
+            time.sleep(_OWNER_POLL_S)
+            try:
+                os.kill(owner_pid, 0)
+            except ProcessLookupError:
+                os._exit(0)
+            except PermissionError:  # pragma: no cover - pid still in use
+                pass
+
+    threading.Thread(
+        target=watch, name="repro-owner-watch", daemon=True
+    ).start()
+
+
+class WorkerPool:
+    """Worker processes shared by every sweep dispatched to them.
+
+    The executor starts on first use and lives until :meth:`close`.  A
+    round that breaks it (a worker died) or abandons it (watchdog,
+    cancellation) calls :meth:`discard`, which shuts it down without
+    joining; the next :meth:`executor` call starts a fresh one.  Workers
+    exit on their own once the process that started them is gone (see
+    :func:`_exit_with_owner`).  Not thread-safe: one dispatcher at a time.
+    """
+
+    def __init__(self, jobs: int) -> None:
+        if jobs < 1:
+            raise ValueError("job count must be at least 1")
+        self.jobs = jobs
+        self._executor: Optional[
+            concurrent.futures.ProcessPoolExecutor
+        ] = None
+
+    def executor(self) -> concurrent.futures.ProcessPoolExecutor:
+        """The live executor, started now if there is none."""
+        if self._executor is None:
+            self._executor = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.jobs,
+                mp_context=_pool_context(),
+                initializer=_exit_with_owner,
+                initargs=(os.getpid(),),
+            )
+        return self._executor
+
+    def discard(self) -> None:
+        """Drop the executor without joining its (possibly hung) workers."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor = None
+
+    def close(self) -> None:
+        """Stop the workers and wait for them to exit."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
 
 
 class ParallelSweep:
@@ -292,9 +380,17 @@ class ParallelSweep:
         service uses it to stream job progress.  Only the resilient
         executor reports -- the historical direct path (no explicit
         resilience, tiny/serial sweep) stays bare.
+    pool:
+        The :class:`WorkerPool` to dispatch to; ``None`` builds one that
+        lives only for each :meth:`run`.
+    known:
+        Estimates the caller already holds (the service's result store),
+        by configuration.  Like rows resumed from the checkpoint journal
+        they count as done from the start: never dispatched, never
+        journaled, counted by ``on_progress``.
 
-    Worker pools start from the platform default, or from a fork server
-    when the calling process runs other threads (see
+    Worker processes start from the platform default, or from a fork
+    server when the calling process runs other threads (see
     :func:`_pool_context`).
     """
 
@@ -304,6 +400,8 @@ class ParallelSweep:
         chunk_size: Optional[int] = None,
         resilience: Optional[ResilienceOptions] = None,
         on_progress: Optional[Callable[[int, int], None]] = None,
+        pool: Optional[WorkerPool] = None,
+        known: Optional[Mapping[CacheConfig, PerformanceEstimate]] = None,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("job count must be at least 1")
@@ -316,6 +414,8 @@ class ParallelSweep:
             resilience if resilience is not None else ResilienceOptions()
         )
         self.on_progress = on_progress
+        self.pool = pool
+        self.known = known if known is not None else {}
         self._progress_total = 0
 
     def _chunks(
@@ -355,14 +455,18 @@ class ParallelSweep:
         opts = self.resilience
         # Without explicit resilience options, tiny/serial sweeps keep the
         # historical direct path (raw exceptions, no journal, no wrapping).
-        if not self._explicit_resilience and (
+        if not (self._explicit_resilience or self.known) and (
             self.jobs <= 1 or len(configs) <= 1
         ):
             pairs = _evaluate_pairs(evaluator, list(enumerate(configs)))
             return [estimate for _, estimate in pairs]
         journal, tagged = self._open_journal(evaluator, configs, opts)
+        for index, config in enumerate(configs):
+            if index not in tagged and config in self.known:
+                tagged[index] = self.known[config]
         self._progress_total = len(configs)
         self._report_progress(tagged)
+        owned: Optional[WorkerPool] = None
         try:
             self._check_cancel(opts, tagged)
             pending = self._pending_chunks(evaluator, configs, tagged)
@@ -376,10 +480,15 @@ class ParallelSweep:
             if self.jobs <= 1 or len(pending) <= 1:
                 self._run_chunks_serial(evaluator, pending, opts, journal, tagged)
             else:
+                pool = self.pool
+                if pool is None:
+                    pool = owned = WorkerPool(min(self.jobs, len(pending)))
                 self._run_chunks_parallel(
-                    evaluator, pending, opts, journal, tagged
+                    pool, evaluator, pending, opts, journal, tagged
                 )
         finally:
+            if owned is not None:
+                owned.close()
             if journal is not None:
                 journal.close()
         return [tagged[index] for index in range(len(configs))]
@@ -633,6 +742,7 @@ class ParallelSweep:
 
     def _run_chunks_parallel(
         self,
+        pool: WorkerPool,
         evaluator: Any,
         pending: Sequence[_Chunk],
         opts: ResilienceOptions,
@@ -672,12 +782,13 @@ class ParallelSweep:
                 )
                 self._check_cancel(opts, tagged)
             queue = self._dispatch_round(
-                evaluator, queue, opts, attempts, journal, tagged
+                pool, evaluator, queue, opts, attempts, journal, tagged
             )
             round_no += 1
 
     def _dispatch_round(
         self,
+        pool: WorkerPool,
         evaluator: Any,
         queue: Sequence[_Chunk],
         opts: ResilienceOptions,
@@ -690,8 +801,9 @@ class ParallelSweep:
         Successes commit (merge + tag + journal) as they arrive.  A round
         that stalls past ``chunk_timeout_s`` without any completion
         abandons the pool -- hung workers are never joined -- and reports
-        everything unfinished as timed out.  Environments that cannot run
-        a pool finish the round serially and return no failures.
+        everything unfinished as timed out; a round that breaks the pool
+        discards it the same way.  Environments that cannot run a pool
+        finish the round serially and return no failures.
         """
         metrics = get_metrics()
         profile = profiling_enabled()
@@ -700,10 +812,7 @@ class ParallelSweep:
         # open span path, so worker chunk events nest under our "sweep".
         trace_ctx = _trace.export_context(current_path())
         try:
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(queue)),
-                mp_context=_pool_context(),
-            )
+            executor = pool.executor()
         except _ENVIRONMENT_ERRORS as exc:
             self._environment_fallback(evaluator, queue, journal, tagged, exc)
             return []
@@ -713,18 +822,22 @@ class ParallelSweep:
         try:
             futures = {}
             for indexed in queue:
-                token = indexed[0][0]
-                futures[
-                    pool.submit(
+                try:
+                    future = executor.submit(
                         _evaluate_chunk,
                         evaluator,
                         indexed,
                         profile,
                         injector,
-                        attempts[token],
+                        attempts[indexed[0][0]],
                         trace_ctx,
                     )
-                ] = indexed
+                except concurrent.futures.process.BrokenProcessPool as exc:
+                    # A worker died between rounds: fail the chunk like
+                    # one that was in flight when it died.
+                    future = concurrent.futures.Future()
+                    future.set_exception(exc)
+                futures[future] = indexed
             not_done = set(futures)
             # The watchdog window is measured from the last completion, so
             # slicing the wait below (for cancellation responsiveness)
@@ -784,6 +897,10 @@ class ParallelSweep:
                     try:
                         payload = _validate_payload(future.result(), indexed)
                     except _TRANSIENT_ERRORS as exc:
+                        if isinstance(
+                            exc, concurrent.futures.process.BrokenProcessPool
+                        ):
+                            abandoned = True
                         attempts[token] += 1
                         transient.append(indexed)
                         metrics.counter("resilience.chunk_failures").inc()
@@ -821,7 +938,8 @@ class ParallelSweep:
             abandoned = True
             raise
         finally:
-            # A broken pool shuts down instantly; an abandoned one must not
-            # be joined (its hung workers are exactly what we are escaping).
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
+            # A broken or abandoned pool must not be joined (hung workers
+            # are exactly what we are escaping); a healthy one stays warm.
+            if abandoned:
+                pool.discard()
         return transient

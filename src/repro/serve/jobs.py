@@ -55,6 +55,7 @@ timeline (see :mod:`repro.obs.trace`) persisted in the store's
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import itertools
@@ -71,7 +72,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.config import CacheConfig, design_space
 from repro.energy import get_energy_model, get_sram
 from repro.engine.evaluator import Evaluator, order_configs
-from repro.engine.parallel import ParallelSweep
+from repro.engine.parallel import ParallelSweep, WorkerPool
 from repro.engine.resilience import (
     CircuitBreaker,
     CircuitOpenError,
@@ -239,7 +240,7 @@ class JobSpec:
         """Canonical JSON text (the input to :attr:`spec_hash`)."""
         return json.dumps(self.to_json(), sort_keys=True)
 
-    @property
+    @functools.cached_property
     def spec_hash(self) -> str:
         """SHA-256 of the canonical spec: the coalescing key."""
         return hashlib.sha256(self.canonical().encode()).hexdigest()
@@ -288,7 +289,11 @@ class JobSpec:
 
 @dataclass
 class Job:
-    """One tracked sweep: spec + lifecycle + progress + result."""
+    """One tracked sweep: spec + lifecycle + progress.
+
+    A job holds no result: a done job's rows live in the result store
+    (see :meth:`~repro.serve.server.ExplorationService.job_result`).
+    """
 
     spec: JobSpec
     priority: int = DEFAULT_PRIORITY
@@ -310,8 +315,6 @@ class Job:
     deadline_s: Optional[float] = None
     #: Bumped on every visible change; progress streams key off it.
     version: int = 0
-    #: In-memory result (after restart, results come from the store).
-    result: Optional[ExplorationResult] = None
     #: Set once cancellation was requested (volatile; the runner wires
     #: ``cancel_event`` into the sweep when the job starts executing).
     cancel_requested: bool = field(default=False, repr=False)
@@ -323,6 +326,9 @@ class Job:
     history: List[Dict[str, Any]] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
+        # Built once: every snapshot in ``history`` shares (and never
+        # mutates) this one document.
+        self._spec_doc = self.spec.to_json()
         if not self.job_id:
             self.job_id = f"{self.spec.spec_hash[:12]}-{uuid.uuid4().hex[:8]}"
         if not self.total_configs:
@@ -343,7 +349,7 @@ class Job:
         """The job record served by ``GET /jobs/<id>`` (and persisted)."""
         return {
             "job_id": self.job_id,
-            "spec": self.spec.to_json(),
+            "spec": self._spec_doc,
             "spec_hash": self.spec.spec_hash,
             "priority": self.priority,
             "state": self.state,
@@ -683,13 +689,12 @@ class JobManager:
             job.history.append(dict(event))
             self._cond.notify_all()
 
-    def finish(self, job: Job, result: ExplorationResult) -> None:
-        """Mark a job done and release its coalescing slot."""
+    def finish(self, job: Job, rows: int) -> None:
+        """Mark a job done with ``rows`` result rows; release its slot."""
         with self._cond:
-            job.result = result
             job.state = "done"
-            job.done_configs = len(result)
-            job.total_configs = len(result)
+            job.done_configs = rows
+            job.total_configs = rows
             job.finished_s = self._clock()
             self._touch(job)
             self._release(job)
@@ -993,15 +998,22 @@ class JobRunner(threading.Thread):
     """The worker loop: claim, sweep (with checkpoints), record.
 
     One runner executes jobs in fair-share order; parallelism *within* a
-    job comes from ``sweep_jobs``
-    (:class:`~repro.engine.parallel.ParallelSweep` fan-out).  Every job
-    journals to ``<spool>/<spec_hash>.jsonl`` and always runs with
-    ``resume=True``, so a job interrupted by ``kill -9`` -- or cancelled
-    by a client or its deadline -- picks up exactly where its journal
-    stops on resubmission and the final result is bit-identical to an
-    uninterrupted run.  (The journal is keyed by spec hash, not job id:
-    coalescing guarantees at most one active job per spec, and a *new*
-    job for a cancelled spec must find the old journal to resume.)
+    job comes from ``sweep_jobs`` workers
+    (:class:`~repro.engine.parallel.ParallelSweep` fan-out) of one
+    :class:`~repro.engine.parallel.WorkerPool` that the runner keeps for
+    its whole life -- :meth:`close` stops it.  The result store is read
+    and written here, in the runner's process: a job first takes every
+    row the store holds, a job the store answers in full finishes
+    without touching the pool, and only the missing configurations are
+    dispatched.  Every dispatching job journals to
+    ``<spool>/<spec_hash>.jsonl`` (keyed on the whole grid) and always
+    runs with ``resume=True``, so a job interrupted by ``kill -9`` -- or
+    cancelled by a client or its deadline -- picks up exactly where its
+    journal and the store stop on resubmission and the final result is
+    bit-identical to an uninterrupted run.  (The journal is keyed by spec
+    hash, not job id: coalescing guarantees at most one active job per
+    spec, and a *new* job for a cancelled spec must find the old journal
+    to resume.)
 
     Backends are guarded per ``eval_id`` by a
     :class:`~repro.engine.resilience.CircuitBreaker`: once one opens,
@@ -1026,7 +1038,13 @@ class JobRunner(threading.Thread):
         self.breaker_cooldown_s = float(breaker_cooldown_s)
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._breakers_lock = threading.Lock()
+        #: Worker processes shared by every job this runner executes.
+        self.pool = WorkerPool(self.sweep_jobs)
         os.makedirs(self.spool_dir, exist_ok=True)
+
+    def close(self) -> None:
+        """Stop the runner's worker processes (call once it is idle)."""
+        self.pool.close()
 
     def checkpoint_path(self, job: Job) -> str:
         """Where one job journals its completed work (by spec hash).
@@ -1151,7 +1169,7 @@ class JobRunner(threading.Thread):
         if error is not None:
             self.manager.fail(job, error)
             return
-        self.manager.finish(job, result)
+        self.manager.finish(job, len(result))
         get_metrics().histogram("serve.job_seconds").observe(
             time.perf_counter() - started
         )
@@ -1174,47 +1192,60 @@ class JobRunner(threading.Thread):
         self, job: Job, cancel_event: Optional[threading.Event] = None
     ) -> ExplorationResult:
         spec = job.spec
-        evaluator = spec.build_evaluator(self.manager.store)
+        store = self.manager.store
+        evaluator = spec.build_evaluator(store)
         configs = spec.configs()
-        breaker = self.breaker_for(evaluator.eval_id)
-        if not breaker.allow():
-            get_metrics().counter("breaker.fail_fast").inc()
-            raise CircuitOpenError(
-                f"circuit breaker for evaluator {evaluator.eval_id[:12]} "
-                f"({spec.kernel}/{spec.backend}) is open; "
-                f"retry in {breaker.retry_after_s():.0f}s",
-                retry_after_s=breaker.retry_after_s(),
-            )
-        self.manager.progress(job, 0, len(configs))
+        breaker = self._check_breaker(evaluator.eval_id, spec)
         resilience = ResilienceOptions(
             checkpoint=self.checkpoint_path(job),
             resume=True,
             cancel_event=cancel_event,
             breaker=breaker,
         )
-        sweep = ParallelSweep(
-            jobs=self.sweep_jobs,
-            resilience=resilience,
-            on_progress=lambda done, total: self.manager.progress(
-                job, done, total
-            ),
-        )
-        with span(
-            "sweep",
-            configs=len(configs),
-            jobs=self.sweep_jobs,
-            backend=spec.backend,
-        ):
-            estimates = sweep.run(evaluator, configs)
-        # Rows resumed from the checkpoint journal never pass through the
-        # evaluator; backfill them so the store holds the complete sweep
-        # (INSERT OR IGNORE makes the overlap free).
-        with span("store.write", rows=len(configs)):
-            self.manager.store.put_many(
-                evaluator.eval_id, zip(configs, estimates)
+        stored = store.get_many(evaluator.eval_id, configs)
+        if len(stored) == len(configs):
+            estimates = [stored[config] for config in configs]
+        else:
+            self.manager.progress(job, 0, len(configs))
+            sweep = ParallelSweep(
+                jobs=self.sweep_jobs,
+                resilience=resilience,
+                on_progress=lambda done, total: self.manager.progress(
+                    job, done, total
+                ),
+                pool=self.pool,
+                known=stored,
             )
+            with span(
+                "sweep",
+                configs=len(configs),
+                jobs=self.sweep_jobs,
+                backend=spec.backend,
+            ):
+                estimates = sweep.run(evaluator.inner, configs)
+            # Fresh rows and rows resumed from the checkpoint journal.
+            fresh = [
+                (config, estimate)
+                for config, estimate in zip(configs, estimates)
+                if config not in stored
+            ]
+            with span("store.write", rows=len(fresh)):
+                store.put_many(evaluator.eval_id, fresh)
         self._record_manifest(job, evaluator, configs, resilience=resilience)
         return ExplorationResult(estimates)
+
+    def _check_breaker(self, eval_id: str, spec: JobSpec) -> CircuitBreaker:
+        """The evaluator's breaker; raise fast while it is open."""
+        breaker = self.breaker_for(eval_id)
+        if not breaker.allow():
+            get_metrics().counter("breaker.fail_fast").inc()
+            raise CircuitOpenError(
+                f"circuit breaker for evaluator {eval_id[:12]} "
+                f"({spec.kernel}/{spec.backend}) is open; "
+                f"retry in {breaker.retry_after_s():.0f}s",
+                retry_after_s=breaker.retry_after_s(),
+            )
+        return breaker
 
     def _search(
         self, job: Job, cancel_event: Optional[threading.Event] = None
@@ -1232,17 +1263,20 @@ class JobRunner(threading.Thread):
         spec = job.spec
         settings = spec.search
         assert settings is not None
-        evaluator = spec.build_evaluator(self.manager.store)
-        configs = spec.configs()
-        breaker = self.breaker_for(evaluator.eval_id)
-        if not breaker.allow():
-            get_metrics().counter("breaker.fail_fast").inc()
-            raise CircuitOpenError(
-                f"circuit breaker for evaluator {evaluator.eval_id[:12]} "
-                f"({spec.kernel}/{spec.backend}) is open; "
-                f"retry in {breaker.retry_after_s():.0f}s",
-                retry_after_s=breaker.retry_after_s(),
+        # Each generation's store misses fan out on the runner's pool.
+        evaluator = StoreBackedEvaluator(
+            spec.build_evaluator(),
+            self.manager.store,
+            sweep=ParallelSweep(
+                jobs=self.sweep_jobs,
+                resilience=ResilienceOptions(cancel_event=cancel_event),
+                pool=self.pool,
             )
+            if self.sweep_jobs > 1
+            else None,
+        )
+        configs = spec.configs()
+        self._check_breaker(evaluator.eval_id, spec)
         self.manager.progress(job, 0, settings.budget)
         last_event: Dict[str, Any] = {}
 
@@ -1262,7 +1296,6 @@ class JobRunner(threading.Thread):
                     evaluator,
                     configs,
                     settings,
-                    jobs=self.sweep_jobs,
                     checkpoint=self.checkpoint_path(job),
                     resume=True,
                     cancel_event=cancel_event,

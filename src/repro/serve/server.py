@@ -182,23 +182,23 @@ class ExplorationService:
         self.manager.begin_drain()
 
     def stop(self, wait: bool = True, timeout_s: float = 60.0) -> None:
-        """Drain, let the runner finish, and close the store.
+        """Drain, let the runner finish, stop its workers, close the store.
 
         When the runner is still alive after the join (or ``wait`` is
-        False mid-sweep), the store stays open: closing it under an
-        in-flight job would turn the job's own writes into spurious
-        closed-connection failures.  The store then closes with the
-        process.
+        False mid-sweep), the worker pool and the store stay open:
+        closing them under an in-flight job would turn the job's own
+        work into spurious failures.  They then close with the process.
         """
         self.manager.stop()
         if self._started and wait:
             self.runner.join(timeout_s)
         if self._started and self.runner.is_alive():
             logger.warning(
-                "runner still busy after stop(); leaving the store open "
-                "for the in-flight job"
+                "runner still busy after stop(); leaving the workers and "
+                "the store open for the in-flight job"
             )
             return
+        self.runner.close()
         self.store.close()
 
     # ------------------------------------------------------------------
@@ -306,33 +306,28 @@ class ExplorationService:
     def job_result(self, job: Job) -> Optional[Dict[str, Any]]:
         """The exact result document for a done job (``None`` otherwise).
 
-        After a restart the in-memory result is gone; the rows are then
-        reassembled from the persistent store, which holds every
-        configuration the job evaluated.
+        Jobs hold no result in memory: the rows are assembled from the
+        persistent store, which holds every configuration a done job
+        evaluated -- the same path before and after a restart.
         """
         if job.state != "done":
             return None
-        result = job.result
-        if result is None:
-            if job.spec.search is not None:
-                result = self._search_result(job)
-            else:
-                eval_id = job.spec.eval_id()
-                configs = job.spec.configs()
-                result = self.store.result_for(eval_id, configs)
-                if result is None:
-                    # Rows were quarantined (or otherwise lost) since the
-                    # job finished: re-evaluate the holes through the
-                    # store-backed evaluator instead of serving a 404 for
-                    # a done job.  The healthy rows come straight from
-                    # sqlite; only the gaps recompute, and the fresh
-                    # estimates repopulate the store.
-                    get_metrics().counter("serve.results_rebuilt").inc()
-                    evaluator = job.spec.build_evaluator(self.store)
-                    result = ExplorationResult(
-                        evaluator.evaluate_batch(configs)
-                    )
-            job.result = result
+        if job.spec.search is not None:
+            result = self._search_result(job)
+        else:
+            eval_id = job.spec.eval_id()
+            configs = job.spec.configs()
+            result = self.store.result_for(eval_id, configs)
+            if result is None:
+                # Rows were quarantined (or otherwise lost) since the
+                # job finished: re-evaluate the holes through the
+                # store-backed evaluator instead of serving a 404 for
+                # a done job.  The healthy rows come straight from
+                # sqlite; only the gaps recompute, and the fresh
+                # estimates repopulate the store.
+                get_metrics().counter("serve.results_rebuilt").inc()
+                evaluator = job.spec.build_evaluator(self.store)
+                result = ExplorationResult(evaluator.evaluate_batch(configs))
         return {
             "job_id": job.job_id,
             "schema": SERVE_SCHEMA,
@@ -340,7 +335,7 @@ class ExplorationService:
         }
 
     def _search_result(self, job: Job) -> ExplorationResult:
-        """Reassemble a done search job's front after a restart.
+        """Reassemble a done search job's front from the store.
 
         The persisted manifest's ``search.front`` names the front
         configurations; their rows come from the store (re-evaluating

@@ -13,14 +13,14 @@ serialise via ``repr``, so a stored result is bit-identical to a freshly
 computed one.
 
 :class:`StoreBackedEvaluator` wraps any engine evaluator with the store:
-``evaluate(config)`` first consults the store (an L2 hit skips the whole
-pipeline, including the EvalCache), and writes every freshly computed
-estimate back.  The wrapper delegates ``workload`` / ``backend`` /
-``cache`` to the inner evaluator, so sweep fingerprints, checkpoint
+``evaluate_batch(configs)`` first consults the store (an L2 hit skips the
+whole pipeline, including the EvalCache), and writes every freshly
+computed estimate back.  The wrapper delegates ``workload`` / ``backend``
+/ ``cache`` to the inner evaluator, so sweep fingerprints, checkpoint
 journals and :class:`~repro.engine.parallel.ParallelSweep` chunking are
-identical with or without the store; it also drops its sqlite connection
-on pickling and lazily reopens it, so ``jobs=N`` workers each talk to the
-store directly (WAL journaling makes that safe).
+identical with or without the store.  The store stays in the process
+that opened it: parallel evaluation fans out only the store's misses,
+and only the inner evaluator crosses into workers.
 
 Store schema (``repro.store/1``)::
 
@@ -808,8 +808,11 @@ class StoreBackedEvaluator:
     ``evaluate_batch(configs)`` returns the stored estimates that exist --
     skipping trace generation, miss measurement and the in-memory
     :class:`~repro.engine.cache.EvalCache` entirely -- and delegates the
-    rest to the wrapped evaluator's ``evaluate_batch``, recording the
-    fresh estimates.
+    rest to the wrapped evaluator's ``evaluate_batch``, or fans them out
+    through ``sweep`` (a :class:`~repro.engine.parallel.ParallelSweep`)
+    when one is given, recording the fresh estimates.  The store is read
+    and written in the caller's process only: the wrapper never crosses
+    a process boundary, and only the inner evaluator reaches workers.
     Every delegated attribute (``workload``, ``backend``, ``cache``,
     ``energy_model``, ``gray_code``) mirrors the inner evaluator, so
     checkpoint fingerprints and sweep chunking do not change when the
@@ -821,28 +824,14 @@ class StoreBackedEvaluator:
         evaluator: Any,
         store: ResultStore,
         eval_id: Optional[str] = None,
+        sweep: Any = None,
     ) -> None:
         self.inner = evaluator
         self.eval_id = (
             eval_id if eval_id is not None else evaluator_fingerprint(evaluator)
         )
-        self._store: Optional[ResultStore] = store
-        self._store_path = store.path
-
-    # The sqlite connection is process-local: when the evaluator crosses a
-    # process boundary (ParallelSweep workers), each worker reopens the
-    # same file lazily.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_store"] = None
-        return state
-
-    @property
-    def store(self) -> ResultStore:
-        """The persistent store (reopened after unpickling)."""
-        if self._store is None:
-            self._store = ResultStore(self._store_path)
-        return self._store
+        self.store = store
+        self.sweep = sweep
 
     @property
     def workload(self):
@@ -876,31 +865,25 @@ class StoreBackedEvaluator:
     def evaluate_batch(
         self, configs: Any
     ) -> "list[PerformanceEstimate]":
-        """Many configurations: stored rows first, one batch for the rest.
+        """Many configurations: one store read, one batch for the rest.
 
         Keeps the grouped cold path (one stack-filter pass per trace/line
         size group) intact underneath the store tier: stored estimates
-        are returned as-is and only the misses reach the inner
-        evaluator's ``evaluate_batch``; fresh estimates are recorded in
-        the store.
+        are returned as-is and only the misses reach the inner evaluator;
+        the fresh estimates are recorded in one store write.
         """
         configs = list(configs)
-        results: "list[Optional[PerformanceEstimate]]" = [None] * len(configs)
-        cold: "list[CacheConfig]" = []
-        cold_at: "list[int]" = []
-        for position, config in enumerate(configs):
-            stored = self.store.get(self.eval_id, config)
-            if stored is not None:
-                results[position] = stored
-            else:
-                cold.append(config)
-                cold_at.append(position)
+        unique = list(dict.fromkeys(configs))
+        found = self.store.get_many(self.eval_id, unique)
+        cold = [config for config in unique if config not in found]
         if cold:
-            fresh = self.inner.evaluate_batch(cold)
-            for position, config, estimate in zip(cold_at, cold, fresh):
-                self.store.put(self.eval_id, config, estimate)
-                results[position] = estimate
-        return list(results)
+            if self.sweep is not None:
+                fresh = self.sweep.run(self.inner, cold)
+            else:
+                fresh = self.inner.evaluate_batch(cold)
+            self.store.put_many(self.eval_id, zip(cold, fresh))
+            found.update(zip(cold, fresh))
+        return [found[config] for config in configs]
 
 
 def open_store(path: str) -> ResultStore:

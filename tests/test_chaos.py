@@ -41,6 +41,7 @@ from repro.serve import (
     RateLimitedError,
     TenancyPolicy,
 )
+from repro.serve.jobs import result_to_json
 
 SEEDS = [
     int(part)
@@ -311,8 +312,8 @@ class TestMultiTenantChaos:
             for job_id, spec in jobs.items():
                 done = second.manager.wait(job_id, timeout_s=120)
                 assert done is not None and done.state == "done"
-                assert list(done.result.estimates) == list(
-                    direct[spec.spec_hash].estimates
+                assert second.job_result(done)["estimates"] == (
+                    result_to_json(direct[spec.spec_hash])
                 )
             assert second.store.stats()["quarantine"] == 1
             assert (

@@ -36,6 +36,7 @@ from repro.serve import (
     make_server,
     open_store,
 )
+from repro.serve.jobs import result_to_json
 
 #: Small grids so each sweep is fast; SMALL is a strict subset of BIG.
 SMALL = JobSpec(kernel="compress", max_size=32, min_size=16, tilings=(1,))
@@ -308,8 +309,7 @@ class TestCrashRecovery:
             )
             doc = second.job_result(done)
             assert doc is not None
-            result = done.result
-            assert list(result.estimates) == list(direct.estimates)
+            assert doc["estimates"] == result_to_json(direct)
         finally:
             second.stop()
 
@@ -768,7 +768,9 @@ class TestDeadlineResume:
             assert not coalesced and retry.job_id != job.job_id
             done = service.manager.wait(retry.job_id, timeout_s=120)
             assert done is not None and done.state == "done"
-            assert list(done.result.estimates) == list(direct.estimates)
+            assert service.job_result(done)["estimates"] == result_to_json(
+                direct
+            )
         finally:
             service.stop()
 
@@ -1108,3 +1110,267 @@ class TestSearchJobs:
     def test_search_job_total_work_is_budget(self):
         assert self.SEARCH.total_work() == self.SEARCH.search.budget
         assert SMALL.total_work() == len(SMALL.configs())
+
+
+def _chunks_completed():
+    return get_metrics().counter("parallel.chunks_completed").value
+
+
+class TestStoreInRunner:
+    """The runner resolves the store itself and fans out only its misses,
+    on one worker pool that lives as long as the runner."""
+
+    #: Two grids that share no configuration.
+    COLD_A = JobSpec(kernel="compress", max_size=64, min_size=16, tilings=(1,))
+    COLD_B = JobSpec(kernel="compress", max_size=64, min_size=16, tilings=(2,))
+
+    def test_store_answered_job_dispatches_and_journals_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.engine.parallel as parallel
+
+        journals = []
+
+        class SpyCheckpoint(parallel.SweepCheckpoint):
+            def __init__(self, path):
+                journals.append(path)
+                super().__init__(path)
+
+        monkeypatch.setattr(parallel, "SweepCheckpoint", SpyCheckpoint)
+        env = LiveServer(tmp_path, sweep_jobs=2)
+        try:
+            first = env.client.submit(BIG)
+            assert env.client.wait(first["job_id"], timeout_s=120)[
+                "state"
+            ] == "done"
+            assert journals, "a cold job journals its sweep"
+            del journals[:]
+            chunks = _chunks_completed()
+            evaluated = _evaluated()
+            again = env.client.submit(BIG)
+            assert again["job_id"] != first["job_id"]
+            assert env.client.wait(again["job_id"], timeout_s=120)[
+                "state"
+            ] == "done"
+            assert _chunks_completed() == chunks
+            assert _evaluated() == evaluated
+            assert journals == []
+            doc = env.client.trace(again["job_id"])
+            paths = {tuple(event["path"]) for event in doc["events"]}
+            assert ("job",) in paths and ("job", "sweep") not in paths
+            assert (
+                env.client.result(again["job_id"]).estimates
+                == env.client.result(first["job_id"]).estimates
+            )
+        finally:
+            env.close()
+
+    def test_cold_jobs_share_the_runners_workers(self, tmp_path):
+        import multiprocessing
+        import os
+
+        env = LiveServer(tmp_path, sweep_jobs=2)
+        try:
+            workers = set()
+            for spec in (self.COLD_A, self.COLD_B):
+                chunks = _chunks_completed()
+                job = env.client.submit(spec)
+                assert env.client.wait(job["job_id"], timeout_s=120)[
+                    "state"
+                ] == "done"
+                assert _chunks_completed() > chunks, "ran on the pool"
+                workers |= set(env.client.trace(job["job_id"])["workers"])
+            workers.discard(os.getpid())
+            assert workers
+            # A pool per job would have retired the first job's workers.
+            live = {child.pid for child in multiprocessing.active_children()}
+            assert workers <= live
+        finally:
+            env.close()
+
+    def test_killed_workers_are_replaced(self, tmp_path, monkeypatch):
+        import repro.serve.jobs as jobs_module
+        from repro.engine import FaultInjector
+
+        real_options = jobs_module.ResilienceOptions
+
+        def killing_options(**kwargs):
+            return real_options(
+                fault_injector=FaultInjector(seed=9, kill_rate=1.0), **kwargs
+            )
+
+        direct = self.COLD_A.build_evaluator().sweep(
+            configs=self.COLD_A.configs()
+        )
+        service = ExplorationService(
+            str(tmp_path / "results.db"),
+            str(tmp_path / "spool"),
+            sweep_jobs=2,
+            breaker_threshold=1000,
+        ).start()
+        try:
+            monkeypatch.setattr(
+                jobs_module, "ResilienceOptions", killing_options
+            )
+            job, _ = service.manager.submit(self.COLD_A)
+            done = service.manager.wait(job.job_id, timeout_s=120)
+            assert done is not None and done.state == "done"
+            assert service.job_result(done)["estimates"] == result_to_json(
+                direct
+            )
+            monkeypatch.setattr(jobs_module, "ResilienceOptions", real_options)
+            chunks = _chunks_completed()
+            job, _ = service.manager.submit(self.COLD_B)
+            done = service.manager.wait(job.job_id, timeout_s=120)
+            assert done is not None and done.state == "done"
+            assert _chunks_completed() > chunks, "a rebuilt pool ran it"
+        finally:
+            service.stop()
+
+    def test_stop_leaves_no_worker_processes(self, tmp_path):
+        import multiprocessing
+
+        service = ExplorationService(
+            str(tmp_path / "results.db"), str(tmp_path / "spool"), sweep_jobs=2
+        ).start()
+        job, _ = service.manager.submit(self.COLD_A)
+        done = service.manager.wait(job.job_id, timeout_s=120)
+        assert done is not None and done.state == "done"
+        assert multiprocessing.active_children(), "the pool outlives its job"
+        service.stop()
+        assert multiprocessing.active_children() == []
+
+    def test_part_stored_job_resumes_after_kill_and_repair(self, tmp_path):
+        from repro.cli import main
+        from repro.engine.parallel import ParallelSweep
+
+        db = str(tmp_path / "results.db")
+        spool = str(tmp_path / "spool")
+        configs = BIG.configs()
+        clean = result_to_json(BIG.build_evaluator().sweep(configs=configs))
+
+        # Session one stores SMALL (part of BIG's grid), then claims BIG
+        # and journals some of its missing rows before a kill -9.
+        first = ExplorationService(db, spool).start()
+        job, _ = first.manager.submit(SMALL)
+        assert first.manager.wait(job.job_id, timeout_s=120).state == "done"
+        first.stop()
+        first = ExplorationService(db, spool)
+        job, _ = first.manager.submit(BIG)
+        assert first.manager.next_job().job_id == job.job_id
+        evaluator = BIG.build_evaluator(first.store)
+        stored = first.store.get_many(evaluator.eval_id, configs)
+        assert 0 < len(stored) < len(configs)
+        journal = first.runner.checkpoint_path(job)
+        ParallelSweep(
+            jobs=1,
+            resilience=ResilienceOptions(checkpoint=journal),
+            known=stored,
+        ).run(evaluator.inner, configs)
+        lines = open(journal, encoding="utf-8").read().splitlines()
+        assert len(lines) > 2
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines[:2]) + "\n")
+
+        # Offline repair replays the journal into the store, as CI does
+        # between the kill and the restart.
+        assert main(["store", "verify", "--repair", "--store", db,
+                     "--spool", spool]) == 0
+
+        second = ExplorationService(db, spool).start()
+        try:
+            done = second.manager.wait(job.job_id, timeout_s=120)
+            assert done is not None and done.state == "done"
+            assert done.resumed
+            assert second.job_result(done)["estimates"] == clean
+        finally:
+            second.stop()
+
+    def test_parallel_search_reads_the_store_in_the_runner(self, tmp_path):
+        spec = TestSearchJobs.SEARCH
+        direct = run_search(spec.build_evaluator(), spec.configs(), spec.search)
+        service = ExplorationService(
+            str(tmp_path / "results.db"), str(tmp_path / "spool"), sweep_jobs=2
+        ).start()
+        try:
+            chunks = _chunks_completed()
+            job, _ = service.manager.submit(spec)
+            done = service.manager.wait(job.job_id, timeout_s=120)
+            assert done is not None and done.state == "done"
+            assert _chunks_completed() > chunks, "misses fanned out"
+            served = service.job_result(done)["estimates"]
+            assert served == result_to_json(direct.result)
+        finally:
+            service.stop()
+
+
+@pytest.mark.skipif(
+    not __import__("os").path.isdir("/proc"),
+    reason="reads the process table from /proc",
+)
+class TestWorkersDieWithServer:
+    @staticmethod
+    def _live_in_group(pgid):
+        import os
+
+        members = []
+        for entry in os.listdir("/proc"):
+            if not entry.isdigit():
+                continue
+            try:
+                with open(f"/proc/{entry}/stat") as handle:
+                    fields = handle.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue
+            state, group = fields[0], int(fields[2])
+            if group == pgid and state != "Z":
+                members.append(int(entry))
+        return members
+
+    def test_kill_9_of_server_leaves_no_descendants(self, tmp_path):
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--jobs", "2", "--store", str(tmp_path / "serve.db"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            banner = server.stdout.readline()
+            assert banner.startswith("serving on "), banner
+            client = ServeClient(banner.split()[2], timeout_s=60)
+            job = client.submit(BIG)
+            assert client.wait(job["job_id"], timeout_s=120)["state"] == "done"
+            # Server, fork server and pool workers are all up between jobs.
+            assert len(self._live_in_group(server.pid)) >= 4
+            server.kill()
+            server.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while (
+                self._live_in_group(server.pid)
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.1)
+            assert self._live_in_group(server.pid) == []
+        finally:
+            server.stdout.close()
+            try:
+                os.killpg(server.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

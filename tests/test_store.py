@@ -233,15 +233,16 @@ class TestStoreBackedEvaluator:
             StoreBackedEvaluator(evaluator, store), configs
         ) == sweep_fingerprint(evaluator, configs)
 
-    def test_pickles_without_connection(self, tmp_path):
+    def test_store_never_crosses_a_process_boundary(self, tmp_path):
         import pickle
 
+        # Workers get the inner evaluator only; the wrapper, and with it
+        # the sqlite connection, stays in the process that opened it.
         store = ResultStore(str(tmp_path / "r.db"))
         wrapped = StoreBackedEvaluator(_evaluator(), store)
-        config = CacheConfig(64, 8)
-        expected = wrapped.evaluate(config)
-        clone = pickle.loads(pickle.dumps(wrapped))
-        assert clone.evaluate(config) == expected
+        with pytest.raises(TypeError):
+            pickle.dumps(wrapped)
+        pickle.dumps(wrapped.inner)
 
     def test_distinct_evaluators_do_not_share_rows(self, tmp_path):
         store = ResultStore(str(tmp_path / "r.db"))
