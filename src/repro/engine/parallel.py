@@ -294,8 +294,11 @@ def _exit_with_owner(owner_pid: int) -> None:
     A worker holds both ends of its pool's call queue, so it never sees
     end-of-file when the owner dies; after a ``kill -9`` of a long-lived
     owner its workers (and the fork server they keep alive) would idle
-    forever.  A daemon thread polls the owner's pid instead.
+    forever.  A daemon thread polls the owner's pid instead (POSIX only:
+    elsewhere ``os.kill`` with signal 0 is not a liveness probe).
     """
+    if os.name != "posix":
+        return
 
     def watch() -> None:
         while True:

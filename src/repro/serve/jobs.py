@@ -1001,19 +1001,18 @@ class JobRunner(threading.Thread):
     job comes from ``sweep_jobs`` workers
     (:class:`~repro.engine.parallel.ParallelSweep` fan-out) of one
     :class:`~repro.engine.parallel.WorkerPool` that the runner keeps for
-    its whole life -- :meth:`close` stops it.  The result store is read
-    and written here, in the runner's process: a job first takes every
-    row the store holds, a job the store answers in full finishes
-    without touching the pool, and only the missing configurations are
-    dispatched.  Every dispatching job journals to
-    ``<spool>/<spec_hash>.jsonl`` (keyed on the whole grid) and always
-    runs with ``resume=True``, so a job interrupted by ``kill -9`` -- or
-    cancelled by a client or its deadline -- picks up exactly where its
-    journal and the store stop on resubmission and the final result is
-    bit-identical to an uninterrupted run.  (The journal is keyed by spec
-    hash, not job id: coalescing guarantees at most one active job per
-    spec, and a *new* job for a cancelled spec must find the old journal
-    to resume.)
+    its whole life.  The result store is read and written here, in the
+    runner's process: a job first takes every row the store holds, a job
+    the store answers in full finishes without touching the pool, and
+    only the missing configurations are dispatched.  Every dispatching
+    job journals to ``<spool>/<spec_hash>.jsonl`` (keyed on the whole
+    grid) and always runs with ``resume=True``, so a job interrupted by
+    ``kill -9`` -- or cancelled by a client or its deadline -- picks up
+    exactly where its journal and the store stop on resubmission and the
+    final result is bit-identical to an uninterrupted run.  (The journal
+    is keyed by spec hash, not job id: coalescing guarantees at most one
+    active job per spec, and a *new* job for a cancelled spec must find
+    the old journal to resume.)
 
     Backends are guarded per ``eval_id`` by a
     :class:`~repro.engine.resilience.CircuitBreaker`: once one opens,
@@ -1041,10 +1040,6 @@ class JobRunner(threading.Thread):
         #: Worker processes shared by every job this runner executes.
         self.pool = WorkerPool(self.sweep_jobs)
         os.makedirs(self.spool_dir, exist_ok=True)
-
-    def close(self) -> None:
-        """Stop the runner's worker processes (call once it is idle)."""
-        self.pool.close()
 
     def checkpoint_path(self, job: Job) -> str:
         """Where one job journals its completed work (by spec hash).

@@ -198,7 +198,7 @@ class ExplorationService:
                 "the store open for the in-flight job"
             )
             return
-        self.runner.close()
+        self.runner.pool.close()
         self.store.close()
 
     # ------------------------------------------------------------------

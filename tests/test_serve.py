@@ -1267,7 +1267,8 @@ class TestStoreInRunner:
             resilience=ResilienceOptions(checkpoint=journal),
             known=stored,
         ).run(evaluator.inner, configs)
-        lines = open(journal, encoding="utf-8").read().splitlines()
+        with open(journal, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
         assert len(lines) > 2
         with open(journal, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines[:2]) + "\n")
