@@ -804,9 +804,11 @@ class ParallelSweep:
         Successes commit (merge + tag + journal) as they arrive.  A round
         that stalls past ``chunk_timeout_s`` without any completion
         abandons the pool -- hung workers are never joined -- and reports
-        everything unfinished as timed out; a round that breaks the pool
-        discards it the same way.  Environments that cannot run a pool
-        finish the round serially and return no failures.
+        everything unfinished as timed out; a round that breaks the pool,
+        or ends early on a chunk error, discards it the same way, so no
+        orphaned chunk keeps a worker busy for the next round.
+        Environments that cannot run a pool finish the round serially and
+        return no failures.
         """
         metrics = get_metrics()
         profile = profiling_enabled()
@@ -916,6 +918,7 @@ class ParallelSweep:
                         )
                         self._record_chunk_failure(opts)
                     except _ENVIRONMENT_ERRORS as exc:
+                        abandoned = True
                         remaining = [indexed]
                         remaining.extend(futures[f] for f in not_done)
                         remaining.extend(transient)
@@ -926,6 +929,7 @@ class ParallelSweep:
                         )
                         return []
                     except Exception as exc:
+                        abandoned = True
                         for f in not_done:
                             f.cancel()
                         if opts.breaker is not None:

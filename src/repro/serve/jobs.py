@@ -66,10 +66,11 @@ import sqlite3
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import CacheConfig, design_space
+from repro.core.metrics import PerformanceEstimate
 from repro.energy import get_energy_model, get_sram
 from repro.engine.evaluator import Evaluator, order_configs
 from repro.engine.parallel import ParallelSweep, WorkerPool
@@ -809,6 +810,9 @@ class JobManager:
         logger.info("job %s cancelled: %s", job.job_id, reason)
 
     def _release(self, job: Job) -> None:
+        # A terminal job never cancels again; its kept event would only
+        # hold memory for the rest of the server's life.
+        job.cancel_event = None
         if self._active.get(job.spec.spec_hash) == job.job_id:
             del self._active[job.spec.spec_hash]
         count = self._inflight.get(job.client_id, 0)
@@ -994,6 +998,31 @@ class _DeadlineWatch:
                 self._timer.cancel()
 
 
+class _RunnerEvaluator(StoreBackedEvaluator):
+    """A search job's evaluator: each batch resolves through its runner.
+
+    Every generation reads the store in the runner's process and fans
+    only the misses out on the runner's pool (:meth:`JobRunner._resolve`).
+    """
+
+    def __init__(
+        self,
+        runner: "JobRunner",
+        job: Job,
+        evaluator: Any,
+        resilience: ResilienceOptions,
+    ) -> None:
+        super().__init__(evaluator, runner.manager.store)
+        self._runner = runner
+        self._job = job
+        self._resilience = resilience
+
+    def evaluate_batch(self, configs: Any) -> List[PerformanceEstimate]:
+        return self._runner._resolve(
+            self._job, self.eval_id, self.inner, list(configs), self._resilience
+        )
+
+
 class JobRunner(threading.Thread):
     """The worker loop: claim, sweep (with checkpoints), record.
 
@@ -1016,9 +1045,9 @@ class JobRunner(threading.Thread):
 
     Backends are guarded per ``eval_id`` by a
     :class:`~repro.engine.resilience.CircuitBreaker`: once one opens,
-    jobs against that evaluator fail fast with a typed error (and a
-    ``breaker.fail_fast`` count) until a cooldown probe closes it, so a
-    broken plugin backend cannot drain every worker's retry budget.
+    jobs that need that evaluator's backend fail fast with a typed error
+    (and a ``breaker.fail_fast`` count) until a cooldown probe closes it,
+    so a broken plugin backend cannot drain every worker's retry budget.
     """
 
     def __init__(
@@ -1187,47 +1216,76 @@ class JobRunner(threading.Thread):
         self, job: Job, cancel_event: Optional[threading.Event] = None
     ) -> ExplorationResult:
         spec = job.spec
-        store = self.manager.store
-        evaluator = spec.build_evaluator(store)
+        evaluator = spec.build_evaluator()
+        eval_id = evaluator_fingerprint(evaluator)
         configs = spec.configs()
-        breaker = self._check_breaker(evaluator.eval_id, spec)
         resilience = ResilienceOptions(
             checkpoint=self.checkpoint_path(job),
             resume=True,
             cancel_event=cancel_event,
-            breaker=breaker,
         )
-        stored = store.get_many(evaluator.eval_id, configs)
-        if len(stored) == len(configs):
-            estimates = [stored[config] for config in configs]
-        else:
-            self.manager.progress(job, 0, len(configs))
-            sweep = ParallelSweep(
-                jobs=self.sweep_jobs,
-                resilience=resilience,
-                on_progress=lambda done, total: self.manager.progress(
-                    job, done, total
-                ),
-                pool=self.pool,
-                known=stored,
-            )
-            with span(
-                "sweep",
-                configs=len(configs),
-                jobs=self.sweep_jobs,
-                backend=spec.backend,
-            ):
-                estimates = sweep.run(evaluator.inner, configs)
-            # Fresh rows and rows resumed from the checkpoint journal.
-            fresh = [
-                (config, estimate)
-                for config, estimate in zip(configs, estimates)
-                if config not in stored
-            ]
-            with span("store.write", rows=len(fresh)):
-                store.put_many(evaluator.eval_id, fresh)
-        self._record_manifest(job, evaluator, configs, resilience=resilience)
+        estimates = self._resolve(
+            job,
+            eval_id,
+            evaluator,
+            configs,
+            resilience,
+            on_progress=lambda done, total: self.manager.progress(
+                job, done, total
+            ),
+        )
+        self._record_manifest(
+            job, eval_id, evaluator, configs, resilience=resilience
+        )
         return ExplorationResult(estimates)
+
+    def _resolve(
+        self,
+        job: Job,
+        eval_id: str,
+        evaluator: Any,
+        configs: List[CacheConfig],
+        resilience: ResilienceOptions,
+        on_progress: Optional[Callable[[int, int], None]] = None,
+    ) -> List[PerformanceEstimate]:
+        """Estimates for ``configs``: the store's rows, then only its misses.
+
+        The store is read and written here, in the runner's process, and
+        only the configurations it lacks fan out on the runner's pool.
+        Stored rows count as done like rows resumed from the journal,
+        which stays keyed on the whole of ``configs``.  A batch the store
+        answers in full needs no backend: it neither consults nor takes
+        the evaluator's circuit breaker.
+        """
+        store = self.manager.store
+        stored = store.get_many(eval_id, configs)
+        if len(stored) == len(configs):
+            return [stored[config] for config in configs]
+        sweep = ParallelSweep(
+            jobs=self.sweep_jobs,
+            resilience=replace(
+                resilience, breaker=self._check_breaker(eval_id, job.spec)
+            ),
+            on_progress=on_progress,
+            pool=self.pool,
+            known=stored,
+        )
+        with span(
+            "sweep",
+            configs=len(configs),
+            jobs=self.sweep_jobs,
+            backend=job.spec.backend,
+        ):
+            estimates = sweep.run(evaluator, configs)
+        # Fresh rows and rows resumed from the checkpoint journal.
+        fresh = [
+            (config, estimate)
+            for config, estimate in zip(configs, estimates)
+            if config not in stored
+        ]
+        with span("store.write", rows=len(fresh)):
+            store.put_many(eval_id, fresh)
+        return estimates
 
     def _check_breaker(self, eval_id: str, spec: JobSpec) -> CircuitBreaker:
         """The evaluator's breaker; raise fast while it is open."""
@@ -1258,20 +1316,13 @@ class JobRunner(threading.Thread):
         spec = job.spec
         settings = spec.search
         assert settings is not None
-        # Each generation's store misses fan out on the runner's pool.
-        evaluator = StoreBackedEvaluator(
+        evaluator = _RunnerEvaluator(
+            self,
+            job,
             spec.build_evaluator(),
-            self.manager.store,
-            sweep=ParallelSweep(
-                jobs=self.sweep_jobs,
-                resilience=ResilienceOptions(cancel_event=cancel_event),
-                pool=self.pool,
-            )
-            if self.sweep_jobs > 1
-            else None,
+            ResilienceOptions(cancel_event=cancel_event),
         )
         configs = spec.configs()
-        self._check_breaker(evaluator.eval_id, spec)
         self.manager.progress(job, 0, settings.budget)
         last_event: Dict[str, Any] = {}
 
@@ -1300,6 +1351,7 @@ class JobRunner(threading.Thread):
             if last_event:
                 self._record_manifest(
                     job,
+                    evaluator.eval_id,
                     evaluator,
                     configs,
                     search={
@@ -1323,13 +1375,18 @@ class JobRunner(threading.Thread):
                 [(estimate.config, estimate) for estimate in run.estimates],
             )
         self._record_manifest(
-            job, evaluator, configs, search=run.manifest_doc()
+            job,
+            evaluator.eval_id,
+            evaluator,
+            configs,
+            search=run.manifest_doc(),
         )
         return run.result
 
     def _record_manifest(
         self,
         job: Job,
+        eval_id: str,
         evaluator: Any,
         configs: List[CacheConfig],
         resilience: Optional[ResilienceOptions] = None,
@@ -1361,7 +1418,7 @@ class JobRunner(threading.Thread):
             manifest = build_manifest(
                 components,
                 spec_hash=spec.spec_hash,
-                eval_id=evaluator.eval_id,
+                eval_id=eval_id,
                 sweep_fingerprint=sweep_fingerprint(evaluator, configs),
                 seeds=seeds,
                 extra=None if search is None else {"search": search},

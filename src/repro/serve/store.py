@@ -808,11 +808,9 @@ class StoreBackedEvaluator:
     ``evaluate_batch(configs)`` returns the stored estimates that exist --
     skipping trace generation, miss measurement and the in-memory
     :class:`~repro.engine.cache.EvalCache` entirely -- and delegates the
-    rest to the wrapped evaluator's ``evaluate_batch``, or fans them out
-    through ``sweep`` (a :class:`~repro.engine.parallel.ParallelSweep`)
-    when one is given, recording the fresh estimates.  The store is read
-    and written in the caller's process only: the wrapper never crosses
-    a process boundary, and only the inner evaluator reaches workers.
+    rest to the wrapped evaluator's ``evaluate_batch``, recording the
+    fresh estimates.  The store is read and written in the caller's
+    process only: the wrapper never crosses a process boundary.
     Every delegated attribute (``workload``, ``backend``, ``cache``,
     ``energy_model``, ``gray_code``) mirrors the inner evaluator, so
     checkpoint fingerprints and sweep chunking do not change when the
@@ -824,14 +822,12 @@ class StoreBackedEvaluator:
         evaluator: Any,
         store: ResultStore,
         eval_id: Optional[str] = None,
-        sweep: Any = None,
     ) -> None:
         self.inner = evaluator
         self.eval_id = (
             eval_id if eval_id is not None else evaluator_fingerprint(evaluator)
         )
         self.store = store
-        self.sweep = sweep
 
     @property
     def workload(self):
@@ -877,10 +873,7 @@ class StoreBackedEvaluator:
         found = self.store.get_many(self.eval_id, unique)
         cold = [config for config in unique if config not in found]
         if cold:
-            if self.sweep is not None:
-                fresh = self.sweep.run(self.inner, cold)
-            else:
-                fresh = self.inner.evaluate_batch(cold)
+            fresh = self.inner.evaluate_batch(cold)
             self.store.put_many(self.eval_id, zip(cold, fresh))
             found.update(zip(cold, fresh))
         return [found[config] for config in configs]

@@ -468,6 +468,31 @@ class TestDeterministicFailures:
         assert poison in exc_info.value.configs
         assert poison.label(full=True) in str(exc_info.value)
 
+    def test_chunk_error_discards_a_shared_pool(self):
+        from repro.engine import WorkerPool
+
+        configs = _small_configs()
+        pool = WorkerPool(2)
+        try:
+            with pytest.raises(SweepChunkError):
+                ParallelSweep(
+                    jobs=2,
+                    resilience=ResilienceOptions(retry=FAST_RETRY),
+                    pool=pool,
+                ).run(
+                    _PoisonedEvaluator(get_kernel("compress"), configs[0]),
+                    configs,
+                )
+            # The failed sweep's running chunks keep no worker of the
+            # pool busy: the next sweep on it starts fresh workers.
+            assert pool._executor is None
+            clean = Evaluator(KernelWorkload(get_kernel("compress")))
+            assert ParallelSweep(jobs=2, pool=pool).run(
+                clean, configs
+            ) == list(clean.sweep(configs=configs).estimates)
+        finally:
+            pool.close()
+
     def test_no_retries_burned_on_deterministic_failure(self):
         configs = _small_configs()
         evaluator = _PoisonedEvaluator(get_kernel("compress"), configs[0])

@@ -1165,6 +1165,36 @@ class TestStoreInRunner:
         finally:
             env.close()
 
+    def test_store_answered_jobs_never_touch_the_breaker(self, tmp_path):
+        service = ExplorationService(
+            str(tmp_path / "results.db"),
+            str(tmp_path / "spool"),
+            breaker_threshold=1,
+            breaker_cooldown_s=0.3,
+        ).start()
+        try:
+            job, _ = service.manager.submit(self.COLD_A)
+            assert service.manager.wait(job.job_id, timeout_s=120).state == "done"
+            breaker = service.runner.breaker_for(self.COLD_A.eval_id())
+            assert breaker.record_failure()
+            # Served from the store while the breaker is open...
+            job, _ = service.manager.submit(self.COLD_A)
+            done = service.manager.wait(job.job_id, timeout_s=120)
+            assert done is not None and done.state == "done"
+            assert breaker.state == "open"
+            # ...and after its cooldown, without taking the one probe.
+            time.sleep(0.4)
+            job, _ = service.manager.submit(self.COLD_A)
+            done = service.manager.wait(job.job_id, timeout_s=120)
+            assert done is not None and done.state == "done"
+            # So the next cold job against that evaluator is admitted.
+            job, _ = service.manager.submit(self.COLD_B)
+            done = service.manager.wait(job.job_id, timeout_s=120)
+            assert done is not None and done.state == "done", done.error
+            assert breaker.state == "closed"
+        finally:
+            service.stop()
+
     def test_cold_jobs_share_the_runners_workers(self, tmp_path):
         import multiprocessing
         import os
