@@ -18,13 +18,13 @@ from repro.cache.replacement import (
 )
 from repro.cache.simulator import CacheGeometry, CacheSimulator, simulate_trace
 from repro.cache.stats import CacheStats, MissClassification, classify_misses
-from repro.cache.distance import miss_ratio_curve, reuse_profile, stack_distances
 from repro.cache.stackdist import (
     GridCounts,
     grid_miss_counts,
+    miss_ratio_curve,
+    reuse_profile,
     set_local_distances,
 )
-from repro.cache.fastsim import fast_hit_miss_counts
 from repro.cache.sampling import SampledEstimate, sampled_miss_rate
 from repro.cache.hierarchy import HierarchyStats, TwoLevelCache
 from repro.cache.prefetch import PrefetchCache, PrefetchStats
@@ -53,7 +53,6 @@ __all__ = [
     "WriteBufferStats",
     "GridCounts",
     "classify_misses",
-    "fast_hit_miss_counts",
     "grid_miss_counts",
     "make_policy",
     "miss_ratio_curve",
@@ -61,7 +60,6 @@ __all__ = [
     "set_local_distances",
     "SampledEstimate",
     "sampled_miss_rate",
-    "stack_distances",
     "read_din_trace",
     "simulate_trace",
     "write_din_trace",

@@ -18,11 +18,9 @@ the test suite, including property-based cross-checks).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-__all__ = ["fast_hit_miss_counts", "fast_miss_vector"]
+__all__ = ["fast_miss_vector"]
 
 
 def _direct_mapped_miss_vector(
@@ -87,11 +85,3 @@ def fast_miss_vector(
         return _direct_mapped_miss_vector(line_ids, num_sets)
     return _associative_miss_vector(line_ids, num_sets, ways)
 
-
-def fast_hit_miss_counts(
-    line_ids: np.ndarray, num_sets: int, ways: int
-) -> Tuple[int, int]:
-    """(hits, misses) of an LRU cache on the given line stream."""
-    miss = fast_miss_vector(line_ids, num_sets, ways)
-    misses = int(miss.sum())
-    return line_ids.size - misses, misses

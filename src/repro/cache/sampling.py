@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.fastsim import fast_miss_vector
+from repro.cache.stackdist import GridCounts, grid_miss_counts
 
-__all__ = ["SampledEstimate", "sampled_miss_rate"]
+__all__ = ["SampledEstimate", "sampled_counts", "sampled_miss_rate"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,32 @@ class SampledEstimate:
         return self.sampled_accesses / self.total_accesses
 
 
+def sampled_counts(
+    line_ids: np.ndarray,
+    is_write: np.ndarray,
+    num_sets: int,
+    ways: int,
+    sample_every: int = 4,
+    offset: int = 0,
+) -> GridCounts:
+    """Exact LRU counts of the accesses that map to the sampled sets.
+
+    The sampled sets are ``{offset, offset + sample_every, ...}``; their
+    accesses are simulated exactly (set behaviour is independent of the
+    discarded traffic), misses and read misses in one
+    :func:`~repro.cache.stackdist.grid_miss_counts` pass.
+    """
+    if sample_every < 1:
+        raise ValueError("sampling stride must be at least 1")
+    if not 0 <= offset < sample_every:
+        raise ValueError("offset must lie in [0, sample_every)")
+    line_ids = np.asarray(line_ids, dtype=np.int64)
+    mask = (line_ids % num_sets) % sample_every == offset
+    point = (num_sets, ways)
+    is_write = np.asarray(is_write, dtype=bool)
+    return grid_miss_counts(line_ids[mask], is_write[mask], [point])[point]
+
+
 def sampled_miss_rate(
     line_ids: np.ndarray,
     num_sets: int,
@@ -46,30 +72,22 @@ def sampled_miss_rate(
 ) -> SampledEstimate:
     """Estimate the LRU miss rate simulating every ``sample_every``-th set.
 
-    The sampled sets are ``{offset, offset + sample_every, ...}``; their
-    accesses are simulated exactly (set behaviour is independent of the
-    discarded traffic) and the miss rate of the sample estimates the whole.
-    ``sample_every = 1`` degenerates to the exact computation.
+    The miss rate of the sampled sets (:func:`sampled_counts`) estimates
+    the whole.  ``sample_every = 1`` degenerates to the exact computation.
     """
-    if sample_every < 1:
-        raise ValueError("sampling stride must be at least 1")
-    if not 0 <= offset < sample_every:
-        raise ValueError("offset must lie in [0, sample_every)")
-    line_ids = np.ascontiguousarray(line_ids, dtype=np.int64)
-    total = int(line_ids.size)
-    set_ids = line_ids % num_sets
-    mask = (set_ids % sample_every) == offset
-    sampled = line_ids[mask]
-    sampled_sets = len(
-        {s for s in range(num_sets) if s % sample_every == offset}
+    line_ids = np.asarray(line_ids, dtype=np.int64)
+    counts = sampled_counts(
+        line_ids,
+        np.zeros(line_ids.size, dtype=bool),
+        num_sets,
+        ways,
+        sample_every,
+        offset,
     )
-    if sampled.size == 0:
-        return SampledEstimate(0.0, 0, total, sampled_sets, num_sets)
-    miss = fast_miss_vector(sampled, num_sets, ways)
     return SampledEstimate(
-        miss_rate=float(miss.mean()),
-        sampled_accesses=int(sampled.size),
-        total_accesses=total,
-        sampled_sets=sampled_sets,
+        miss_rate=counts.misses / counts.accesses if counts.accesses else 0.0,
+        sampled_accesses=counts.accesses,
+        total_accesses=int(line_ids.size),
+        sampled_sets=len(range(offset, num_sets, sample_every)),
         total_sets=num_sets,
     )

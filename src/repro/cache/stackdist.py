@@ -1,11 +1,21 @@
-"""One-pass, all-configuration LRU simulation (vectorized Mattson).
+"""LRU stack analysis: exact stack distances, miss-ratio curves and
+one-pass, all-configuration miss counts (vectorized Mattson).
 
-:mod:`repro.cache.distance` prices every *capacity* of a fully-associative
-LRU cache from one stack-distance pass; this module generalises the trick
-to the set-associative, bit-selected caches of the MemExplore space.  With
-``set = line mod S`` a line's set never changes, so the LRU state of each
-set is the global recency order restricted to that set, and an access hits
-an ``(S, W)`` cache iff its *set-local* stack distance is at most ``W``.
+Mattson's classic result: for a fully-associative LRU cache, an access
+hits iff its *stack distance* -- the number of distinct lines touched since
+the previous access to the same line -- is at most the cache's line
+capacity.  One pass over the trace therefore yields the miss count of
+EVERY cache size at once (the miss-ratio curve, :func:`miss_ratio_curve`).
+It explains the one systematic deviation of this reproduction from the
+paper: the paper's analytic model ignores cross-sweep retention, i.e. it
+prices every cache size on the curve at the curve's plateau, while the
+simulator follows the curve down (see EXPERIMENTS.md, Figures 3-4).
+
+The same trick generalises to the set-associative, bit-selected caches of
+the MemExplore space.  With ``set = line mod S`` a line's set never
+changes, so the LRU state of each set is the global recency order
+restricted to that set, and an access hits an ``(S, W)`` cache iff its
+*set-local* stack distance is at most ``W``.
 One pass per set count therefore yields exact miss counts for every
 associativity at once, and a whole ``(sets, ways)`` grid costs one pass
 per distinct set count instead of one simulation per configuration;
@@ -39,13 +49,23 @@ Histograms of either answer every ways value in O(1).  Bit-exact with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.distance import COLD
+from repro.cache.trace import MemoryTrace
 
-__all__ = ["COLD", "GridCounts", "grid_miss_counts", "set_local_distances"]
+__all__ = [
+    "COLD",
+    "GridCounts",
+    "grid_miss_counts",
+    "miss_ratio_curve",
+    "reuse_profile",
+    "set_local_distances",
+]
+
+#: Stack distance reported for a line's first touch (a compulsory miss).
+COLD = -1
 
 
 @dataclass(frozen=True)
@@ -128,8 +148,8 @@ def set_local_distances(line_ids: np.ndarray, num_sets: int) -> np.ndarray:
 
     ``COLD`` marks first touches.  An access with distance ``d`` hits
     every ``num_sets``-set LRU cache with at least ``d`` ways;
-    ``num_sets = 1`` degenerates to
-    :func:`repro.cache.distance.stack_distances`.
+    ``num_sets = 1`` gives the classic fully-associative stack distance
+    (1 means "the most recently used line was re-touched").
     """
     if num_sets < 1:
         raise ValueError("num_sets must be positive")
@@ -253,3 +273,67 @@ def grid_miss_counts(
                 read_misses=reads - int(cum_read[ways]),
             )
     return results
+
+
+def miss_ratio_curve(
+    trace: MemoryTrace, line_size: int, capacities: Sequence[int]
+) -> Dict[int, float]:
+    """Fully-associative LRU miss ratio at each capacity (in lines).
+
+    One stack-distance pass prices every requested capacity: an access
+    misses a ``c``-line cache iff it is cold or its distance exceeds ``c``.
+    """
+    if any(c <= 0 for c in capacities):
+        raise ValueError("capacities must be positive line counts")
+    distances = set_local_distances(trace.line_ids(line_size), 1)
+    n = distances.size
+    if n == 0:
+        return {c: 0.0 for c in capacities}
+    cold = int((distances == COLD).sum())
+    warm = distances[distances != COLD]
+    return {
+        c: (cold + int((warm > c).sum())) / n
+        for c in capacities
+    }
+
+
+def reuse_profile(trace: MemoryTrace, line_size: int) -> Dict[str, float]:
+    """Summary statistics of a trace's temporal locality.
+
+    Returns the compulsory fraction, the median and 90th-percentile stack
+    distance of the warm accesses, and the line-capacity knee: the
+    smallest power-of-two capacity whose fully-associative miss ratio is
+    within 1% of compulsory-only.
+    """
+    distances = set_local_distances(trace.line_ids(line_size), 1)
+    n = distances.size
+    if n == 0:
+        return {
+            "compulsory_fraction": 0.0,
+            "median_distance": 0.0,
+            "p90_distance": 0.0,
+            "knee_lines": 1,
+        }
+    cold_mask = distances == COLD
+    warm = distances[~cold_mask]
+    compulsory_fraction = float(cold_mask.mean())
+    if warm.size == 0:
+        return {
+            "compulsory_fraction": compulsory_fraction,
+            "median_distance": 0.0,
+            "p90_distance": 0.0,
+            "knee_lines": 1,
+        }
+    floor_mr = compulsory_fraction
+    knee = 1
+    while True:
+        mr = (int(cold_mask.sum()) + int((warm > knee).sum())) / n
+        if mr <= floor_mr + 0.01 or knee > int(warm.max()):
+            break
+        knee *= 2
+    return {
+        "compulsory_fraction": compulsory_fraction,
+        "median_distance": float(np.median(warm)),
+        "p90_distance": float(np.percentile(warm, 90)),
+        "knee_lines": knee,
+    }

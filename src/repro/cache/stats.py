@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-import numpy as np
-
+from repro.cache.stackdist import COLD, set_local_distances
 from repro.cache.trace import MemoryTrace
 
 __all__ = ["CacheStats", "MissClassification", "classify_misses"]
@@ -104,31 +103,6 @@ class MissClassification:
         return self.compulsory + self.capacity + self.conflict
 
 
-def _fully_associative_misses(line_ids: np.ndarray, capacity_lines: int) -> np.ndarray:
-    """Boolean miss vector of a fully-associative LRU cache.
-
-    Computed via LRU stack distances: access ``t`` hits iff the number of
-    distinct lines referenced since the previous access to the same line is
-    at most ``capacity_lines``.
-    """
-    misses = np.zeros(line_ids.size, dtype=bool)
-    stack: list = []  # most recent last
-    position: Dict[int, int] = {}
-    for t, line in enumerate(line_ids):
-        line = int(line)
-        if line in position:
-            idx = stack.index(line)
-            distance = len(stack) - idx  # 1 == most recently used
-            if distance > capacity_lines:
-                misses[t] = True
-            del stack[idx]
-        else:
-            misses[t] = True
-        stack.append(line)
-        position[line] = t
-    return misses
-
-
 def classify_misses(
     trace: MemoryTrace, size: int, line_size: int
 ) -> MissClassification:
@@ -136,20 +110,16 @@ def classify_misses(
 
     The classification is associativity-independent by construction: it
     compares the trace against an idealised fully-associative LRU cache of
-    the same capacity.  The caller pairs it with the simulator's actual miss
+    the same capacity, read off one stack-distance pass (first touches are
+    compulsory; warm accesses deeper than the capacity are capacity
+    misses).  The caller pairs it with the simulator's actual miss
     count for the geometry of interest; ``conflict`` here is reported as
     ``actual - compulsory - capacity`` by
     :meth:`repro.cache.simulator.CacheSimulator.classified_misses`.
     """
     if size <= 0 or line_size <= 0 or size % line_size:
         raise ValueError("cache size must be a positive multiple of line size")
-    line_ids = trace.line_ids(line_size)
-    seen: set = set()
-    compulsory = 0
-    for line in line_ids.tolist():
-        if line not in seen:
-            seen.add(line)
-            compulsory += 1
-    fa_misses = _fully_associative_misses(line_ids, size // line_size)
-    capacity = int(fa_misses.sum()) - compulsory
+    distances = set_local_distances(trace.line_ids(line_size), 1)
+    compulsory = int((distances == COLD).sum())
+    capacity = int((distances > size // line_size).sum())
     return MissClassification(compulsory=compulsory, capacity=capacity, conflict=0)

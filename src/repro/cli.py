@@ -470,7 +470,7 @@ def _cmd_spm(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.cache.dinero import write_din_trace
-    from repro.cache.distance import miss_ratio_curve, reuse_profile
+    from repro.cache.stackdist import miss_ratio_curve, reuse_profile
 
     kernel = _resolve_kernel(args.kernel)
     if args.optimized:
@@ -509,7 +509,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         backend=args.backend,
     )
     outcome = greedy_descent(
-        explorer.evaluator,
+        explorer.evaluator.evaluate,
         objective=args.objective,
         sizes=tuple(powers_of_two(args.min_size, args.max_size)),
     )

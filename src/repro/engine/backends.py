@@ -1,19 +1,20 @@
 """Pluggable miss-measurement backends.
 
 Every explorer needs the same fact about a (trace, geometry) pair -- how
-often the cache misses -- but there are four ways to obtain it, trading
-accuracy for speed:
+often the cache misses -- and the built-in backends below trade accuracy
+for speed in obtaining it:
 
 ``fastsim``
-    The vectorized LRU fast path (:mod:`repro.cache.fastsim`); exact, the
-    default.
+    The vectorized per-configuration LRU path (:mod:`repro.cache.fastsim`);
+    exact, and what :func:`get_backend` returns when no backend is named.
 ``reference``
     The object-oriented Dinero-style simulator
     (:mod:`repro.cache.simulator`); exact, slow, the ground truth the fast
     path is validated against.
 ``sampled``
     Set sampling (:mod:`repro.cache.sampling`): simulate every ``k``-th set
-    and scale, the classic trick for industrial-size traces.
+    exactly on the stack filter and scale, the classic trick for
+    industrial-size traces.
 ``analytic``
     The paper's own closed-form model (:mod:`repro.core.analytic`);
     simulation-free, only defined for loop-nest kernels.
@@ -24,8 +25,8 @@ accuracy for speed:
     of passes instead of one simulation per point.  Exact (bit-identical
     to ``fastsim``, property-tested) and the fast cold path for sweeps.
 ``auto``
-    An alias for ``onepass``: what ``explore`` and ``serve`` use unless
-    a backend is named explicitly.  It resolves at construction time, so
+    An alias for ``onepass``: the default of the CLI and ``serve`` when
+    no backend is named.  It resolves at construction time, so
     fingerprints, checkpoints and store rows always record ``onepass``.
 
 Backends are selected by name through :func:`get_backend`, which resolves
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING, Dict, Hashable, Optional, Sequence, Union
 import numpy as np
 
 from repro.cache.fastsim import fast_miss_vector
-from repro.cache.sampling import sampled_miss_rate
+from repro.cache.sampling import sampled_counts
 from repro.cache.simulator import CacheGeometry, CacheSimulator
 from repro.cache.stackdist import grid_miss_counts
 from repro.cache.trace import MemoryTrace
@@ -196,7 +197,7 @@ class SampledBackend(Backend):
 
     Exact when a geometry has fewer sets than the stride would skip (the
     estimate degenerates to the full computation for ``num_sets == 1``).
-    The read-miss rate is estimated on the same sampled subset.
+    Misses and read misses come from one exact pass over the sampled sets.
     """
 
     name = "sampled"
@@ -216,38 +217,29 @@ class SampledBackend(Backend):
     ) -> MissMeasurement:
         _count_simulation(self.name, trace)
         accesses = len(trace)
-        read_mask = ~trace.is_write
-        reads = int(read_mask.sum())
+        reads = int((~trace.is_write).sum())
         if accesses == 0:
             return MissMeasurement(0, 0, 0.0, 0.0, misses=0, exact=True)
-        line_ids = trace.line_ids(config.line_size)
-        num_sets = config.num_sets
-        stride = min(self.sample_every, num_sets)
-        estimate = sampled_miss_rate(
-            line_ids,
-            num_sets,
+        stride = min(self.sample_every, config.num_sets)
+        sample = sampled_counts(
+            trace.line_ids(config.line_size),
+            trace.is_write,
+            config.num_sets,
             config.ways,
             sample_every=stride,
             offset=self.offset % stride,
         )
-        # Read-miss rate from the same sampled sets.
-        mask = (line_ids % num_sets) % stride == self.offset % stride
-        sampled_reads = mask & read_mask
-        if int(sampled_reads.sum()):
-            miss = fast_miss_vector(line_ids[mask], num_sets, config.ways)
-            read_sub = read_mask[mask]
-            read_miss_rate = float(miss[read_sub].mean())
-        else:
-            read_miss_rate = estimate.miss_rate
+        miss_rate = sample.misses / sample.accesses if sample.accesses else 0.0
+        read_miss_rate = (
+            sample.read_misses / sample.reads if sample.reads else miss_rate
+        )
         exact = stride == 1
         return MissMeasurement(
             accesses=accesses,
             reads=reads,
-            miss_rate=estimate.miss_rate,
+            miss_rate=miss_rate,
             read_miss_rate=read_miss_rate,
-            misses=(
-                int(round(estimate.miss_rate * accesses)) if exact else None
-            ),
+            misses=sample.misses if exact else None,
             exact=exact,
         )
 

@@ -19,11 +19,11 @@ cache whenever the data stream is eviction-prone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.cache.fastsim import fast_hit_miss_counts
+from repro.cache.stackdist import grid_miss_counts
 from repro.cache.trace import MemoryTrace
 from repro.core.config import powers_of_two
 from repro.kernels.base import Kernel
@@ -70,6 +70,17 @@ def merged_trace(
     return merged, np.concatenate(masks)
 
 
+def _direct_mapped_misses(
+    line_ids: np.ndarray, sizes: Set[int], line_size: int
+) -> Dict[int, int]:
+    """Direct-mapped LRU miss count of ``line_ids`` at each cache size."""
+    points = {size: (size // line_size, 1) for size in sizes}
+    counts = grid_miss_counts(
+        line_ids, np.zeros(line_ids.size, dtype=bool), points.values()
+    )
+    return {size: counts[point].misses for size, point in points.items()}
+
+
 @dataclass(frozen=True)
 class SplitComparison:
     """One budget: the best split pair vs the unified cache."""
@@ -102,29 +113,28 @@ def split_vs_unified(
         raise ValueError("budget must hold at least one line per side")
     merged, is_fetch = merged_trace(kernel, body_instructions)
     line_ids = merged.line_ids(line_size)
-    i_lines = line_ids[is_fetch]
-    d_lines = line_ids[~is_fetch]
-
-    best: Optional[Tuple[int, int, int]] = None
-    seen = set()
+    pairs = []
     for i_size in powers_of_two(line_size, budget - line_size):
         remainder = budget - i_size
         d_size = 1 << (remainder.bit_length() - 1)  # round down to 2^k
-        if d_size < line_size or (i_size, d_size) in seen:
-            continue
-        seen.add((i_size, d_size))
-        _, i_misses = fast_hit_miss_counts(i_lines, i_size // line_size, 1)
-        _, d_misses = fast_hit_miss_counts(d_lines, d_size // line_size, 1)
-        total = i_misses + d_misses
-        if best is None or total < best[0]:
-            best = (total, i_size, d_size)
-    assert best is not None
-    _, unified_misses = fast_hit_miss_counts(line_ids, budget // line_size, 1)
+        if d_size >= line_size:
+            pairs.append((i_size, d_size))
+    i_misses = _direct_mapped_misses(
+        line_ids[is_fetch], {i for i, _ in pairs}, line_size
+    )
+    d_misses = _direct_mapped_misses(
+        line_ids[~is_fetch], {d for _, d in pairs}, line_size
+    )
+    # Ties go to the smallest I-cache, the first pair in size order.
+    split_misses, best_icache, best_dcache = min(
+        (i_misses[i] + d_misses[d], i, d) for i, d in pairs
+    )
+    unified = _direct_mapped_misses(line_ids, {budget}, line_size)
     return SplitComparison(
         budget=budget,
         line_size=line_size,
-        best_icache=best[1],
-        best_dcache=best[2],
-        split_misses=best[0],
-        unified_misses=unified_misses,
+        best_icache=best_icache,
+        best_dcache=best_dcache,
+        split_misses=split_misses,
+        unified_misses=unified[budget],
     )

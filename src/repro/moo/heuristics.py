@@ -14,7 +14,7 @@ driver can run them with deduplicated, store-deduplicated generations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheConfig, powers_of_two
 from repro.core.metrics import PerformanceEstimate
@@ -44,14 +44,6 @@ class SearchOutcome:
     def result(self) -> ExplorationResult:
         """The visited estimates are not retained; expose the best only."""
         return ExplorationResult([self.best])
-
-
-def _as_callable(evaluator: Any) -> EvaluatorFn:
-    """Accept engine evaluators (and explorers) anywhere a callable works."""
-    evaluate = getattr(evaluator, "evaluate", None)
-    if callable(evaluate):
-        return evaluate
-    return evaluator
 
 
 def _candidate_values(
@@ -84,7 +76,7 @@ def _candidate_values(
 
 
 def greedy_descent(
-    evaluator: Any,
+    evaluator: EvaluatorFn,
     objective: str = "energy",
     seed: Optional[CacheConfig] = None,
     sizes: Sequence[int] = powers_of_two(16, 1024),
@@ -109,13 +101,12 @@ def greedy_descent(
     )
     if seed is None:
         seed = CacheConfig(sizes[len(sizes) // 2], line_sizes[0])
-    evaluate_fn = _as_callable(evaluator)
     cache: dict = {}
     visited: List[CacheConfig] = []
 
     def evaluate(config: CacheConfig) -> PerformanceEstimate:
         if config not in cache:
-            cache[config] = evaluate_fn(config)
+            cache[config] = evaluator(config)
             visited.append(config)
         return cache[config]
 
@@ -139,7 +130,7 @@ def greedy_descent(
 
 
 def pruned_min_energy(
-    evaluator: Any,
+    evaluator: EvaluatorFn,
     configs: Sequence[CacheConfig],
     hit_energy_bound: Callable[[CacheConfig], float],
 ) -> SearchOutcome:
@@ -152,12 +143,11 @@ def pruned_min_energy(
     """
     best: Optional[PerformanceEstimate] = None
     visited: List[CacheConfig] = []
-    evaluate_fn = _as_callable(evaluator)
     ordered = sorted(configs, key=lambda c: (c.size, c.line_size, c.tiling, c.ways))
     for config in ordered:
         if best is not None and hit_energy_bound(config) > best.energy_nj:
             continue
-        estimate = evaluate_fn(config)
+        estimate = evaluator(config)
         visited.append(config)
         if best is None or (estimate.energy_nj, estimate.cycles) < (
             best.energy_nj,

@@ -1,8 +1,13 @@
 """Tests for the memexplore CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestParser:
@@ -88,6 +93,30 @@ class TestCommands:
             ]
         )
         assert code == 0
+
+
+class TestGoldenOutputs:
+    """Recorded outputs of the stack-analysis commands, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["trace", "matmul"], "cli_trace_matmul.txt"),
+            (
+                ["trace", "compress", "--optimized"],
+                "cli_trace_compress_optimized.txt",
+            ),
+            (
+                ["datasheet", "matmul", "--cache-size", "64",
+                 "--no-layout-opt"],
+                "cli_datasheet_matmul_c64.txt",
+            ),
+        ],
+    )
+    def test_output_is_byte_identical(self, capsys, argv, golden):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.encode() == (DATA / golden).read_bytes()
 
 
 class TestNewCommands:

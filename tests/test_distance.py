@@ -1,36 +1,49 @@
-"""Tests for stack-distance analysis and miss-ratio curves."""
+"""Tests for stack-distance analysis, miss-ratio curves and 3C classes.
+
+The oracle is the reference simulator: a ``c``-line fully-associative
+LRU :class:`~repro.cache.simulator.CacheSimulator`.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.distance import (
+from repro.cache.simulator import simulate_trace
+from repro.cache.stackdist import (
     COLD,
     miss_ratio_curve,
     reuse_profile,
-    stack_distances,
+    set_local_distances,
 )
-from repro.cache.fastsim import fast_hit_miss_counts
+from repro.cache.stats import classify_misses
 from repro.cache.trace import MemoryTrace
+
+
+def fully_associative_misses(trace, line_size, capacity):
+    """Misses of a ``capacity``-line fully-associative LRU cache."""
+    size = capacity * line_size
+    return simulate_trace(trace, size, line_size, capacity).misses
 
 
 class TestStackDistances:
     def test_first_touches_are_cold(self):
-        assert stack_distances([1, 2, 3]).tolist() == [COLD] * 3
+        assert set_local_distances([1, 2, 3], 1).tolist() == [COLD] * 3
 
     def test_immediate_reuse_distance_one(self):
-        assert stack_distances([5, 5]).tolist() == [COLD, 1]
+        assert set_local_distances([5, 5], 1).tolist() == [COLD, 1]
 
     def test_classic_sequence(self):
         # a b c a: a's reuse skips b and c -> distance 3.
-        assert stack_distances([0, 1, 2, 0]).tolist() == [COLD, COLD, COLD, 3]
+        distances = set_local_distances([0, 1, 2, 0], 1)
+        assert distances.tolist() == [COLD, COLD, COLD, 3]
 
     def test_mru_refresh(self):
         # a b a b: each reuse has distance 2.
-        assert stack_distances([0, 1, 0, 1]).tolist() == [COLD, COLD, 2, 2]
+        distances = set_local_distances([0, 1, 0, 1], 1)
+        assert distances.tolist() == [COLD, COLD, 2, 2]
 
     def test_empty(self):
-        assert stack_distances([]).size == 0
+        assert set_local_distances([], 1).size == 0
 
 
 class TestMissRatioCurve:
@@ -49,10 +62,9 @@ class TestMissRatioCurve:
     def test_matches_fully_associative_simulation(self):
         rng = np.random.default_rng(3)
         trace = MemoryTrace(rng.integers(0, 256, size=400))
-        line_ids = trace.line_ids(8)
         curve = miss_ratio_curve(trace, 8, [1, 2, 4, 8, 16])
         for capacity in (1, 2, 4, 8, 16):
-            _, misses = fast_hit_miss_counts(line_ids, 1, capacity)
+            misses = fully_associative_misses(trace, 8, capacity)
             assert curve[capacity] == pytest.approx(misses / len(trace))
 
     def test_validation(self):
@@ -66,10 +78,9 @@ class TestMissRatioCurve:
     @settings(max_examples=40, deadline=None)
     def test_curve_equals_simulator_property(self, lines):
         trace = MemoryTrace([8 * v for v in lines])
-        line_ids = trace.line_ids(8)
         curve = miss_ratio_curve(trace, 8, [1, 4, 16])
         for capacity in (1, 4, 16):
-            _, misses = fast_hit_miss_counts(line_ids, 1, capacity)
+            misses = fully_associative_misses(trace, 8, capacity)
             assert curve[capacity] == pytest.approx(misses / len(trace))
 
 
@@ -88,3 +99,22 @@ class TestReuseProfile:
     def test_empty(self):
         profile = reuse_profile(MemoryTrace([]), 8)
         assert profile["compulsory_fraction"] == 0.0
+
+
+class TestClassifyMisses:
+    @given(
+        addresses=st.lists(st.integers(0, 1023), min_size=0, max_size=300),
+        geometry=st.sampled_from([(16, 4), (32, 8), (64, 8), (128, 16)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_compulsory_and_capacity_match_the_simulator(
+        self, addresses, geometry
+    ):
+        size, line = geometry
+        trace = MemoryTrace(addresses)
+        classes = classify_misses(trace, size, line)
+        assert classes.compulsory == len(set(trace.line_ids(line).tolist()))
+        assert classes.compulsory + classes.capacity == (
+            fully_associative_misses(trace, line, size // line)
+        )
+        assert classes.conflict == 0

@@ -10,7 +10,8 @@ The load-bearing claims:
   and matches the reference simulator at the direct-mapped and fully
   associative points the layout certificate uses;
 * :func:`repro.cache.stackdist.set_local_distances` degenerates to the
-  classic fully-associative stack distances at one set;
+  classic fully-associative stack distances at one set (checked against
+  the fully-associative reference simulator);
 * :class:`~repro.engine.backends.OnePassBackend` measurements equal
   ``fastsim`` measurements field for field, through ``measure`` and
   ``measure_grid`` alike;
@@ -26,10 +27,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.distance import COLD, stack_distances
 from repro.cache.fastsim import fast_miss_vector
 from repro.cache.simulator import CacheGeometry, CacheSimulator
 from repro.cache.stackdist import (
+    COLD,
     GridCounts,
     grid_miss_counts,
     set_local_distances,
@@ -136,10 +137,15 @@ class TestSetLocalDistances:
     @given(data=line_traces())
     @settings(max_examples=60, deadline=None)
     def test_one_set_is_classic_stack_distance(self, data):
+        """At one set, an access hits a ``c``-line fully-associative LRU
+        cache iff its distance is warm and at most ``c``."""
         line_ids, _ = data
-        assert np.array_equal(
-            set_local_distances(line_ids, 1), stack_distances(line_ids)
-        )
+        distances = set_local_distances(line_ids, 1)
+        for capacity in (1, 2, 4, 8, 16, 32, 64):
+            simulator = CacheSimulator(CacheGeometry(capacity, 1, capacity))
+            miss = [not simulator.access(int(line)) for line in line_ids]
+            expected = (distances == COLD) | (distances > capacity)
+            assert miss == expected.tolist()
 
     @given(data=line_traces(), num_sets=st.sampled_from([1, 2, 3, 4, 8]))
     @settings(max_examples=60, deadline=None)

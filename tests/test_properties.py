@@ -159,14 +159,14 @@ class TestAnalyticProperties:
         """The closed-form model assumes no cross-sweep retention, so it
         upper-bounds the simulated misses of any conflict-free layout."""
         from repro.core.analytic import analytic_misses
-        from repro.cache.fastsim import fast_hit_miss_counts
+        from repro.cache.fastsim import fast_miss_vector
 
         line = 4
         result = assign_offchip_layout(nest, 64, line)
         if not result.conflict_free:
             return
         trace = generate_trace(nest, layout=result.layout)
-        _, simulated = fast_hit_miss_counts(trace.line_ids(line), 16, 1)
+        simulated = int(fast_miss_vector(trace.line_ids(line), 16, 1).sum())
         analytic = analytic_misses(nest, line)
         assert simulated <= analytic + len(list(nest.refs))
 
@@ -193,14 +193,15 @@ class TestSamplingProperties:
     def test_union_of_samples_is_exact(self, nest):
         """Sampling every offset and combining miss counts reproduces the
         exact simulation (set independence, exhaustively)."""
-        import numpy as np
-        from repro.cache.fastsim import fast_hit_miss_counts
         from repro.cache.sampling import sampled_miss_rate
+        from repro.cache.stackdist import grid_miss_counts
 
         trace = generate_trace(nest)
         line_ids = trace.line_ids(4)
         num_sets = 8
-        _, exact = fast_hit_miss_counts(line_ids, num_sets, 1)
+        exact = grid_miss_counts(
+            line_ids, trace.is_write, [(num_sets, 1)]
+        )[(num_sets, 1)].misses
         stride = 4
         total_sampled_misses = 0
         for offset in range(stride):

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cache.simulator import simulate_trace
+from repro.cache.trace import MemoryTrace
 from repro.icache.unified import merged_trace, split_vs_unified
-from repro.kernels import make_compress, make_matadd
+from repro.kernels import make_compress, make_dequant, make_matadd, make_sor
+
+
+def direct_mapped_misses(trace, mask, size, line_size):
+    """Reference-simulator misses of the ``mask`` accesses, direct-mapped."""
+    stream = MemoryTrace(trace.addresses[mask])
+    return simulate_trace(stream, size, line_size, 1).misses
 
 
 class TestMergedTrace:
@@ -74,3 +83,31 @@ class TestSplitVsUnified:
     def test_validation(self):
         with pytest.raises(ValueError):
             split_vs_unified(make_matadd(), budget=8, line_size=8)
+
+    @given(
+        make=st.sampled_from(
+            [make_compress, make_dequant, make_matadd, make_sor]
+        ),
+        n=st.integers(3, 10),
+        budget=st.sampled_from([16, 32, 64, 128]),
+        line_size=st.sampled_from([4, 8]),
+        body=st.integers(1, 16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_misses_match_the_reference_simulator(
+        self, make, n, budget, line_size, body
+    ):
+        kernel = make(n=n)
+        result = split_vs_unified(kernel, budget, line_size, body)
+        trace, is_fetch = merged_trace(kernel, body)
+        icache = direct_mapped_misses(
+            trace, is_fetch, result.best_icache, line_size
+        )
+        dcache = direct_mapped_misses(
+            trace, ~is_fetch, result.best_dcache, line_size
+        )
+        assert result.split_misses == icache + dcache
+        everything = np.ones(len(trace), dtype=bool)
+        assert result.unified_misses == direct_mapped_misses(
+            trace, everything, budget, line_size
+        )
