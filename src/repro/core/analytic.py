@@ -41,7 +41,7 @@ space in 1999).
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import CacheConfig, design_space
 from repro.core.cycles import processor_cycles
@@ -118,6 +118,9 @@ class AnalyticExplorer:
     (miss rate 1.0), matching the catastrophic regime the simulator shows
     there.  Associativity does not change the analytic miss rate (no
     conflicts remain to absorb); tiling enters only the cycle model.
+
+    Estimates are memoised per configuration and the line-size model per
+    line size, so repeated sweeps of one space price each point once.
     """
 
     def __init__(
@@ -132,22 +135,36 @@ class AnalyticExplorer:
         self.energy_model = energy_model if energy_model is not None else EnergyModel()
         self.add_bs = add_bs
         self._mr_cache: dict = {}
+        self._estimates: Dict[CacheConfig, PerformanceEstimate] = {}
+
+    def _line_model(self, line_size: int) -> Tuple[float, int]:
+        """``(miss rate, Section 3 minimum cache size)`` at one line size."""
+        if line_size not in self._mr_cache:
+            self._mr_cache[line_size] = (
+                analytic_miss_rate(self.kernel.nest, line_size),
+                self.kernel.min_cache_size(line_size),
+            )
+        return self._mr_cache[line_size]
+
+    def min_cache_size(self, line_size: int) -> int:
+        """The kernel's Section 3 minimum cache size at ``line_size``."""
+        return self._line_model(line_size)[1]
 
     def miss_rate(self, config: CacheConfig) -> float:
         """Analytic miss rate of the kernel at this geometry."""
-        key = config.line_size
-        if key not in self._mr_cache:
-            self._mr_cache[key] = (
-                analytic_miss_rate(self.kernel.nest, config.line_size),
-                self.kernel.min_cache_size(config.line_size),
-            )
-        mr, min_size = self._mr_cache[key]
+        mr, min_size = self._line_model(config.line_size)
         if config.size < min_size:
             return 1.0
         return mr
 
     def evaluate(self, config: CacheConfig) -> PerformanceEstimate:
         """Closed-form counterpart of :meth:`MemExplorer.evaluate`."""
+        estimate = self._estimates.get(config)
+        if estimate is None:
+            estimate = self._estimates[config] = self._price(config)
+        return estimate
+
+    def _price(self, config: CacheConfig) -> PerformanceEstimate:
         nest = self.kernel.nest
         miss_rate = self.miss_rate(config)
         events = nest.iterations

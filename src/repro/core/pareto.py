@@ -6,19 +6,32 @@ the other -- so the useful summary of an exploration is the (cycles, energy)
 Pareto frontier from which a designer picks once the bounds are known.
 
 Beyond the estimate-based frontier the module provides objective-space
-primitives used by the multi-objective search subsystem (``repro.moo``):
-``dominates``/``pareto_points`` over plain objective tuples (minimisation,
-deduplicated, deterministically ordered) and an exact ``hypervolume`` for
-two and three objectives against a fixed reference point.
+primitives used by the multi-objective search subsystem (``repro.moo``),
+all over plain objective tuples under minimisation:
+
+* ``dominance_matrix`` -- the one dominance kernel: a numpy ``(n, n)``
+  boolean matrix whose ``[i, j]`` entry says point ``i`` dominates point
+  ``j``.  Every non-dominated set is computed from it: ``pareto_points``
+  here, NSGA-II's ``fast_nondominated_sort`` and the search archive's
+  admission step;
+* ``dominates`` -- the scalar pairwise test, kept as the reference the
+  kernel is tested against;
+* ``pareto_points`` -- the non-dominated subset, deduplicated and
+  deterministically ordered;
+* ``hypervolume`` -- exact for two and three objectives against a fixed
+  reference point.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.metrics import PerformanceEstimate
 
 __all__ = [
+    "dominance_matrix",
     "dominated_by_any",
     "dominates",
     "hypervolume",
@@ -42,6 +55,24 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return no_worse and any(x < y for x, y in zip(a, b))
 
 
+def dominance_matrix(points: Sequence[Sequence[float]]) -> np.ndarray:
+    """``D[i, j]`` is True when ``points[i]`` dominates ``points[j]``.
+
+    The vectorised form of :func:`dominates` over every ordered pair, with
+    float64 comparisons: row ``i`` lists what ``i`` dominates and column
+    ``j`` what dominates ``j``.  Vectors must have equal length.
+    """
+    if not len(points):
+        return np.zeros((0, 0), dtype=bool)
+    width = len(points[0])
+    if any(len(p) != width for p in points):
+        raise ValueError("objective vectors differ in length")
+    values = np.asarray(points, dtype=np.float64)
+    left = values[:, None, :]
+    right = values[None, :, :]
+    return (left <= right).all(axis=2) & (left < right).any(axis=2)
+
+
 def pareto_points(points: Iterable[Sequence[float]]) -> List[Point]:
     """Non-dominated subset of objective tuples, deduplicated and sorted.
 
@@ -51,9 +82,8 @@ def pareto_points(points: Iterable[Sequence[float]]) -> List[Point]:
     search archive relies on under parallel evaluation).
     """
     unique = sorted({tuple(float(v) for v in p) for p in points})
-    if unique and any(len(p) != len(unique[0]) for p in unique):
-        raise ValueError("objective vectors differ in length")
-    return [p for p in unique if not any(dominates(q, p) for q in unique if q != p)]
+    dominated = dominance_matrix(unique).any(axis=0)
+    return [p for p, beaten in zip(unique, dominated) if not beaten]
 
 
 def _hypervolume_2d(points: Sequence[Point], reference: Point) -> float:

@@ -174,7 +174,13 @@ class Evaluator:
                 ),
             )
 
-    def _analytic_explorer(self):
+    def analytic_explorer(self):
+        """This workload's memoising :class:`~repro.core.analytic.AnalyticExplorer`.
+
+        Built once per evaluator with its energy model; the analytic
+        backend and search seeding share it, so a space is priced once.
+        Raises ``ValueError`` for workloads without a loop-nest kernel.
+        """
         if self._analytic is None:
             from repro.core.analytic import AnalyticExplorer
 
@@ -233,7 +239,7 @@ class Evaluator:
                 backend=self.backend.name,
                 configs=len(configs),
             ):
-                analytic = self._analytic_explorer()
+                analytic = self.analytic_explorer()
                 estimates = [analytic.evaluate(config) for config in configs]
             if configs:
                 self._observe(len(configs), time.perf_counter() - started)

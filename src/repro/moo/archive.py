@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import PerformanceEstimate
-from repro.core.pareto import dominates, hypervolume, pareto_points
+from repro.core.pareto import dominance_matrix, hypervolume, pareto_points
 from repro.moo.objectives import objective_vector, validate_objectives
 
 __all__ = ["FRONT_SCHEMA", "FrontArchive", "crowding_distances"]
@@ -136,10 +136,9 @@ class FrontArchive:
             if kept is None or _config_key(estimate) < _config_key(kept):
                 by_vector[vector] = estimate
         vectors = sorted(by_vector)
+        dominated = dominance_matrix(vectors).any(axis=0)
         front = [
-            (v, by_vector[v])
-            for v in vectors
-            if not any(dominates(other, v) for other in vectors if other != v)
+            (v, by_vector[v]) for v, beaten in zip(vectors, dominated) if not beaten
         ]
         if len(front) > self.capacity:
             front = self._prune(front)

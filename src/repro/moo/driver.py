@@ -405,13 +405,7 @@ def run_search(
     strategy = searcher if searcher is not None else _make_searcher(settings.searcher)
     seeds: List[CacheConfig] = []
     if settings.seed_population:
-        try:
-            seeds = analytic_seeds(
-                evaluator, ordered_space, settings.objectives
-            )
-        except Exception:
-            logger.warning("analytic seeding failed; starting unseeded", exc_info=True)
-            seeds = []
+        seeds = analytic_seeds(evaluator, ordered_space, settings.objectives)
     strategy.setup(
         ordered_space,
         population=settings.population,

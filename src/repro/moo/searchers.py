@@ -27,7 +27,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheConfig
-from repro.core.pareto import dominates
+from repro.core.pareto import dominance_matrix
 from repro.moo.archive import crowding_distances
 from repro.moo.grammar import ConfigGrammar
 
@@ -43,20 +43,12 @@ Point = Tuple[float, ...]
 
 def fast_nondominated_sort(vectors: Sequence[Point]) -> List[List[int]]:
     """Indices grouped into Pareto fronts (rank 0 first), NSGA-II style."""
-    count = len(vectors)
-    dominated_by: List[List[int]] = [[] for _ in range(count)]
-    domination_count = [0] * count
-    fronts: List[List[int]] = [[]]
-    for i in range(count):
-        for j in range(count):
-            if i == j:
-                continue
-            if dominates(vectors[i], vectors[j]):
-                dominated_by[i].append(j)
-            elif dominates(vectors[j], vectors[i]):
-                domination_count[i] += 1
-        if domination_count[i] == 0:
-            fronts[0].append(i)
+    matrix = dominance_matrix(vectors)
+    dominated_by = [row.nonzero()[0].tolist() for row in matrix]
+    domination_count = matrix.sum(axis=0).tolist()
+    fronts: List[List[int]] = [
+        [i for i, count in enumerate(domination_count) if count == 0]
+    ]
     current = 0
     while fronts[current]:
         next_front: List[int] = []
@@ -247,12 +239,13 @@ class NSGA2Searcher(Searcher):
             if self.mutation_rate is not None
             else 1.0 / grammar.length
         )
+        genomes = {config: grammar.encode(config) for config in survivors}
         children: List[CacheConfig] = []
         while len(children) < self._population:
             mother = _RankedSelection.tournament(rng, survivors, scores, _config_key)
             father = _RankedSelection.tournament(rng, survivors, scores, _config_key)
-            genome_a = list(grammar.encode(mother))
-            genome_b = list(grammar.encode(father))
+            genome_a = genomes[mother]
+            genome_b = genomes[father]
             child = list(genome_a)
             if rng.random() < self.crossover_rate:
                 child = [

@@ -8,9 +8,10 @@ in-space configuration at or above the min-cache bound per line size
 means most generations start within mutation distance of the true front
 -- without a single simulator call.
 
-Seeding is best-effort by design: trace workloads have no kernel, so they
-simply seed nothing and the searcher falls back to its random
-initialisation.
+Trace workloads have no kernel, so they seed nothing and the searcher
+falls back to its random initialisation; configurations the model
+rejects are skipped.  Any other error propagates, so a defect never
+silently turns a seeded search into an unseeded one.
 """
 
 from __future__ import annotations
@@ -42,16 +43,13 @@ def analytic_seeds(
     Returns the analytic-front members plus the per-line-size min-cache
     bound configurations, deduplicated in that order and truncated to
     ``limit``.  Empty when the workload carries no loop-nest kernel.
+    Prices the space on ``evaluator.analytic_explorer()``, which memoises
+    its estimates, so repeated searches on one evaluator price it once.
     """
     workload = getattr(evaluator, "workload", None)
-    kernel = getattr(workload, "kernel", None)
-    if kernel is None:
+    if getattr(workload, "kernel", None) is None:
         return []
-    from repro.core.analytic import AnalyticExplorer
-
-    explorer = AnalyticExplorer(
-        kernel, energy_model=getattr(evaluator, "energy_model", None)
-    )
+    explorer = evaluator.analytic_explorer()
     ordered = sorted(set(space), key=_config_key)
     scored = []
     for config in ordered:
@@ -68,7 +66,7 @@ def analytic_seeds(
     # each line size that the analytic model says will not thrash.
     for line in sorted({c.line_size for c in ordered}):
         try:
-            bound = kernel.min_cache_size(line)
+            bound = explorer.min_cache_size(line)
         except (TypeError, ValueError):
             continue
         fitting = [c for c in ordered if c.line_size == line and c.size >= bound]

@@ -812,9 +812,9 @@ class StoreBackedEvaluator:
     fresh estimates.  The store is read and written in the caller's
     process only: the wrapper never crosses a process boundary.
     Every delegated attribute (``workload``, ``backend``, ``cache``,
-    ``energy_model``, ``gray_code``) mirrors the inner evaluator, so
-    checkpoint fingerprints and sweep chunking do not change when the
-    store is layered in.
+    ``energy_model``, ``gray_code``) and :meth:`analytic_explorer` mirror
+    the inner evaluator, so checkpoint fingerprints, sweep chunking and
+    search seeding do not change when the store is layered in.
     """
 
     def __init__(
@@ -853,6 +853,10 @@ class StoreBackedEvaluator:
     def cache(self):
         """The inner evaluator's in-memory L1 cache."""
         return getattr(self.inner, "cache", None)
+
+    def analytic_explorer(self):
+        """The inner evaluator's memoising analytic explorer (for seeding)."""
+        return self.inner.analytic_explorer()
 
     def evaluate(self, config: CacheConfig) -> PerformanceEstimate:
         """One configuration, from the store when possible (a batch of one)."""

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.core.analytic import AnalyticExplorer
 from repro.core.config import CacheConfig, design_space
 from repro.core.metrics import PerformanceEstimate
 from repro.engine import Evaluator, KernelWorkload
@@ -236,6 +237,33 @@ class TestSeeding:
 
         assert analytic_seeds(Bare(), small_space()) == []
 
+    def test_space_priced_once_per_evaluator(self, monkeypatch):
+        space = small_space()
+        two, three = ("cycles", "energy"), ("cycles", "energy", "area")
+        fresh = [analytic_seeds(make_evaluator(), space, obj) for obj in (two, three)]
+        priced = []
+        original = AnalyticExplorer._price
+
+        def counting(explorer, config):
+            priced.append(config)
+            return original(explorer, config)
+
+        monkeypatch.setattr(AnalyticExplorer, "_price", counting)
+        evaluator = make_evaluator()
+        reused = [analytic_seeds(evaluator, space, obj) for obj in (two, three)]
+        assert sorted(priced) == sorted(set(space))
+        assert reused == fresh
+
+    def test_store_backed_evaluator_seeds_like_its_inner(self, tmp_path):
+        from repro.serve.store import ResultStore, StoreBackedEvaluator
+
+        evaluator = make_evaluator()
+        space = small_space()
+        with ResultStore(str(tmp_path / "results.db")) as store:
+            wrapped = StoreBackedEvaluator(evaluator, store)
+            assert wrapped.analytic_explorer() is evaluator.analytic_explorer()
+            assert analytic_seeds(wrapped, space) == analytic_seeds(evaluator, space)
+
 
 class TestRunSearch:
     SETTINGS = dict(generations=4, population=8, seed=11)
@@ -286,6 +314,14 @@ class TestRunSearch:
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
             run_search(make_evaluator(), [])
+
+    def test_seeding_errors_propagate(self, monkeypatch):
+        def broken(explorer, config):
+            raise RuntimeError("seeding defect")
+
+        monkeypatch.setattr(AnalyticExplorer, "evaluate", broken)
+        with pytest.raises(RuntimeError, match="seeding defect"):
+            self._run()
 
     def test_unknown_searcher_rejected(self):
         with pytest.raises(LookupError):

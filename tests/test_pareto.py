@@ -1,11 +1,12 @@
 """Tests for the Pareto frontier utilities."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import CacheConfig
 from repro.core.metrics import PerformanceEstimate
 from repro.core.pareto import (
+    dominance_matrix,
     dominated_by_any,
     dominates,
     hypervolume,
@@ -13,6 +14,7 @@ from repro.core.pareto import (
     pareto_points,
     tradeoff_range,
 )
+from repro.moo import FrontArchive, fast_nondominated_sort
 
 
 def point(cycles, energy, size=64):
@@ -130,6 +132,111 @@ class TestParetoPoints:
         assert not dominates((1.0, 3.0), (3.0, 1.0))
         with pytest.raises(ValueError):
             dominates((1.0,), (1.0, 2.0))
+
+
+#: 2- and 3-objective vectors on a small integer grid, so that ties and
+#: duplicates are common -- the cases where ``<=`` and ``<`` differ.
+grid_vectors = st.sampled_from([2, 3]).flatmap(
+    lambda width: st.lists(
+        st.tuples(*[st.integers(0, 3).map(float)] * width), max_size=24
+    )
+)
+
+#: A tie only a correct kernel ranks: (1, 2) dominates (1, 3), and the
+#: duplicate (1, 2) dominates neither copy.
+TIED = [(1.0, 3.0), (1.0, 2.0), (2.0, 1.0), (1.0, 2.0)]
+
+
+def reference_front(vectors):
+    """Sorted distinct vectors that no other vector dominates."""
+    unique = sorted(set(vectors))
+    return [v for v in unique if not any(dominates(o, v) for o in unique)]
+
+
+def reference_fronts(vectors):
+    """NSGA-II front peeling built on the pairwise `dominates`."""
+    count = len(vectors)
+    dominated_by = [[] for _ in range(count)]
+    domination_count = [0] * count
+    fronts = [[]]
+    for i in range(count):
+        for j in range(count):
+            if i != j and dominates(vectors[i], vectors[j]):
+                dominated_by[i].append(j)
+            elif i != j and dominates(vectors[j], vectors[i]):
+                domination_count[i] += 1
+        if domination_count[i] == 0:
+            fronts[0].append(i)
+    while fronts[-1]:
+        following = []
+        for i in fronts[-1]:
+            for j in dominated_by[i]:
+                domination_count[j] -= 1
+                if domination_count[j] == 0:
+                    following.append(j)
+        fronts.append(following)
+    return [front for front in fronts if front]
+
+
+class TestDominanceMatrix:
+    """The vectorised kernel and its three consumers against `dominates`."""
+
+    @given(grid_vectors)
+    @example(TIED)
+    @settings(max_examples=80, deadline=None)
+    def test_every_entry_matches_dominates(self, vectors):
+        matrix = dominance_matrix(vectors)
+        assert matrix.shape == (len(vectors), len(vectors))
+        assert matrix.tolist() == [
+            [dominates(a, b) for b in vectors] for a in vectors
+        ]
+
+    @given(grid_vectors)
+    @example(TIED)
+    @settings(max_examples=80, deadline=None)
+    def test_pareto_points_matches_pairwise_reference(self, vectors):
+        assert pareto_points(vectors) == reference_front(vectors)
+
+    @given(grid_vectors)
+    @example(TIED)
+    @settings(max_examples=80, deadline=None)
+    def test_fast_nondominated_sort_matches_pairwise_reference(self, vectors):
+        assert fast_nondominated_sort(vectors) == reference_fronts(vectors)
+
+    @given(grid_vectors, st.integers(0, 24))
+    @example(TIED, 2)
+    @settings(max_examples=80, deadline=None)
+    def test_archive_front_matches_pairwise_reference(self, vectors, split):
+        estimates = [
+            point(index, index, size=2 ** (4 + index))
+            for index in range(len(vectors))
+        ]
+        by_config = {e.config: v for e, v in zip(estimates, vectors)}
+        width = len(vectors[0]) if vectors else 2
+
+        class GridArchive(FrontArchive):
+            def vector_of(self, estimate):
+                return by_config[estimate.config]
+
+        archive = GridArchive(("cycles", "energy", "area")[:width], capacity=1000)
+        archive.add(estimates[:split])
+        archive.add(estimates[split:])
+        expected = reference_front(vectors)
+        assert archive.points() == expected
+        # Equal vectors collapse onto the smallest configuration.
+        assert [e.config for e in archive.estimates()] == [
+            estimates[vectors.index(v)].config for v in expected
+        ]
+
+    def test_ragged_input_rejected(self):
+        with pytest.raises(ValueError):
+            dominance_matrix([(1.0, 2.0), (1.0,)])
+        with pytest.raises(ValueError):
+            pareto_points([(1.0, 2.0), (1.0,)])
+
+    def test_empty(self):
+        assert dominance_matrix([]).shape == (0, 0)
+        assert pareto_points([]) == []
 
 
 class TestHypervolume:
