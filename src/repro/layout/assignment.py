@@ -41,33 +41,38 @@ windows slide at different rates and no placement is conflict-free; the
 search still separates the anchors (best effort) and the result's
 ``conflict_free`` flag reports which case applies -- verified against the
 simulator's 3C classification by the integration suite.
+
+Cost structure.  Only the outermost row pitch ``P`` varies between pitch
+candidates, so every reference's element offset is ``s0 * P + rest`` and
+every innermost-loop slide is ``dc * P + dk``.  These pitch-linear forms
+are computed once per call (with the reference grouping) and shared by
+both passes; a candidate then costs a few integer multiply-adds per
+reference plus the pairwise separation check of its own windows.  The
+candidates themselves are arithmetic progressions (line-aligned pitches
+first, then the rest; or the pitches coherent with an earlier array), and
+a base is searched only for a candidate whose windows are clear of each
+other.  The sweep-range pass is skipped outright when it provably fails:
+a group whose innermost slope has no row component sweeps at least
+``element_size + (trip - 1) * |slide| * element_size * step`` bytes at any
+pitch (any other group at least ``element_size``), and two windows wider
+than the cache span together can never be separated.  With
+``verify=True`` the simulation certificate costs more than the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.layout.address_map import ArrayPlacement, DataLayout
 from repro.loops.compat import nest_is_compatible
-from repro.loops.ir import ArrayDecl, LoopNest
-from repro.loops.reuse import ReferenceGroup, group_references
+from repro.loops.ir import LoopNest
+from repro.loops.reuse import group_references
 
 __all__ = ["AssignmentResult", "assign_offchip_layout"]
 
-
-@dataclass(frozen=True)
-class ByteWindow:
-    """One group's instantaneous footprint: anchor byte offset and width.
-
-    ``anchor_elements`` is relative to the array base (in elements, at the
-    nest's first iteration point); ``width_bytes`` spans from the first to
-    one past the last byte the group touches at one instant.
-    """
-
-    group: ReferenceGroup
-    anchor_elements: int
-    width_bytes: int
+Window = Tuple[int, int]  # (byte offset from the array base, width in bytes)
 
 
 @dataclass(frozen=True)
@@ -95,92 +100,154 @@ class AssignmentResult:
         raise KeyError(f"no group anchored at reference {first_ref_index}")
 
 
-def _pitches_with_row(decl: ArrayDecl, row_pitch: int) -> Tuple[int, ...]:
-    """Row-major pitches with the outermost dimension padded to ``row_pitch``."""
-    dense = list(decl.row_major_strides())
-    if decl.rank == 1:
-        return tuple(dense)
-    if row_pitch < dense[0]:
-        raise ValueError("row pitch below dense stride would fold rows")
-    padded = list(dense)
-    padded[0] = row_pitch
-    return tuple(padded)
-
-
 @dataclass(frozen=True)
-class _GroupShape:
-    """The pitch-independent part of one group's windows.
+class _GroupForm:
+    """One group's windows as linear functions of the padded row pitch.
 
-    ``subscripts`` holds each reference's subscripts at the nest's first
-    iteration point; ``slopes`` the first reference's innermost-loop
-    coefficient per dimension.  Offsets and slides under any pitches are
-    their dot products with the pitches.
+    With row pitch ``P``, a reference with terms ``(row, rest)`` sits
+    ``row * P + rest`` elements from the array base at the nest's first
+    iteration point, and one innermost iteration slides the group by
+    ``slide_row * P + slide_rest`` elements (taken from its first
+    reference).  Rank-1 arrays have no padded pitch, so their row terms
+    are zero.
     """
 
-    group: ReferenceGroup
-    subscripts: Tuple[Tuple[int, ...], ...]
-    slopes: Tuple[int, ...]
+    first_ref: int
+    terms: Tuple[Tuple[int, int], ...]
+    slide_row: int
+    slide_rest: int
+    element_size: int
 
 
-def _group_shapes(
-    nest: LoopNest, groups: Sequence[ReferenceGroup]
-) -> List[_GroupShape]:
-    """Per-group subscripts and slopes, computed once per array."""
+def _split_row(values: Sequence[int], tail: Sequence[int]) -> Tuple[int, int]:
+    """``(row, rest)``: the padded-row coefficient and the dense remainder.
+
+    ``tail`` is the array's dense strides after the first; a rank-1 array
+    (empty ``tail``) has no padded pitch, so everything is remainder.
+    """
+    if not tail:
+        return 0, values[0]
+    return values[0], sum(p * v for p, v in zip(tail, values[1:]))
+
+
+def _array_forms(nest: LoopNest) -> Dict[str, List[_GroupForm]]:
+    """Pitch-linear forms of every referenced array's groups, in order."""
     first_point = {lp.index: lp.lower for lp in nest.loops}
     innermost = nest.loops[-1].index if nest.loops else None
-    shapes = []
-    for group in groups:
-        subscripts = tuple(
-            nest.refs[ref_index].evaluate(first_point)
-            for ref_index in group.ref_indices
+    forms: Dict[str, List[_GroupForm]] = {}
+    for group in group_references(nest):
+        tail = nest.array(group.array).row_major_strides()[1:]
+        terms = tuple(
+            _split_row(nest.refs[i].evaluate(first_point), tail)
+            for i in group.ref_indices
         )
         ref = nest.refs[group.ref_indices[0]]
-        slopes = tuple(
-            expr.coeff(innermost) if innermost is not None else 0
-            for expr in ref.indices
+        slide_row, slide_rest = _split_row(
+            [
+                expr.coeff(innermost) if innermost is not None else 0
+                for expr in ref.indices
+            ],
+            tail,
         )
-        shapes.append(_GroupShape(group, subscripts, slopes))
-    return shapes
+        forms.setdefault(group.array, []).append(
+            _GroupForm(
+                first_ref=group.ref_indices[0],
+                terms=terms,
+                slide_row=slide_row,
+                slide_rest=slide_rest,
+                element_size=group.element_size,
+            )
+        )
+    return forms
 
 
-def _group_windows(
-    nest: LoopNest,
-    shapes: Sequence[_GroupShape],
-    decl: ArrayDecl,
-    pitches: Sequence[int],
-    sweep: bool,
-) -> List[ByteWindow]:
-    """Byte windows of one array's groups under the given pitches.
+def _sweep_trips(nest: LoopNest) -> Tuple[int, int]:
+    """``(trip_count - 1, step)`` of the innermost loop, ``(0, 1)`` if none."""
+    if not nest.loops:
+        return 0, 1
+    innermost = nest.loops[-1]
+    return innermost.trip_count - 1, innermost.step
+
+
+def _windows(
+    groups: Sequence[_GroupForm],
+    row_pitch: int,
+    element_size: int,
+    sweeps: int,
+    step: int,
+) -> List[Window]:
+    """Byte windows of one array's groups under row pitch ``row_pitch``.
 
     Anchors are evaluated at the nest's first iteration point with the
-    padded pitches, so row padding moves the windows exactly as it moves
+    padded pitch, so row padding moves the windows exactly as it moves
     the addresses.
 
-    With ``sweep`` set, a window covers the group's entire innermost-loop
-    *sweep range* (its instantaneous extent plus the distance it slides
-    during one sweep).  Sweep ranges protect a class's trail -- lines
-    already passed this sweep that will be reused after the outer loop
-    advances -- from other classes crossing them.  Without it, the window
-    is the instantaneous extent only (the fallback criterion for caches
-    too small to hold sweep ranges, where no trail survives anyway).
+    With ``sweeps`` (the innermost trip count minus one) nonzero, a window
+    covers the group's entire innermost-loop *sweep range* (its
+    instantaneous extent plus the distance it slides during one sweep).
+    Sweep ranges protect a class's trail -- lines already passed this
+    sweep that will be reused after the outer loop advances -- from other
+    classes crossing them.  With ``sweeps == 0`` the window is the
+    instantaneous extent only (the fallback criterion for caches too small
+    to hold sweep ranges, where no trail survives anyway).
     """
-    innermost = nest.loops[-1] if nest.loops else None
     windows = []
-    for shape in shapes:
-        offsets = [
-            sum(p * s for p, s in zip(pitches, subscripts))
-            for subscripts in shape.subscripts
-        ]
+    for g in groups:
+        offsets = [row * row_pitch + rest for row, rest in g.terms]
         anchor = min(offsets)
-        width = (max(offsets) - anchor + 1) * decl.element_size
-        if sweep and innermost is not None:
-            delta = sum(p * c for p, c in zip(pitches, shape.slopes))
-            slide = abs(delta) * decl.element_size * innermost.step
-            width += (innermost.trip_count - 1) * slide
-            if delta < 0:
-                anchor -= (innermost.trip_count - 1) * abs(delta)
-        windows.append(ByteWindow(shape.group, anchor, width))
+        width = (max(offsets) - anchor + 1) * element_size
+        delta = g.slide_row * row_pitch + g.slide_rest
+        width += sweeps * abs(delta) * element_size * step
+        if delta < 0:
+            anchor += sweeps * delta
+        windows.append((element_size * anchor, width))
     return windows
+
+
+def _sweep_pass_doomed(
+    forms: Dict[str, List[_GroupForm]], nest: LoopNest, span: int
+) -> bool:
+    """True when the sweep-range pass cannot come out clear at any pitch.
+
+    A group whose innermost slide has no row component sweeps at least
+    ``element_size + (trip - 1) * |slide| * element_size * step`` bytes
+    whatever the pitch; any other group at least ``element_size``.  If the
+    two largest of these lower bounds exceed the cache span together, that
+    pair fails :func:`_pair_clear` at every pitch and base.
+    """
+    sweeps, step = _sweep_trips(nest)
+    bounds = sorted(
+        g.element_size
+        + (sweeps * abs(g.slide_rest) * g.element_size * step
+           if g.slide_row == 0 else 0)
+        for groups in forms.values()
+        for g in groups
+    )
+    return len(bounds) >= 2 and bounds[-1] + bounds[-2] > span
+
+
+def _pair_clear(
+    start_i: int,
+    width_i: int,
+    start_j: int,
+    width_j: int,
+    line_size: int,
+    span: int,
+) -> bool:
+    """True when two circular byte intervals can never share a cache line.
+
+    See :func:`_intervals_clear`; the check is invariant under shifting
+    both starts by the same amount.
+    """
+    if width_i + width_j > span:
+        return False  # they must overlap somewhere on the circle
+    if (start_j - start_i) % span < width_i:
+        return False  # j starts inside i
+    if (start_i - start_j) % span < width_j:
+        return False  # i starts inside j
+    forward = (start_j - start_i - width_i + 1) % span
+    backward = (start_i - start_j - width_j + 1) % span
+    return forward >= line_size and backward >= line_size
 
 
 def _intervals_clear(
@@ -199,24 +266,45 @@ def _intervals_clear(
     ``line_size``.  A single window never conflicts with itself (a class
     owns its own lines).
     """
-    n = len(intervals)
-    for i in range(n):
-        start_i, width_i = intervals[i]
-        end_i = start_i + width_i - 1
-        for j in range(i + 1, n):
-            start_j, width_j = intervals[j]
-            end_j = start_j + width_j - 1
-            if width_i + width_j > span:
-                return False  # they must overlap somewhere on the circle
-            if (start_j - start_i) % span < width_i:
-                return False  # j starts inside i
-            if (start_i - start_j) % span < width_j:
-                return False  # i starts inside j
-            forward = (start_j - end_i) % span
-            backward = (start_i - end_j) % span
-            if forward < line_size or backward < line_size:
-                return False
-    return True
+    return all(
+        _pair_clear(*intervals[i], *intervals[j], line_size, span)
+        for i in range(len(intervals))
+        for j in range(i + 1, len(intervals))
+    )
+
+
+def _pitch_candidates(
+    dense_row: int,
+    pad_limit: int,
+    element_size: int,
+    line_size: int,
+    span: int,
+    required_shift: Optional[int],
+) -> Iterator[int]:
+    """Row pitches to try for a multi-row array, in preference order.
+
+    Pitches range over ``dense_row .. dense_row + pad_limit``.  Once an
+    earlier array has fixed the row shift, only coherent pitches qualify
+    (``element_size * P`` congruent to it modulo the span), smallest first.
+    Otherwise pitches that keep every window anchor line-aligned come
+    first, as in the paper's walk-through (Compress picks 36, not 35),
+    then the rest, each in increasing order.
+    """
+    last = dense_row + pad_limit
+    if required_shift is not None:
+        g = gcd(element_size, span)
+        if required_shift % g:
+            return
+        period = span // g
+        first = required_shift // g * pow(element_size // g, -1, period)
+        yield from range(
+            dense_row + (first - dense_row) % period, last + 1, period
+        )
+        return
+    period = line_size // gcd(element_size, line_size)
+    yield from range(dense_row + -dense_row % period, last + 1, period)
+    if period > 1:
+        yield from (p for p in range(dense_row, last + 1) if p % period)
 
 
 def assign_offchip_layout(
@@ -243,7 +331,8 @@ def assign_offchip_layout(
         size).
     max_pitch_padding:
         Upper bound on extra row padding in elements (defaults to one full
-        cache span, which always contains a coherent candidate).
+        cache span, which always contains a coherent candidate); must be
+        non-negative.
     verify:
         Certify the ``conflict_free`` flag by simulation (default): the
         flag is set only when the padded trace takes *exactly* as many
@@ -253,14 +342,18 @@ def assign_offchip_layout(
     """
     if cache_size <= 0 or line_size <= 0 or cache_size % line_size:
         raise ValueError("cache size must be a positive multiple of line size")
-    placements, slots, all_clear = _place(
-        nest, cache_size, line_size, max_pitch_padding, sweep=True
-    )
-    if not all_clear:
-        fallback_placements, fallback_slots, _ = _place(
-            nest, cache_size, line_size, max_pitch_padding, sweep=False
+    if max_pitch_padding is not None and max_pitch_padding < 0:
+        raise ValueError("max_pitch_padding must be non-negative")
+    forms = _array_forms(nest)
+    all_clear = False
+    if not _sweep_pass_doomed(forms, nest, cache_size):
+        placements, slots, all_clear = _place(
+            nest, forms, cache_size, line_size, max_pitch_padding, sweep=True
         )
-        placements, slots = fallback_placements, fallback_slots
+    if not all_clear:
+        placements, slots, _ = _place(
+            nest, forms, cache_size, line_size, max_pitch_padding, sweep=False
+        )
 
     num_lines = cache_size // line_size
     layout = DataLayout.from_dict(placements)
@@ -308,145 +401,143 @@ def _verified_conflict_free(
 
 def _place(
     nest: LoopNest,
+    forms: Dict[str, List[_GroupForm]],
     cache_size: int,
     line_size: int,
     max_pitch_padding: Optional[int],
     sweep: bool,
 ) -> "tuple[Dict[str, ArrayPlacement], List[Tuple[int, int]], bool]":
-    """One constructive placement pass (see :func:`assign_offchip_layout`)."""
+    """One constructive placement pass (see :func:`assign_offchip_layout`).
+
+    ``forms`` is :func:`_array_forms` of ``nest``.
+    """
     span = cache_size  # num_lines * line_size bytes
     num_lines = cache_size // line_size
-    groups = group_references(nest)
-    by_array: Dict[str, List[ReferenceGroup]] = {}
-    for group in groups:
-        by_array.setdefault(group.array, []).append(group)
+    sweeps, step = _sweep_trips(nest)
+    if not sweep:
+        sweeps = 0
 
     placements: Dict[str, ArrayPlacement] = {}
     slots: List[Tuple[int, int]] = []
-    placed: List[Tuple[int, int]] = []  # (start mod span, width) intervals
+    placed: List[Window] = []  # (start mod span, width) intervals
+    placed_clear = True  # no two placed windows can share a line
     cursor = 0
     all_clear = True
     required_shift: Optional[int] = None
 
     for decl in nest.arrays:
-        shapes = _group_shapes(nest, by_array.get(decl.name, []))
-        if not shapes:
+        groups = forms.get(decl.name)
+        dense = decl.row_major_strides()
+        if not groups:
             # Array never referenced: dense placement, no constraints.
             placements[decl.name] = ArrayPlacement(
-                cursor, decl.row_major_strides(), decl.element_size
+                cursor, dense, decl.element_size
             )
             cursor += decl.size_bytes
             continue
 
-        dense_row = decl.row_major_strides()[0]
-        if max_pitch_padding is None:
-            pad_limit = max(span // decl.element_size, 1)
+        element_size = decl.element_size
+        multi_row = len(dense) >= 2
+        if not multi_row:
+            candidates: Iterator[int] = iter(dense)  # no pitch freedom
         else:
-            pad_limit = max_pitch_padding
-
-        chosen: Optional[Tuple[int, List[ByteWindow], int]] = None
-        fallback: Optional[Tuple[int, List[ByteWindow], int]] = None
-        pitch_candidates = []
-        for extra in range(pad_limit + 1):
-            row_pitch = dense_row + extra
-            if (
-                decl.rank >= 2
-                and required_shift is not None
-                and (decl.element_size * row_pitch) % span != required_shift
-            ):
-                continue
-            # Prefer pitches that keep every window anchor line-aligned, as
-            # the paper's walk-through does (Compress picks 36, not 35).
-            aligned = (decl.element_size * row_pitch) % line_size == 0
-            pitch_candidates.append((0 if aligned else 1, extra, row_pitch))
-        for _, extra, row_pitch in sorted(pitch_candidates):
-            pitches = _pitches_with_row(decl, row_pitch)
-            windows = _group_windows(nest, shapes, decl, pitches, sweep)
-            internal = [
-                (decl.element_size * w.anchor_elements, w.width_bytes)
-                for w in windows
-            ]
-            internally_ok = _intervals_clear(internal, line_size, span)
-            base = _find_base(
-                cursor, windows, decl, line_size, span, placed,
-                require_clear=internally_ok,
+            if max_pitch_padding is None:
+                pad_limit = max(span // element_size, 1)
+            else:
+                pad_limit = max_pitch_padding
+            candidates = _pitch_candidates(
+                dense[0], pad_limit, element_size, line_size, span,
+                required_shift,
             )
-            if fallback is None and base is not None:
-                fallback = (row_pitch, windows, base)
-            if internally_ok and base is not None:
-                chosen = (row_pitch, windows, base)
-                break
-            if decl.rank == 1:
-                break  # 1D arrays have no pitch freedom
+
+        # A candidate whose windows collide with each other only serves as
+        # the fallback, placed at the base of the lowest line slot; the
+        # first such candidate is the one kept.
+        chosen: Optional[Tuple[int, List[Window], int]] = None
+        fallback: Optional[Tuple[int, List[Window], int]] = None
+        for row_pitch in candidates:
+            windows = _windows(groups, row_pitch, element_size, sweeps, step)
+            if _intervals_clear(windows, line_size, span):
+                if placed_clear:
+                    base = _find_base(cursor, windows, line_size, span, placed)
+                    if base is not None:
+                        chosen = (row_pitch, windows, base)
+                        break
+            elif fallback is None:
+                fallback = (
+                    row_pitch,
+                    windows,
+                    next(_line_bases(cursor, windows, line_size, span)),
+                )
 
         if chosen is None:
             all_clear = False
             if fallback is None:
                 fallback = (
-                    dense_row,
-                    _group_windows(
-                        nest,
-                        shapes,
-                        decl,
-                        _pitches_with_row(decl, dense_row),
-                        sweep,
-                    ),
+                    dense[0],
+                    _windows(groups, dense[0], element_size, sweeps, step),
                     cursor,
                 )
             chosen = fallback
 
         row_pitch, windows, base = chosen
-        for w in windows:
-            start = (base + decl.element_size * w.anchor_elements) % span
-            placed.append((start, w.width_bytes))
-            slots.append((w.group.ref_indices[0], (start // line_size) % num_lines))
-        if decl.rank >= 2 and required_shift is None:
-            required_shift = (decl.element_size * row_pitch) % span
-        pitches = _pitches_with_row(decl, row_pitch)
-        placement = ArrayPlacement(base, pitches, decl.element_size)
+        for g, (offset, width) in zip(groups, windows):
+            start = (base + offset) % span
+            placed.append((start, width))
+            slots.append((g.first_ref, (start // line_size) % num_lines))
+        if chosen is fallback:
+            placed_clear = _intervals_clear(placed, line_size, span)
+        pitches = dense
+        if multi_row:
+            if required_shift is None:
+                required_shift = (element_size * row_pitch) % span
+            pitches = (row_pitch,) + dense[1:]
+        placement = ArrayPlacement(base, pitches, element_size)
         placements[decl.name] = placement
         cursor = base + placement.extent_bytes(decl.dims)
 
-    if all_clear and not _intervals_clear(placed, line_size, span):
-        all_clear = False
+    # Every chosen base cleared all windows placed before it, so when no
+    # array fell back the placed windows are pairwise clear.
     return placements, slots, all_clear
+
+
+def _line_bases(
+    cursor: int, windows: Sequence[Window], line_size: int, span: int
+) -> Iterator[int]:
+    """Bases >= cursor that line-align the first window, by line slot.
+
+    One base per line slot of the cache span, ordered by the slot the
+    first window's anchor lands on -- matching the paper's walk-throughs,
+    which hand the next class the lowest free line (Matrix Addition: a ->
+    line 0, b -> line 1, c -> line 2).
+    """
+    num_lines = span // line_size
+    anchor = cursor + windows[0][0]
+    shift = -anchor % line_size
+    first_slot = ((anchor + shift) % span) // line_size
+    for slot in range(num_lines):
+        yield cursor + shift + ((slot - first_slot) % num_lines) * line_size
 
 
 def _find_base(
     cursor: int,
-    windows: Sequence[ByteWindow],
-    decl: ArrayDecl,
+    windows: Sequence[Window],
     line_size: int,
     span: int,
-    placed: Sequence[Tuple[int, int]],
-    require_clear: bool,
+    placed: Sequence[Window],
 ) -> Optional[int]:
-    """Base >= cursor whose windows clear everything already placed.
+    """First of :func:`_line_bases` whose windows clear everything placed.
 
-    Candidate bases cover one full cache span at line granularity and are
-    tried in order of the line slot the first window would land on --
-    matching the paper's walk-throughs, which hand the next class the
-    lowest free line (Matrix Addition: a -> line 0, b -> line 1, c -> line
-    2).  Returns None when no clear base exists (only possible when
-    ``require_clear`` is set).
+    ``windows`` must be clear of each other and ``placed`` clear of each
+    other, so only the cross pairs are checked.  Returns None when no
+    base clears them.
     """
-    element_size = decl.element_size
-    candidates = []
-    for step in range(span // line_size):
-        base = cursor + step * line_size
-        anchor = base + element_size * windows[0].anchor_elements
-        misalign = anchor % line_size
-        if misalign:
-            base += line_size - misalign
-            anchor += line_size - misalign
-        candidates.append(((anchor % span) // line_size, base))
-    if not require_clear:
-        return min(candidates)[1] if candidates else cursor
-    for _, base in sorted(candidates):
-        trial = list(placed) + [
-            ((base + element_size * w.anchor_elements) % span, w.width_bytes)
-            for w in windows
-        ]
-        if _intervals_clear(trial, line_size, span):
+    for base in _line_bases(cursor, windows, line_size, span):
+        if all(
+            _pair_clear((base + offset) % span, width, start, placed_width,
+                        line_size, span)
+            for offset, width in windows
+            for start, placed_width in placed
+        ):
             return base
     return None

@@ -15,8 +15,15 @@ from repro.kernels import (
     make_sor,
 )
 from repro.layout.address_map import layouts_overlap
-from repro.layout.assignment import _intervals_clear, assign_offchip_layout
+from repro.layout.assignment import (
+    _array_forms,
+    _intervals_clear,
+    _place,
+    _sweep_pass_doomed,
+    assign_offchip_layout,
+)
 from repro.loops.compat import nest_is_compatible
+from tests.test_layout_golden import GEOMETRIES
 
 
 class TestPaperWalkthroughs:
@@ -155,6 +162,18 @@ class TestLayoutSanity:
         with pytest.raises(ValueError):
             assign_offchip_layout(nest, 10, 4)
 
+    @pytest.mark.parametrize("padding", [-1, -5])
+    def test_negative_padding_rejected(self, padding):
+        nest = make_pde().nest
+        with pytest.raises(ValueError, match="max_pitch_padding"):
+            assign_offchip_layout(nest, 32, 4, max_pitch_padding=padding)
+
+    def test_zero_padding_keeps_dense_pitches(self):
+        result = assign_offchip_layout(
+            make_compress().nest, 8, 2, max_pitch_padding=0
+        )
+        assert result.layout.placement("a").pitches == (32, 1)
+
     def test_unreferenced_array_gets_dense_placement(self):
         from repro.loops.ir import ArrayDecl, ArrayRef, Loop, LoopNest, var
 
@@ -197,3 +216,28 @@ class TestIntervalsClear:
 
     def test_gap_one_short(self):
         assert not _intervals_clear([(0, 2), (4, 2)], self.LINE, self.SPAN)
+
+
+class TestSweepPassSkip:
+    """The sweep-range pass is skipped only when it cannot come out clear."""
+
+    @pytest.mark.parametrize("name", available_kernels())
+    def test_skip_implies_failing_pass(self, name):
+        nest = get_kernel(name).nest
+        forms = _array_forms(nest)
+        for size, line in GEOMETRIES:
+            if _sweep_pass_doomed(forms, nest, size):
+                _, _, all_clear = _place(
+                    nest, forms, size, line, None, sweep=True
+                )
+                assert not all_clear, (name, size, line)
+
+    def test_skip_fires_on_the_grid(self):
+        fired = 0
+        for name in available_kernels():
+            nest = get_kernel(name).nest
+            forms = _array_forms(nest)
+            fired += sum(
+                _sweep_pass_doomed(forms, nest, size) for size, _ in GEOMETRIES
+            )
+        assert fired >= 100

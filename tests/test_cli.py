@@ -111,6 +111,25 @@ class TestGoldenOutputs:
                  "--no-layout-opt"],
                 "cli_datasheet_matmul_c64.txt",
             ),
+            (
+                ["layout", "compress", "--cache-size", "8",
+                 "--line-size", "2"],
+                "cli_layout_compress_c8l2.txt",
+            ),
+            (
+                ["layout", "pde", "--cache-size", "32", "--line-size", "4"],
+                "cli_layout_pde_c32l4.txt",
+            ),
+            (
+                ["layout", "matmul", "--cache-size", "64",
+                 "--line-size", "8"],
+                "cli_layout_matmul_c64l8.txt",
+            ),
+            (
+                ["layout", "mpeg:idct", "--cache-size", "16",
+                 "--line-size", "4"],
+                "cli_layout_mpeg_idct_c16l4.txt",
+            ),
         ],
     )
     def test_output_is_byte_identical(self, capsys, argv, golden):

@@ -13,20 +13,32 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.simulator import CacheGeometry, CacheSimulator
 from repro.layout.address_map import layouts_overlap
-from repro.layout.assignment import assign_offchip_layout
+from repro.layout.assignment import (
+    _array_forms,
+    _place,
+    _sweep_pass_doomed,
+    assign_offchip_layout,
+)
 from repro.loops.compat import nest_is_compatible
 from repro.loops.ir import ArrayDecl, ArrayRef, Loop, LoopNest, var
 from repro.loops.trace_gen import generate_trace
 
 
 @st.composite
-def compatible_nests(draw):
-    """A random 2D nest whose references all share the identity H."""
+def compatible_nests(draw, rank=2, element_sizes=(1,)):
+    """A random nest whose references all share the identity H.
+
+    ``rank`` 2 gives an ``i, j`` nest over 2D arrays, ``rank`` 1 a single
+    ``j`` loop over 1-D arrays; each array's element size is drawn from
+    ``element_sizes``.
+    """
     rows = draw(st.integers(4, 12))
     cols = draw(st.integers(4, 12))
     n_arrays = draw(st.integers(1, 3))
+    dims = (rows, cols)[2 - rank:]
     arrays = tuple(
-        ArrayDecl(f"a{k}", (rows, cols)) for k in range(n_arrays)
+        ArrayDecl(f"a{k}", dims, draw(st.sampled_from(element_sizes)))
+        for k in range(n_arrays)
     )
     i, j = var("i"), var("j")
     # Row/column offsets small enough to stay in bounds for i,j >= 1.
@@ -37,15 +49,37 @@ def compatible_nests(draw):
         di = draw(st.integers(-1, 0))
         dj = draw(st.integers(-1, 0))
         is_write = draw(st.booleans()) and r == n_refs - 1
-        refs.append(
-            ArrayRef(f"a{array}", (i + di, j + dj), is_write=is_write)
-        )
+        subscripts = (i + di, j + dj)[2 - rank:]
+        refs.append(ArrayRef(f"a{array}", subscripts, is_write=is_write))
+    loops = (Loop("i", 1, rows - 1), Loop("j", 1, cols - 1))[2 - rank:]
     return LoopNest(
         name="random",
-        loops=(Loop("i", 1, rows - 1), Loop("j", 1, cols - 1)),
+        loops=loops,
         refs=tuple(refs),
         arrays=arrays,
     )
+
+
+class TestSweepPassSkip:
+    @given(
+        nest=st.one_of(
+            compatible_nests(),
+            compatible_nests(element_sizes=(1, 2, 4)),
+            compatible_nests(rank=1, element_sizes=(1, 2, 4)),
+        ),
+        line=st.sampled_from([1, 2, 4, 8]),
+        lines=st.integers(2, 48),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_skipped_pass_never_comes_out_clear(self, nest, line, lines):
+        """The sweep-range pass is skipped only when running it would
+        return ``all_clear=False``.  Cache spans that are not powers of
+        two reach the bound's edge cases, where it is tight."""
+        size = line * lines
+        forms = _array_forms(nest)
+        if _sweep_pass_doomed(forms, nest, size):
+            _, _, all_clear = _place(nest, forms, size, line, None, sweep=True)
+            assert not all_clear
 
 
 class TestAssignmentGuarantee:
