@@ -190,8 +190,14 @@ class _LruStore:
             }
 
     def clear(self) -> None:
+        """Drop every entry and zero the counters in one locked step.
+
+        Zeroing the counters after the lock is released would let a
+        concurrent insert land in between and have its miss erased.
+        """
         with self._lock:
             self._data.clear()
+            self.hits = self.misses = self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -327,8 +333,6 @@ class EvalCache:
         """Drop all entries and zero the counters (local and remote)."""
         self._traces.clear()
         self._miss.clear()
-        self._traces.hits = self._traces.misses = self._traces.evictions = 0
-        self._miss.hits = self._miss.misses = self._miss.evictions = 0
         with self._remote_lock:
             for store in self._STORES:
                 for field in self._remote[store]:

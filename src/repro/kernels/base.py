@@ -39,6 +39,24 @@ class Kernel:
                 f"{len(self.nest.loops)} loops"
             )
 
+    def __hash__(self) -> int:
+        # Kernels key every evaluation-cache entry, and hashing the whole
+        # frozen nest costs microseconds, so the hash is computed once and
+        # kept in the instance dict.  It is not a field: ``==`` and
+        # ``repr`` ignore it, and ``__getstate__`` leaves it out of
+        # pickles, so a process with another hash seed computes its own.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((self.nest, self.n_tiled, self.invocations, self.source))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def name(self) -> str:
         """Kernel name (the nest's name)."""

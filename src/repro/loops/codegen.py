@@ -83,7 +83,7 @@ def generate_c(
     outer = nest.loops[:tiled_start]
     tiled = nest.loops[tiled_start:]
     # Untiled outer loops first, then the tile-control loops, then the
-    # clipped element loops -- the order tiled_iteration_points() uses.
+    # clipped element loops -- the order tiled_iteration_space() produces.
     for loop in outer:
         lines.append(
             f"{indent * depth}for (int {loop.index} = {loop.lower}; "

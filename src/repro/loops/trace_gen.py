@@ -14,25 +14,16 @@ into a single coefficient vector over the loop indices.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.cache.trace import MemoryTrace
 from repro.layout.address_map import DataLayout, default_layout
-from repro.loops.ir import Loop, LoopNest
-from repro.loops.tiling import tiled_iteration_space
+from repro.loops.ir import LoopNest
+from repro.loops.tiling import iteration_space, tiled_iteration_space
 
 __all__ = ["generate_trace", "iteration_space", "ref_addresses"]
-
-
-def iteration_space(loops: Sequence[Loop]) -> np.ndarray:
-    """Sequential iteration order as an ``(iterations, depth)`` int matrix."""
-    if not loops:
-        return np.zeros((1, 0), dtype=np.int64)
-    axes = [np.arange(lp.lower, lp.upper + 1, lp.step, dtype=np.int64) for lp in loops]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
 def ref_addresses(
@@ -78,10 +69,7 @@ def generate_trace(
         raise ValueError("repeat count must be positive")
     if layout is None:
         layout = default_layout(nest)
-    if tile == 1:
-        iterations = iteration_space(nest.loops)
-    else:
-        iterations = tiled_iteration_space(nest.loops, tile, n_tiled)
+    iterations = tiled_iteration_space(nest.loops, tile, n_tiled)
 
     n_iter = iterations.shape[0]
     n_refs = len(nest.refs)

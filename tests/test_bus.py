@@ -83,3 +83,33 @@ class TestBusSwitching:
     def test_switching_non_negative_and_bounded(self, words):
         value = bus_switching(words, gray=True)
         assert 0.0 <= value <= 64.0
+
+
+class TestSwitchingOracle:
+    """``bus_switching`` against per-transition ``hamming_distance``."""
+
+    @staticmethod
+    def reference(words, gray):
+        codes = [gray_encode(w) if gray else w for w in words]
+        flips = [hamming_distance(a, b) for a, b in zip(codes, codes[1:])]
+        return sum(flips) / len(flips) if flips else 0.0
+
+    @given(
+        st.lists(st.integers(0, 2 ** 62), max_size=80),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_hamming_mean_exactly(self, words, gray):
+        assert bus_switching(words, gray=gray) == self.reference(words, gray)
+
+    @pytest.mark.parametrize("gray", [True, False])
+    @pytest.mark.parametrize(
+        "words",
+        [[], [2 ** 62], [0, 2 ** 62 - 1], [2 ** 40 + 5, 2 ** 33]],
+    )
+    def test_short_streams_match_exactly(self, words, gray):
+        assert bus_switching(words, gray=gray) == self.reference(words, gray)
+
+    def test_high_bits_counted(self):
+        # Bits above 32 flip too: 0 -> 2**62 - 1 switches 62 lines.
+        assert bus_switching([0, 2 ** 62 - 1], gray=False) == 62.0

@@ -13,6 +13,7 @@ The load-bearing claims:
 
 import multiprocessing
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -175,6 +176,33 @@ class TestEvalCache:
         cache.clear()
         assert cache.miss_entries == 0
         stats = cache.stats()
+        assert (stats.miss_hits, stats.miss_misses) == (0, 0)
+
+    def test_clear_keeps_the_miss_of_a_concurrent_insert(self):
+        # A trace inserted by another thread while clear() is still
+        # emptying the miss store must keep its miss: the trace store's
+        # counters are zeroed together with its entries, under its lock,
+        # not after clear() has moved on.
+        cache = EvalCache()
+        cache.trace("old", lambda: "old")
+        cache.miss("old", lambda: "old")
+
+        def insert_late():
+            cache.trace("late", lambda: "late")
+
+        class HookedEntries(OrderedDict):
+            def clear(self):
+                super().clear()
+                worker = threading.Thread(target=insert_late)
+                worker.start()
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+
+        cache._miss._data = HookedEntries(cache._miss._data)
+        cache.clear()
+        stats = cache.stats()
+        assert cache.trace_entries == 1
+        assert (stats.trace_hits, stats.trace_misses) == (0, 1)
         assert (stats.miss_hits, stats.miss_misses) == (0, 0)
 
     def test_capacity_must_be_positive(self):

@@ -1,6 +1,14 @@
 """Tests for the bundled benchmark kernels."""
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.kernels import (
     PAPER_KERNELS,
@@ -115,6 +123,79 @@ class TestKernelBehaviour:
         plain = sorted(k.trace().addresses.tolist())
         tiled = sorted(k.trace(tile=4).addresses.tolist())
         assert plain == tiled
+
+
+class TestKernelHash:
+    """A kernel hashes once, but ``==`` stays the identity of a cache key."""
+
+    def test_cached_hash_equals_fresh_equal_kernel(self):
+        kernel = make_compress()
+        first = hash(kernel)
+        assert hash(kernel) == first
+        assert kernel.__dict__["_hash"] == first
+        assert hash(make_compress()) == first
+        assert hash(make_compress(n=7)) != first
+
+    def test_repr_and_equality_ignore_the_cached_hash(self):
+        kernel, fresh = make_compress(), make_compress()
+        hash(kernel)
+        assert "_hash" not in fresh.__dict__
+        assert kernel == fresh and repr(kernel) == repr(fresh)
+        assert "_hash" not in repr(kernel)
+        assert kernel != make_compress().with_invocations(2)
+
+    def test_pickle_carries_no_cached_hash(self):
+        kernel = make_compress()
+        hash(kernel)
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert "_hash" not in clone.__dict__
+        assert clone == kernel and hash(clone) == hash(kernel)
+
+    def test_copies_do_not_inherit_the_cached_hash(self):
+        kernel = make_compress()
+        hash(kernel)
+        for copy in (
+            kernel.with_invocations(3),
+            kernel.with_invocations(1),
+            dataclasses.replace(kernel),
+            dataclasses.replace(kernel, n_tiled=1),
+        ):
+            assert "_hash" not in copy.__dict__
+        assert hash(kernel.with_invocations(1)) == hash(kernel)
+        assert hash(kernel.with_invocations(3)) == hash(
+            make_compress().with_invocations(3)
+        )
+
+    def test_other_hash_seed_finds_entry_keyed_by_equal_kernel(self):
+        # A worker started with another hash seed must recompute the hash
+        # of a kernel it unpickles, or dict lookups keyed there by an
+        # equal kernel miss.
+        kernel = make_compress()
+        parent_hash = hash(kernel)
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        script = (
+            "import pickle, sys\n"
+            "from repro.kernels import make_compress\n"
+            "received = pickle.load(sys.stdin.buffer)\n"
+            "table = {make_compress(): 'entry'}\n"
+            "print(table.get(received), hash(received))\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(kernel),
+            capture_output=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        found, child_hash = child.stdout.decode().split()
+        assert found == "entry"
+        assert int(child_hash) != parent_hash
 
 
 class TestConv2d:
