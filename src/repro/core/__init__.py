@@ -11,7 +11,12 @@ from repro.core.analytic import (
     analytic_miss_rate,
     analytic_misses,
 )
-from repro.core.config import CacheConfig, design_space, powers_of_two
+from repro.core.config import (
+    CacheConfig,
+    config_sort_key,
+    design_space,
+    powers_of_two,
+)
 from repro.core.cycles import (
     CYCLES_PER_HIT,
     CYCLES_PER_MISS,
@@ -51,6 +56,7 @@ __all__ = [
     "cycles_per_miss",
     "analytic_miss_rate",
     "analytic_misses",
+    "config_sort_key",
     "datasheet",
     "design_space",
     "dominated_by_any",

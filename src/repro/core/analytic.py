@@ -41,18 +41,21 @@ space in 1999).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.core.config import CacheConfig, design_space
+import numpy as np
+
+from repro.core.config import CacheConfig, config_sort_key, design_space
 from repro.core.cycles import processor_cycles
 from repro.core.explorer import ExplorationResult
 from repro.core.metrics import PerformanceEstimate
+from repro.energy.area import cache_area_bits
 from repro.energy.model import EnergyModel
 from repro.kernels.base import Kernel
 from repro.loops.ir import LoopNest
 from repro.loops.reuse import ReferenceGroup, group_references
 
-__all__ = ["AnalyticExplorer", "analytic_miss_rate", "analytic_misses"]
+__all__ = ["AnalyticExplorer", "PricedSpace", "analytic_miss_rate", "analytic_misses"]
 
 #: Gray-coded address-bus switching assumed by the analytic model; the
 #: kernels' measured values sit between ~1 (sequential) and ~6
@@ -108,6 +111,24 @@ def analytic_miss_rate(nest: LoopNest, line_size: int) -> float:
     return min(analytic_misses(nest, line_size), accesses) / accesses
 
 
+#: Spaces whose priced table an explorer keeps (a session searches one).
+_PRICED_SPACES = 8
+
+
+class PricedSpace(NamedTuple):
+    """One configuration space priced by the closed-form model.
+
+    ``configs`` is the whole space in config-key order; ``priced`` the
+    members the model prices (it rejects the rest with ``ValueError``);
+    ``values`` an ``(len(priced), 3)`` float64 matrix of their cycles,
+    energy (nJ) and area (:func:`~repro.energy.area.cache_area_bits`).
+    """
+
+    configs: Tuple[CacheConfig, ...]
+    priced: Tuple[CacheConfig, ...]
+    values: np.ndarray
+
+
 class AnalyticExplorer:
     """Simulation-free MemExplore using the closed-form miss model.
 
@@ -120,7 +141,8 @@ class AnalyticExplorer:
     conflicts remain to absorb); tiling enters only the cycle model.
 
     Estimates are memoised per configuration and the line-size model per
-    line size, so repeated sweeps of one space price each point once.
+    line size, so repeated sweeps of one space price each point once;
+    :meth:`price_space` keeps the last few spaces' objective tables.
     """
 
     def __init__(
@@ -136,6 +158,7 @@ class AnalyticExplorer:
         self.add_bs = add_bs
         self._mr_cache: dict = {}
         self._estimates: Dict[CacheConfig, PerformanceEstimate] = {}
+        self._spaces: Dict[FrozenSet[CacheConfig], PricedSpace] = {}
 
     def _line_model(self, line_size: int) -> Tuple[float, int]:
         """``(miss rate, Section 3 minimum cache size)`` at one line size."""
@@ -163,6 +186,38 @@ class AnalyticExplorer:
         if estimate is None:
             estimate = self._estimates[config] = self._price(config)
         return estimate
+
+    def price_space(self, configs: Iterable[CacheConfig]) -> PricedSpace:
+        """The :class:`PricedSpace` of a configuration set, memoised per set."""
+        key = frozenset(configs)
+        table = self._spaces.get(key)
+        if table is None:
+            ordered = tuple(sorted(key, key=config_sort_key))
+            priced = []
+            rows = []
+            for config in ordered:
+                try:
+                    estimate = self.evaluate(config)
+                except ValueError:
+                    continue
+                priced.append(config)
+                rows.append(
+                    (
+                        float(estimate.cycles),
+                        float(estimate.energy_nj),
+                        float(
+                            cache_area_bits(config.size, config.line_size, config.ways)
+                        ),
+                    )
+                )
+            values = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+            values.flags.writeable = False
+            table = PricedSpace(ordered, tuple(priced), values)
+            # Two threads racing here build equal tables; either may stay.
+            self._spaces[key] = table
+            for stale in list(self._spaces)[:-_PRICED_SPACES]:
+                self._spaces.pop(stale, None)
+        return table
 
     def _price(self, config: CacheConfig) -> PerformanceEstimate:
         nest = self.kernel.nest
@@ -207,7 +262,5 @@ class AnalyticExplorer:
         """Sweep a configuration set with the closed-form model."""
         if configs is None:
             configs = design_space(max_size=max_size, **space_kwargs)
-        ordered: List[CacheConfig] = sorted(
-            configs, key=lambda c: (c.size, c.line_size, c.tiling, c.ways)
-        )
+        ordered: List[CacheConfig] = sorted(configs, key=config_sort_key)
         return ExplorationResult([self.evaluate(c) for c in ordered])

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence, Tuple
 
-__all__ = ["CacheConfig", "design_space", "powers_of_two"]
+__all__ = ["CacheConfig", "config_sort_key", "design_space", "powers_of_two"]
 
 
 def _is_pow2(n: int) -> bool:
@@ -68,6 +68,26 @@ class CacheConfig:
         # tile no longer fits, so the bound is applied by design_space()
         # rather than here.
 
+    def __hash__(self) -> int:
+        # Configurations key every search, store and estimate dict, so the
+        # dataclass field-tuple hash is computed once and kept in the
+        # instance dict.  It is not a field: ``==``, ordering and ``repr``
+        # ignore it, and ``__getstate__`` leaves it out of pickles and
+        # copies.  Most configurations are hashed a handful of times, so
+        # the first call avoids a raised KeyError and ``object.__setattr__``.
+        state = self.__dict__
+        value = state.get("_hash")
+        if value is None:
+            value = state["_hash"] = hash(
+                (self.size, self.line_size, self.ways, self.tiling)
+            )
+        return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def num_lines(self) -> int:
         """Number of cache lines ``T / L``."""
@@ -95,6 +115,11 @@ class CacheConfig:
 
     def __str__(self) -> str:
         return self.label(full=True)
+
+
+def config_sort_key(config: CacheConfig) -> Tuple[int, int, int, int]:
+    """The canonical sweep order of configurations: ``(T, L, B, S)``."""
+    return (config.size, config.line_size, config.tiling, config.ways)
 
 
 def design_space(

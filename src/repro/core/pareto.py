@@ -28,6 +28,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.config import config_sort_key
 from repro.core.metrics import PerformanceEstimate
 
 __all__ = [
@@ -60,17 +61,29 @@ def dominance_matrix(points: Sequence[Sequence[float]]) -> np.ndarray:
 
     The vectorised form of :func:`dominates` over every ordered pair, with
     float64 comparisons: row ``i`` lists what ``i`` dominates and column
-    ``j`` what dominates ``j``.  Vectors must have equal length.
+    ``j`` what dominates ``j``.  Vectors must have equal length; an
+    ``(n, k)`` array is taken as it is.  One ``(n, n)`` comparison per
+    objective is ANDed into "no worse" and ORed into "strictly better".
     """
-    if not len(points):
+    try:
+        values = np.asarray(points, dtype=np.float64)
+    except ValueError:
+        raise ValueError("objective vectors differ in length") from None
+    if not len(values):
         return np.zeros((0, 0), dtype=bool)
-    width = len(points[0])
-    if any(len(p) != width for p in points):
+    if values.ndim != 2:
         raise ValueError("objective vectors differ in length")
-    values = np.asarray(points, dtype=np.float64)
-    left = values[:, None, :]
-    right = values[None, :, :]
-    return (left <= right).all(axis=2) & (left < right).any(axis=2)
+    count, width = values.shape
+    if not width:
+        return np.zeros((count, count), dtype=bool)
+    left = values.T[:, :, None]
+    right = values.T[:, None, :]
+    no_worse = left[0] <= right[0]
+    better = left[0] < right[0]
+    for axis in range(1, width):
+        no_worse &= left[axis] <= right[axis]
+        better |= left[axis] < right[axis]
+    return no_worse & better
 
 
 def pareto_points(points: Iterable[Sequence[float]]) -> List[Point]:
@@ -154,11 +167,6 @@ def dominated_by_any(
     return any(other.dominates(estimate) for other in others)
 
 
-def _config_key(estimate: PerformanceEstimate) -> Tuple[int, int, int, int]:
-    config = estimate.config
-    return (config.size, config.line_size, config.tiling, config.ways)
-
-
 def pareto_front(
     estimates: Sequence[PerformanceEstimate],
 ) -> List[PerformanceEstimate]:
@@ -174,7 +182,7 @@ def pareto_front(
         key=lambda pair: (
             pair[1].cycles,
             pair[1].energy_nj,
-            _config_key(pair[1]),
+            config_sort_key(pair[1].config),
             pair[0],
         ),
     )

@@ -25,7 +25,7 @@ import logging
 import time
 from typing import Iterable, List, Optional, Union
 
-from repro.core.config import CacheConfig, design_space
+from repro.core.config import CacheConfig, config_sort_key, design_space
 from repro.core.cycles import processor_cycles
 from repro.core.metrics import PerformanceEstimate
 from repro.energy.bus import address_bus_switching
@@ -52,7 +52,7 @@ def order_configs(configs: Iterable[CacheConfig]) -> List[CacheConfig]:
     kernel's depends on ``B`` alone, and :meth:`Evaluator.evaluate_batch`
     groups such traces across sizes.
     """
-    return sorted(configs, key=lambda c: (c.size, c.line_size, c.tiling, c.ways))
+    return sorted(configs, key=config_sort_key)
 
 
 def assemble_estimate(

@@ -12,7 +12,8 @@ pieces:
   sweep strategies (:func:`greedy_descent`, :func:`pruned_min_energy`,
   both returning a :class:`SearchOutcome`);
 * :mod:`repro.moo.grammar` -- the integer-genome -> configuration
-  grammar evolutionary searchers breed over;
+  grammar evolutionary searchers breed over, and the per-space
+  :class:`RowIndex` that numbers its configurations as integer rows;
 * :mod:`repro.moo.archive` -- the bounded elitist
   :class:`FrontArchive` with generation snapshots and exact, monotone
   hypervolume tracking;
@@ -47,7 +48,7 @@ from repro.moo.driver import (
     run_search,
     search_fingerprint,
 )
-from repro.moo.grammar import ConfigGrammar
+from repro.moo.grammar import ConfigGrammar, RowIndex, row_index
 from repro.moo.heuristics import (
     GreedyDescentSearcher,
     PrunedSweepSearcher,
@@ -74,6 +75,7 @@ __all__ = [
     "GreedyDescentSearcher",
     "NSGA2Searcher",
     "PrunedSweepSearcher",
+    "RowIndex",
     "SearchCheckpoint",
     "SearchOutcome",
     "SearchRun",
@@ -86,6 +88,7 @@ __all__ = [
     "objective_vector",
     "pruned_min_energy",
     "reference_point",
+    "row_index",
     "run_search",
     "search_fingerprint",
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.config import config_sort_key
 from repro.core.metrics import PerformanceEstimate
 from repro.core.pareto import dominance_matrix, hypervolume, pareto_points
 from repro.moo.objectives import objective_vector, validate_objectives
@@ -63,11 +64,6 @@ def crowding_distances(vectors: Sequence[Point]) -> List[float]:
             )
             distances[order[position]] += gap / span_width
     return distances
-
-
-def _config_key(estimate: PerformanceEstimate) -> Tuple[int, int, int, int]:
-    config = estimate.config
-    return (config.size, config.line_size, config.tiling, config.ways)
 
 
 class FrontArchive:
@@ -133,7 +129,8 @@ class FrontArchive:
         by_vector: Dict[Point, PerformanceEstimate] = {}
         for vector, estimate in candidates:
             kept = by_vector.get(vector)
-            if kept is None or _config_key(estimate) < _config_key(kept):
+            key = config_sort_key(estimate.config)
+            if kept is None or key < config_sort_key(kept.config):
                 by_vector[vector] = estimate
         vectors = sorted(by_vector)
         dominated = dominance_matrix(vectors).any(axis=0)
@@ -155,7 +152,11 @@ class FrontArchive:
             distances = crowding_distances([vector for vector, _ in entries])
             victim = min(
                 range(len(entries)),
-                key=lambda i: (distances[i], entries[i][0], _config_key(entries[i][1])),
+                key=lambda i: (
+                    distances[i],
+                    entries[i][0],
+                    config_sort_key(entries[i][1].config),
+                ),
             )
             del entries[victim]
         return entries

@@ -33,7 +33,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import CacheConfig
+from repro.core.config import CacheConfig, config_sort_key
 from repro.core.metrics import PerformanceEstimate
 from repro.engine.resilience import (
     CheckpointError,
@@ -66,12 +66,8 @@ logger = logging.getLogger(__name__)
 MOO_CHECKPOINT_SCHEMA = "repro.moo.checkpoint/1"
 
 
-def _config_key(config: CacheConfig) -> Tuple[int, int, int, int]:
-    return (config.size, config.line_size, config.tiling, config.ways)
-
-
 def _order(configs) -> List[CacheConfig]:
-    return sorted(configs, key=_config_key)
+    return sorted(configs, key=config_sort_key)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,25 @@ exceeds cache size, associativity never exceeds the line count, tiling
 never exceeds the line count.  Codons wrap when the genome is shorter than
 the axis list, the classic GE trick that keeps genome length independent
 of grammar depth.
+
+Searchers run on integer *rows* rather than on configurations.  A
+:class:`RowIndex` numbers every configuration a search can meet -- the
+grammar's derivable product plus any space member it misses -- in
+canonical config-key order, and tabulates ``encode`` per row and
+``decode`` per in-range genome once; :func:`row_index` memoises one index
+per distinct space, so the searches of a session share it.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from repro.core.config import CacheConfig
+from repro.core.config import CacheConfig, config_sort_key
 
-__all__ = ["ConfigGrammar"]
+__all__ = ["ConfigGrammar", "RowIndex", "row_index"]
 
 
 def _axis(values: Iterable[int], label: str) -> Tuple[int, ...]:
@@ -142,4 +151,68 @@ class ConfigGrammar:
                 for tiling in tiling_pool:
                     for ways in ways_pool:
                         result.append(CacheConfig(size, line, ways, tiling))
-        return sorted(result, key=lambda c: (c.size, c.line_size, c.tiling, c.ways))
+        return sorted(result, key=config_sort_key)
+
+
+class RowIndex:
+    """A search space's configurations as integer rows, tabulated once.
+
+    ``rows`` holds the grammar's derivable configurations plus every space
+    member they miss (a tiling above T/L, say), sorted by
+    :func:`~repro.core.config.config_sort_key`, so comparing two row ids
+    compares their configurations' keys.  ``row_of`` maps a configuration
+    to its row, ``space_rows`` lists the space members' rows in order,
+    ``genome_of[row]`` equals ``grammar.encode(rows[row])`` and
+    :meth:`decode` equals ``grammar.decode`` for every in-range genome --
+    the genomes ``random_genome``, mutation and ``genome_of`` produce.
+    ``extra`` configurations (seeds off the space) get rows too without
+    changing the grammar.
+    """
+
+    def __init__(
+        self, space: Iterable[CacheConfig], extra: Iterable[CacheConfig] = ()
+    ) -> None:
+        space = set(space)
+        self.grammar = ConfigGrammar.from_space(space)
+        rows = sorted(
+            space.union(self.grammar.configs(), extra), key=config_sort_key
+        )
+        self.rows: Tuple[CacheConfig, ...] = tuple(rows)
+        self.row_of: Dict[CacheConfig, int] = {c: i for i, c in enumerate(rows)}
+        self.space_rows: Tuple[int, ...] = tuple(
+            sorted(self.row_of[c] for c in space)
+        )
+        self.genome_of: Tuple[Tuple[int, ...], ...] = tuple(
+            self.grammar.encode(c) for c in rows
+        )
+        self._limits = self.grammar.axis_sizes
+        self._decoded: Tuple[int, ...] = tuple(
+            self.row_of[self.grammar.decode(genome)]
+            for genome in itertools.product(*(range(n) for n in self._limits))
+        )
+
+    def decode(self, genome: Sequence[int]) -> int:
+        """The row of ``grammar.decode(genome)`` for an in-range genome.
+
+        The genome carries at least one codon per axis (later codons are
+        ignored, as decoding never wraps round to them) and each axis's
+        codon lies in ``range(axis_sizes[axis])``.
+        """
+        flat = 0
+        for codon, limit in zip(genome, self._limits):
+            flat = flat * limit + codon
+        return self._decoded[flat]
+
+
+@functools.lru_cache(maxsize=8)
+def _index_of(space: FrozenSet[CacheConfig]) -> RowIndex:
+    return RowIndex(space)
+
+
+def row_index(space: Iterable[CacheConfig]) -> RowIndex:
+    """The :class:`RowIndex` of ``space``, shared by searches of one space.
+
+    Memoised on the set of configurations (a few spaces at a time), so a
+    designer session's searches on one grid build the index once.
+    """
+    return _index_of(frozenset(space))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import CacheConfig, powers_of_two
+from repro.core.config import CacheConfig, config_sort_key, powers_of_two
 from repro.core.metrics import PerformanceEstimate
 from repro.engine.result import ExplorationResult
 
@@ -143,7 +143,7 @@ def pruned_min_energy(
     """
     best: Optional[PerformanceEstimate] = None
     visited: List[CacheConfig] = []
-    ordered = sorted(configs, key=lambda c: (c.size, c.line_size, c.tiling, c.ways))
+    ordered = sorted(configs, key=config_sort_key)
     for config in ordered:
         if best is not None and hit_energy_bound(config) > best.energy_nj:
             continue
@@ -159,10 +159,6 @@ def pruned_min_energy(
     return SearchOutcome(
         best=best, evaluations=len(visited), visited=tuple(visited)
     )
-
-
-def _config_key(config: CacheConfig) -> Tuple[int, int, int, int]:
-    return (config.size, config.line_size, config.tiling, config.ways)
 
 
 class GreedyDescentSearcher:
@@ -193,7 +189,7 @@ class GreedyDescentSearcher:
         seed: int = 0,
         seeds: Sequence[CacheConfig] = (),
     ) -> None:
-        self._space = sorted(set(space), key=_config_key)
+        self._space = sorted(set(space), key=config_sort_key)
         if not self._space:
             raise ValueError("cannot search an empty space")
         self._axes = {
@@ -244,7 +240,7 @@ class GreedyDescentSearcher:
             self._done = True
             return
         incumbent = self._best
-        best = min(scored, key=lambda c: (self._fitness[c], _config_key(c)))
+        best = min(scored, key=lambda c: (self._fitness[c], config_sort_key(c)))
         if incumbent is not None and self._fitness[best] >= self._fitness[incumbent]:
             self._done = True
             return
@@ -282,7 +278,7 @@ class PrunedSweepSearcher:
         seed: int = 0,
         seeds: Sequence[CacheConfig] = (),
     ) -> None:
-        self._ordered = sorted(set(space), key=_config_key)
+        self._ordered = sorted(set(space), key=config_sort_key)
         if not self._ordered:
             raise ValueError("cannot search an empty space")
         self._cursor = 0

@@ -13,6 +13,10 @@ strategy object.  Two evolutionary searchers ship here:
   genomes (longer than the grammar, with codon wrapping) mapped through
   the grammar, following the L1-cache GE line of work in PAPERS.md.
 
+Both keep their populations as integers -- rows of the space's
+:class:`~repro.moo.grammar.RowIndex` and genomes -- and meet
+configurations only in ``ask`` and ``tell``.
+
 Both are registered under the ``searcher`` registry kind, so third-party
 strategies drop in exactly like backends do.  All randomness flows through
 one ``random.Random(seed)`` and all orderings are derived from
@@ -29,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import CacheConfig
 from repro.core.pareto import dominance_matrix
 from repro.moo.archive import crowding_distances
-from repro.moo.grammar import ConfigGrammar
+from repro.moo.grammar import RowIndex, row_index
 
 __all__ = [
     "GrammaticalEvolutionSearcher",
@@ -60,10 +64,6 @@ def fast_nondominated_sort(vectors: Sequence[Point]) -> List[List[int]]:
         current += 1
         fronts.append(next_front)
     return [front for front in fronts if front]
-
-
-def _config_key(config: CacheConfig) -> Tuple[int, int, int, int]:
-    return (config.size, config.line_size, config.tiling, config.ways)
 
 
 class Searcher(abc.ABC):
@@ -102,68 +102,66 @@ class Searcher(abc.ABC):
         """Deliver objective vectors for the last ask's configurations."""
 
 
-class _RankedSelection:
-    """Shared NSGA-II ranking machinery over (item, vector) populations."""
+def _select(
+    items: Sequence, vectors: Sequence[Point], count: int
+) -> Tuple[List, List[Tuple[int, float, object]]]:
+    """The ``count`` best items by (rank, -crowding); plus their tournament keys.
 
-    @staticmethod
-    def select(
-        items: Sequence,
-        vectors: Sequence[Point],
-        count: int,
-        tie_key,
-    ) -> Tuple[List, Dict[int, Tuple[int, float]]]:
-        """The ``count`` best items by (rank, -crowding); plus their scores.
+    Items are rows (which order as their configurations do) or genomes,
+    and break exact score ties themselves.  Returns the survivors in
+    deterministic order and, per survivor, the ``(rank, -crowding
+    distance, item)`` key binary tournaments compare.
+    """
+    survivors: List = []
+    keys: List[Tuple[int, float, object]] = []
+    for rank, front in enumerate(fast_nondominated_sort(vectors)):
+        distances = crowding_distances([vectors[i] for i in front])
+        ranked = sorted(
+            zip(front, distances),
+            key=lambda pair: (-pair[1], vectors[pair[0]], items[pair[0]]),
+        )
+        for index, distance in ranked[: count - len(survivors)]:
+            survivors.append(items[index])
+            keys.append((rank, -distance, items[index]))
+        if len(survivors) == count:
+            break
+    return survivors, keys
 
-        Returns the survivors (deterministic order) and a map from
-        survivor position to its (rank, crowding distance) for tournament
-        selection.  ``tie_key(item)`` breaks exact score ties.
-        """
-        fronts = fast_nondominated_sort(vectors)
-        chosen: List[Tuple[int, int, float]] = []  # (index, rank, crowding)
-        for rank, front in enumerate(fronts):
-            distances = crowding_distances([vectors[i] for i in front])
-            ranked = sorted(
-                zip(front, distances),
-                key=lambda pair: (-pair[1], vectors[pair[0]], tie_key(items[pair[0]])),
-            )
-            for index, distance in ranked:
-                chosen.append((index, rank, distance))
-                if len(chosen) == count:
-                    break
-            if len(chosen) == count:
-                break
-        survivors = [items[index] for index, _, _ in chosen]
-        scores = {
-            position: (rank, distance)
-            for position, (_, rank, distance) in enumerate(chosen)
-        }
-        return survivors, scores
 
-    @staticmethod
-    def tournament(
-        rng: random.Random,
-        survivors: Sequence,
-        scores: Dict[int, Tuple[int, float]],
-        tie_key,
-    ):
-        """Binary tournament on (rank, -crowding distance)."""
-        a = rng.randrange(len(survivors))
-        b = rng.randrange(len(survivors))
+def _tournament(rng: random.Random, keys: Sequence[Tuple]) -> int:
+    """Binary tournament: the position with the smaller key."""
+    a = rng.randrange(len(keys))
+    b = rng.randrange(len(keys))
+    return b if keys[b] < keys[a] else a
 
-        def key(position: int):
-            rank, distance = scores[position]
-            return (rank, -distance, tie_key(survivors[position]))
 
-        return survivors[min(a, b, key=key)]
+def _check_rate(value: float, label: str) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{label} rate must lie in [0, 1]")
+    return value
+
+
+def _record_fitness(
+    fitness: Dict[int, Point],
+    row_of: Dict[CacheConfig, int],
+    results: Sequence[Tuple[CacheConfig, Point]],
+) -> None:
+    # Only asked configurations can re-enter a population, and every asked
+    # configuration has a row.
+    for config, vector in results:
+        row = row_of.get(config)
+        if row is not None:
+            fitness[row] = tuple(vector)
 
 
 class NSGA2Searcher(Searcher):
     """Non-dominated sorting GA with crowding distance (NSGA-II).
 
-    Individuals are configurations encoded as axis-index genomes of the
-    space's :class:`ConfigGrammar`; variation is uniform crossover plus
+    Individuals are rows of the space's :class:`~repro.moo.grammar.RowIndex`,
+    bred as their axis-index genomes; variation is uniform crossover plus
     per-axis random-reset mutation.  Selection is the standard (mu+lambda)
-    environmental selection over parents and offspring.
+    environmental selection over parents and offspring.  Configurations
+    appear only in :meth:`ask` and :meth:`tell`.
     """
 
     name = "nsga2"
@@ -171,16 +169,16 @@ class NSGA2Searcher(Searcher):
     def __init__(
         self, crossover_rate: float = 0.9, mutation_rate: Optional[float] = None
     ) -> None:
-        if not 0.0 <= crossover_rate <= 1.0:
-            raise ValueError("crossover rate must lie in [0, 1]")
-        self.crossover_rate = crossover_rate
-        self.mutation_rate = mutation_rate
+        self.crossover_rate = _check_rate(crossover_rate, "crossover")
+        self.mutation_rate = (
+            None if mutation_rate is None else _check_rate(mutation_rate, "mutation")
+        )
         self._rng: random.Random = random.Random(0)
-        self._grammar: Optional[ConfigGrammar] = None
+        self._index: Optional[RowIndex] = None
         self._population = 0
-        self._fitness: Dict[CacheConfig, Point] = {}
-        self._parents: List[CacheConfig] = []
-        self._pending: List[CacheConfig] = []
+        self._fitness: Dict[int, Point] = {}
+        self._parents: List[int] = []
+        self._pending: List[int] = []
 
     def setup(
         self,
@@ -193,69 +191,71 @@ class NSGA2Searcher(Searcher):
     ) -> None:
         if population < 2:
             raise ValueError("population must be at least 2")
-        space = sorted(set(space), key=_config_key)
         if not space:
             raise ValueError("cannot search an empty space")
+        seeds = list(dict.fromkeys(seeds))[:population]
+        index = row_index(space)
+        if any(config not in index.row_of for config in seeds):
+            index = RowIndex(space, extra=seeds)
         self._rng = random.Random(seed)
-        self._grammar = ConfigGrammar.from_space(space)
+        self._index = index
         self._population = population
         self._fitness = {}
         self._parents = []
-        initial = list(dict.fromkeys(seeds))[:population]
-        remaining = [c for c in space if c not in set(initial)]
+        initial = [index.row_of[config] for config in seeds]
+        chosen = set(initial)
+        remaining = [row for row in index.space_rows if row not in chosen]
         while len(initial) < population and remaining:
-            pick = remaining.pop(self._rng.randrange(len(remaining)))
-            initial.append(pick)
+            initial.append(remaining.pop(self._rng.randrange(len(remaining))))
         self._pending = initial
 
     def ask(self) -> List[CacheConfig]:
-        return list(self._pending)
+        assert self._index is not None
+        rows = self._index.rows
+        return [rows[row] for row in self._pending]
 
     def tell(self, results: Sequence[Tuple[CacheConfig, Point]]) -> None:
-        for config, vector in results:
-            self._fitness[config] = tuple(vector)
+        assert self._index is not None
+        _record_fitness(self._fitness, self._index.row_of, results)
         pool = [
-            c
-            for c in dict.fromkeys(self._parents + self._pending)
-            if c in self._fitness
+            row
+            for row in dict.fromkeys(self._parents + self._pending)
+            if row in self._fitness
         ]
         if not pool:
             self._pending = []
             return
-        vectors = [self._fitness[c] for c in pool]
-        survivors, scores = _RankedSelection.select(
-            pool, vectors, min(self._population, len(pool)), _config_key
-        )
+        vectors = [self._fitness[row] for row in pool]
+        survivors, keys = _select(pool, vectors, min(self._population, len(pool)))
         self._parents = survivors
-        self._pending = self._breed(survivors, scores)
+        self._pending = self._breed(survivors, keys)
 
-    def _breed(self, survivors, scores) -> List[CacheConfig]:
-        grammar = self._grammar
-        assert grammar is not None
+    def _breed(self, survivors: List[int], keys) -> List[int]:
+        index = self._index
+        assert index is not None
         rng = self._rng
-        limits = grammar.axis_sizes
+        limits = index.grammar.axis_sizes
+        width = len(limits)
         mutation = (
             self.mutation_rate
             if self.mutation_rate is not None
-            else 1.0 / grammar.length
+            else 1.0 / index.grammar.length
         )
-        genomes = {config: grammar.encode(config) for config in survivors}
-        children: List[CacheConfig] = []
+        genomes = [index.genome_of[row] for row in survivors]
+        children: List[int] = []
         while len(children) < self._population:
-            mother = _RankedSelection.tournament(rng, survivors, scores, _config_key)
-            father = _RankedSelection.tournament(rng, survivors, scores, _config_key)
-            genome_a = genomes[mother]
-            genome_b = genomes[father]
+            genome_a = genomes[_tournament(rng, keys)]
+            genome_b = genomes[_tournament(rng, keys)]
             child = list(genome_a)
             if rng.random() < self.crossover_rate:
                 child = [
                     genome_b[i] if rng.random() < 0.5 else genome_a[i]
-                    for i in range(len(genome_a))
+                    for i in range(width)
                 ]
-            for position in range(len(child)):
+            for position in range(width):
                 if rng.random() < mutation:
                     child[position] = rng.randrange(limits[position])
-            children.append(grammar.decode(child))
+            children.append(index.decode(child))
         return children
 
 
@@ -266,7 +266,8 @@ class GrammaticalEvolutionSearcher(Searcher):
     with wrapping -- the neutral redundancy that gives GE its smooth
     search surface.  Environmental selection reuses the NSGA-II ranking
     on decoded phenotype fitness; variation is one-point crossover plus
-    per-codon reset mutation.
+    per-codon reset mutation.  Genomes decode to rows of the space's
+    :class:`~repro.moo.grammar.RowIndex` by table lookup.
     """
 
     name = "ge"
@@ -280,12 +281,12 @@ class GrammaticalEvolutionSearcher(Searcher):
         if genome_length < 4:
             raise ValueError("genome length must be at least 4")
         self.genome_length = genome_length
-        self.crossover_rate = crossover_rate
-        self.mutation_rate = mutation_rate
+        self.crossover_rate = _check_rate(crossover_rate, "crossover")
+        self.mutation_rate = _check_rate(mutation_rate, "mutation")
         self._rng: random.Random = random.Random(0)
-        self._grammar: Optional[ConfigGrammar] = None
+        self._index: Optional[RowIndex] = None
         self._population = 0
-        self._fitness: Dict[CacheConfig, Point] = {}
+        self._fitness: Dict[int, Point] = {}
         self._parents: List[Tuple[int, ...]] = []
         self._pending: List[Tuple[int, ...]] = []
 
@@ -300,56 +301,57 @@ class GrammaticalEvolutionSearcher(Searcher):
     ) -> None:
         if population < 2:
             raise ValueError("population must be at least 2")
-        space = sorted(set(space), key=_config_key)
         if not space:
             raise ValueError("cannot search an empty space")
         self._rng = random.Random(seed)
-        self._grammar = ConfigGrammar.from_space(space)
+        self._index = row_index(space)
+        grammar = self._index.grammar
         self._population = population
         self._fitness = {}
         self._parents = []
         genomes: List[Tuple[int, ...]] = []
         for config in dict.fromkeys(seeds):
-            base = self._grammar.encode(config)
+            base = grammar.encode(config)
             padded = tuple(base[i % len(base)] for i in range(self.genome_length))
             genomes.append(padded)
             if len(genomes) == population:
                 break
         while len(genomes) < population:
-            genomes.append(self._grammar.random_genome(self._rng, self.genome_length))
+            genomes.append(grammar.random_genome(self._rng, self.genome_length))
         self._pending = genomes
 
-    def _decode(self, genome: Tuple[int, ...]) -> CacheConfig:
-        assert self._grammar is not None
-        return self._grammar.decode(genome)
-
     def ask(self) -> List[CacheConfig]:
-        return [self._decode(genome) for genome in self._pending]
+        index = self._index
+        assert index is not None
+        return [index.rows[index.decode(genome)] for genome in self._pending]
 
     def tell(self, results: Sequence[Tuple[CacheConfig, Point]]) -> None:
-        for config, vector in results:
-            self._fitness[config] = tuple(vector)
-        pool = list(dict.fromkeys(self._parents + self._pending))
-        scored = [g for g in pool if self._decode(g) in self._fitness]
+        index = self._index
+        assert index is not None
+        _record_fitness(self._fitness, index.row_of, results)
+        scored: List[Tuple[int, ...]] = []
+        vectors: List[Point] = []
+        for genome in dict.fromkeys(self._parents + self._pending):
+            vector = self._fitness.get(index.decode(genome))
+            if vector is not None:
+                scored.append(genome)
+                vectors.append(vector)
         if not scored:
             self._pending = []
             return
-        vectors = [self._fitness[self._decode(g)] for g in scored]
-        survivors, scores = _RankedSelection.select(
-            scored, vectors, min(self._population, len(scored)), tuple
-        )
+        survivors, keys = _select(scored, vectors, min(self._population, len(scored)))
         self._parents = survivors
-        self._pending = self._breed(survivors, scores)
+        self._pending = self._breed(survivors, keys)
 
-    def _breed(self, survivors, scores) -> List[Tuple[int, ...]]:
-        grammar = self._grammar
-        assert grammar is not None
+    def _breed(self, survivors: List[Tuple[int, ...]], keys) -> List[Tuple[int, ...]]:
+        index = self._index
+        assert index is not None
         rng = self._rng
-        limits = grammar.axis_sizes
+        limits = index.grammar.axis_sizes
         children: List[Tuple[int, ...]] = []
         while len(children) < self._population:
-            mother = _RankedSelection.tournament(rng, survivors, scores, tuple)
-            father = _RankedSelection.tournament(rng, survivors, scores, tuple)
+            mother = survivors[_tournament(rng, keys)]
+            father = survivors[_tournament(rng, keys)]
             child = list(mother)
             if rng.random() < self.crossover_rate:
                 cut = rng.randrange(1, self.genome_length)

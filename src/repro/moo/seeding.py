@@ -20,16 +20,12 @@ import logging
 from typing import Any, List, Sequence
 
 from repro.core.config import CacheConfig
-from repro.core.pareto import pareto_points
-from repro.moo.objectives import objective_vector
+from repro.core.pareto import dominance_matrix
+from repro.moo.objectives import OBJECTIVES, validate_objectives
 
 __all__ = ["analytic_seeds"]
 
 logger = logging.getLogger(__name__)
-
-
-def _config_key(config: CacheConfig):
-    return (config.size, config.line_size, config.tiling, config.ways)
 
 
 def analytic_seeds(
@@ -43,37 +39,38 @@ def analytic_seeds(
     Returns the analytic-front members plus the per-line-size min-cache
     bound configurations, deduplicated in that order and truncated to
     ``limit``.  Empty when the workload carries no loop-nest kernel.
-    Prices the space on ``evaluator.analytic_explorer()``, which memoises
-    its estimates, so repeated searches on one evaluator price it once.
+    Prices the space on ``evaluator.analytic_explorer()``, whose
+    :meth:`~repro.core.analytic.AnalyticExplorer.price_space` table is
+    memoised per space, so repeated searches on one evaluator price and
+    order it once and each call runs one dominance kernel on its
+    objective columns.
     """
     workload = getattr(evaluator, "workload", None)
     if getattr(workload, "kernel", None) is None:
         return []
     explorer = evaluator.analytic_explorer()
-    ordered = sorted(set(space), key=_config_key)
-    scored = []
-    for config in ordered:
-        try:
-            estimate = explorer.evaluate(config)
-        except ValueError:
-            continue
-        scored.append((config, objective_vector(estimate, objectives)))
-    seeds: List[CacheConfig] = []
-    if scored:
-        front = set(pareto_points([vector for _, vector in scored]))
-        seeds.extend(config for config, vector in scored if vector in front)
+    table = explorer.price_space(space)
+    columns = [OBJECTIVES.index(name) for name in validate_objectives(objectives)]
+    beaten = dominance_matrix(table.values[:, columns]).any(axis=0)
+    seeds: List[CacheConfig] = [
+        config for config, out in zip(table.priced, beaten.tolist()) if not out
+    ]
     # The paper's min-cache bound: the smallest in-space configuration at
     # each line size that the analytic model says will not thrash.
-    for line in sorted({c.line_size for c in ordered}):
+    for line in sorted({c.line_size for c in table.configs}):
         try:
             bound = explorer.min_cache_size(line)
-        except (TypeError, ValueError):
+        except ValueError:
             continue
-        fitting = [c for c in ordered if c.line_size == line and c.size >= bound]
+        fitting = [
+            c for c in table.configs if c.line_size == line and c.size >= bound
+        ]
         if fitting:
             seeds.append(fitting[0])
     unique = list(dict.fromkeys(seeds))[:limit]
     logger.info(
-        "analytic seeding: %d seeds for a %d-point space", len(unique), len(ordered)
+        "analytic seeding: %d seeds for a %d-point space",
+        len(unique),
+        len(table.configs),
     )
     return unique

@@ -96,7 +96,7 @@ class TestCommands:
 
 
 class TestGoldenOutputs:
-    """Recorded outputs of the stack-analysis commands, byte for byte."""
+    """Recorded outputs of the analysis and search commands, byte for byte."""
 
     @pytest.mark.parametrize(
         "argv, golden",
@@ -129,6 +129,16 @@ class TestGoldenOutputs:
                 ["layout", "mpeg:idct", "--cache-size", "16",
                  "--line-size", "4"],
                 "cli_layout_mpeg_idct_c16l4.txt",
+            ),
+            (
+                ["pareto", "compress", "--max-size", "256", "--generations",
+                 "6", "--population", "8", "--seed", "11"],
+                "cli_pareto_compress_nsga2.txt",
+            ),
+            (
+                ["pareto", "compress", "--max-size", "256", "--generations",
+                 "6", "--population", "8", "--seed", "11", "--searcher", "ge"],
+                "cli_pareto_compress_ge.txt",
             ),
         ],
     )

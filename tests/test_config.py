@@ -1,8 +1,17 @@
 """Tests for cache configurations and the design space."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.core.config import CacheConfig, design_space, powers_of_two
+from repro.core.config import (
+    CacheConfig,
+    config_sort_key,
+    design_space,
+    powers_of_two,
+)
 
 
 class TestPowersOfTwo:
@@ -59,6 +68,70 @@ class TestCacheConfig:
     def test_tiling_beyond_line_count_allowed(self):
         """Figures 6/7 plot tiling sizes past T/L; the constructor allows it."""
         assert CacheConfig(64, 8, 1, 16).tiling == 16
+
+
+class TestCacheConfigHash:
+    """A configuration hashes once; ``==``, order and copies ignore that."""
+
+    def test_cached_hash_equals_fresh_equal_config(self):
+        config = CacheConfig(64, 8, 2, 4)
+        first = hash(config)
+        assert hash(config) == first
+        assert config.__dict__["_hash"] == first
+        assert hash(CacheConfig(64, 8, 2, 4)) == first
+        # The dataclass field-tuple hash, so set and dict orders keep.
+        assert first == hash((64, 8, 2, 4))
+        assert hash(CacheConfig(64, 8, 4, 2)) != first
+
+    def test_repr_equality_and_order_ignore_the_cached_hash(self):
+        config, fresh = CacheConfig(64, 8, 2, 4), CacheConfig(64, 8, 2, 4)
+        hash(config)
+        assert "_hash" not in fresh.__dict__
+        assert config == fresh and repr(config) == repr(fresh)
+        assert "_hash" not in repr(config)
+        assert not config < fresh and not fresh < config
+        assert config != CacheConfig(64, 8, 2, 8)
+        assert dataclasses.astuple(config) == (64, 8, 2, 4)
+
+    def test_pickles_and_copies_carry_no_cached_hash(self):
+        config = CacheConfig(32, 4, 1, 2)
+        hash(config)
+        for clone in (
+            pickle.loads(pickle.dumps(config)),
+            copy.copy(config),
+            copy.deepcopy(config),
+        ):
+            assert "_hash" not in clone.__dict__
+            assert clone == config and hash(clone) == hash(config)
+
+    def test_derived_copies_start_without_a_cached_hash(self):
+        config = CacheConfig(64, 8, 1, 1)
+        hash(config)
+        for derived in (
+            config.with_tiling(4),
+            config.with_tiling(1),
+            config.with_ways(2),
+            dataclasses.replace(config),
+            dataclasses.replace(config, size=128),
+        ):
+            assert "_hash" not in derived.__dict__
+        assert hash(config.with_ways(2)) == hash(CacheConfig(64, 8, 2, 1))
+        assert hash(config.with_tiling(1)) == hash(config)
+
+    def test_store_keys_ignore_the_cached_hash(self):
+        from repro.serve.store import config_key
+
+        config = CacheConfig(128, 16, 4, 2)
+        before = config_key(config)
+        hash(config)
+        assert config_key(config) == before == "128,16,4,2"
+
+    def test_sort_key_is_the_sweep_order(self):
+        configs = list(design_space(max_size=64, ways=(1, 2), tilings=(1, 2)))
+        ordered = sorted(configs, key=config_sort_key)
+        assert [config_sort_key(c) for c in ordered] == sorted(
+            (c.size, c.line_size, c.tiling, c.ways) for c in configs
+        )
 
 
 class TestDesignSpace:

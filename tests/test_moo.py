@@ -1,28 +1,35 @@
 """Tests for the multi-objective search subsystem (``repro.moo``)."""
 
+import itertools
 import random
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.analytic import AnalyticExplorer
-from repro.core.config import CacheConfig, design_space
+from repro.core.config import CacheConfig, config_sort_key, design_space
 from repro.core.metrics import PerformanceEstimate
+from repro.core.pareto import pareto_points
 from repro.engine import Evaluator, KernelWorkload
 from repro.engine.resilience import CheckpointMismatchError, SweepCancelledError
-from repro.kernels import get_kernel
+from repro.kernels import available_kernels, get_kernel
 from repro.moo import (
+    OBJECTIVES,
     ConfigGrammar,
     FrontArchive,
     GrammaticalEvolutionSearcher,
     NSGA2Searcher,
+    RowIndex,
     SearchSettings,
     analytic_seeds,
     fast_nondominated_sort,
     objective_vector,
+    row_index,
     run_search,
     search_fingerprint,
 )
+from tests.test_search_golden import SPACES
 
 
 def small_space():
@@ -86,6 +93,67 @@ class TestGrammar:
             config = grammar.decode(grammar.random_genome(rng))
             assert config.ways <= config.size // config.line_size
             assert config.tiling <= config.size // config.line_size
+
+
+def check_row_index(space):
+    """The index's tables against the grammar's own encode and decode."""
+    index = RowIndex(space)
+    grammar = index.grammar
+    rows = list(index.rows)
+    assert rows == sorted(set(rows), key=config_sort_key)
+    assert set(rows) == set(space) | set(grammar.configs())
+    assert index.row_of == {config: row for row, config in enumerate(rows)}
+    assert [rows[row] for row in index.space_rows] == sorted(
+        set(space), key=config_sort_key
+    )
+    assert list(index.genome_of) == [grammar.encode(c) for c in rows]
+    ranges = [range(limit) for limit in grammar.axis_sizes]
+    for genome in itertools.product(*ranges):
+        assert rows[index.decode(genome)] == grammar.decode(genome)
+    rng = random.Random(len(rows))
+    for length in (4, 8):
+        for _ in range(50):
+            genome = grammar.random_genome(rng, length)
+            assert rows[index.decode(genome)] == grammar.decode(genome)
+
+
+#: Every space the golden searches run on, plus the unit-test space.
+INDEX_SPACES = {"small": small_space, **SPACES}
+
+#: Configurations hypothesis spaces draw from, tilings above T/L included.
+SPACE_POOL = list(
+    design_space(max_size=256, ways=(1, 2, 4, 8), tilings=(1, 2, 4, 8, 16, 32))
+) + [CacheConfig(16, 8, 1, 8), CacheConfig(64, 32, 1, 4), CacheConfig(32, 32, 1, 2)]
+
+
+class TestRowIndex:
+    @pytest.mark.parametrize("name", sorted(INDEX_SPACES))
+    def test_tables_match_grammar_on_golden_spaces(self, name):
+        check_row_index(INDEX_SPACES[name]())
+
+    @given(st.sets(st.sampled_from(SPACE_POOL), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_tables_match_grammar_on_any_space(self, space):
+        check_row_index(space)
+
+    def test_one_index_per_space(self):
+        space = small_space()
+        assert row_index(space) is row_index(list(reversed(space)))
+        assert row_index(space) is not row_index(space[1:])
+
+    def test_nsga2_asks_a_seed_outside_the_space(self):
+        outside = CacheConfig(1024, 64, 1, 1)
+        searcher = NSGA2Searcher()
+        searcher.setup(
+            small_space(), population=4, generations=2, seed=3, seeds=[outside]
+        )
+        asked = searcher.ask()
+        assert asked[0] == outside
+        assert set(asked[1:]) <= set(small_space())
+        searcher.tell(
+            [(c, (float(c.size), float(c.ways))) for c in dict.fromkeys(asked)]
+        )
+        assert searcher.ask()
 
 
 class TestFrontArchive:
@@ -254,6 +322,26 @@ class TestSeeding:
         assert sorted(priced) == sorted(set(space))
         assert reused == fresh
 
+    def test_min_cache_type_errors_propagate(self, monkeypatch):
+        def broken(explorer, line_size):
+            raise TypeError("min-cache defect")
+
+        monkeypatch.setattr(AnalyticExplorer, "min_cache_size", broken)
+        with pytest.raises(TypeError, match="min-cache defect"):
+            analytic_seeds(make_evaluator(), small_space())
+
+    def test_min_cache_value_errors_skip_the_bound_seeds(self, monkeypatch):
+        evaluator = make_evaluator()
+        space = small_space()
+        front = analytic_seeds(evaluator, space)
+
+        def rejecting(explorer, line_size):
+            raise ValueError("no bound")
+
+        monkeypatch.setattr(AnalyticExplorer, "min_cache_size", rejecting)
+        seeds = analytic_seeds(evaluator, space)
+        assert seeds and set(seeds) <= set(front)
+
     def test_store_backed_evaluator_seeds_like_its_inner(self, tmp_path):
         from repro.serve.store import ResultStore, StoreBackedEvaluator
 
@@ -263,6 +351,65 @@ class TestSeeding:
             wrapped = StoreBackedEvaluator(evaluator, store)
             assert wrapped.analytic_explorer() is evaluator.analytic_explorer()
             assert analytic_seeds(wrapped, space) == analytic_seeds(evaluator, space)
+
+
+def pareto_point_seeds(evaluator, space, objectives, limit=32):
+    """``analytic_seeds`` as it was built on ``pareto_points``: the oracle."""
+    explorer = evaluator.analytic_explorer()
+    ordered = sorted(set(space), key=config_sort_key)
+    scored = []
+    for config in ordered:
+        try:
+            estimate = explorer.evaluate(config)
+        except ValueError:
+            continue
+        scored.append((config, objective_vector(estimate, objectives)))
+    seeds = []
+    if scored:
+        front = set(pareto_points([vector for _, vector in scored]))
+        seeds.extend(config for config, vector in scored if vector in front)
+    for line in sorted({c.line_size for c in ordered}):
+        try:
+            bound = explorer.min_cache_size(line)
+        except ValueError:
+            continue
+        fitting = [c for c in ordered if c.line_size == line and c.size >= bound]
+        if fitting:
+            seeds.append(fitting[0])
+    return list(dict.fromkeys(seeds))[:limit]
+
+
+OBJECTIVE_SETS = [
+    names
+    for width in (1, 2, 3)
+    for names in itertools.permutations(OBJECTIVES, width)
+]
+
+
+class TestSeedingOracle:
+    @pytest.mark.parametrize("kernel", available_kernels())
+    def test_seeds_match_pareto_points_version(self, kernel):
+        space = list(design_space(max_size=256, ways=(1, 2, 4), tilings=(1, 2, 4)))
+        evaluator = Evaluator(KernelWorkload(get_kernel(kernel)))
+        oracle = Evaluator(KernelWorkload(get_kernel(kernel)))
+        for objectives in OBJECTIVE_SETS:
+            assert analytic_seeds(evaluator, space, objectives) == (
+                pareto_point_seeds(oracle, space, objectives)
+            ), objectives
+
+    def test_priced_table_is_kept_per_space(self):
+        explorer = make_evaluator().analytic_explorer()
+        space = small_space()
+        table = explorer.price_space(space)
+        assert explorer.price_space(reversed(space)) is table
+        assert list(table.configs) == sorted(space, key=config_sort_key)
+        assert table.values.shape == (len(table.priced), 3)
+        for config, row in zip(table.priced, table.values.tolist()):
+            estimate = explorer.evaluate(config)
+            assert tuple(row) == objective_vector(estimate, OBJECTIVES)
+        for size in range(10):
+            explorer.price_space(space[: size + 1])
+        assert explorer.price_space(space) is not table
 
 
 class TestRunSearch:
@@ -383,6 +530,25 @@ class TestSearcherUnits:
     def test_ge_genome_floor(self):
         with pytest.raises(ValueError):
             GrammaticalEvolutionSearcher(genome_length=2)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5])
+    def test_rates_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="crossover"):
+            GrammaticalEvolutionSearcher(crossover_rate=rate)
+        with pytest.raises(ValueError, match="mutation"):
+            GrammaticalEvolutionSearcher(mutation_rate=rate)
+        with pytest.raises(ValueError, match="crossover"):
+            NSGA2Searcher(crossover_rate=rate)
+        with pytest.raises(ValueError, match="mutation"):
+            NSGA2Searcher(mutation_rate=rate)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_rates_at_the_bounds_accepted(self, rate):
+        ge = GrammaticalEvolutionSearcher(crossover_rate=rate, mutation_rate=rate)
+        assert (ge.crossover_rate, ge.mutation_rate) == (rate, rate)
+        nsga2 = NSGA2Searcher(crossover_rate=rate, mutation_rate=rate)
+        assert (nsga2.crossover_rate, nsga2.mutation_rate) == (rate, rate)
+        assert NSGA2Searcher().mutation_rate is None
 
     def test_ask_returns_population_sized_batches(self):
         searcher = NSGA2Searcher()

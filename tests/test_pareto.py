@@ -228,14 +228,43 @@ class TestDominanceMatrix:
             estimates[vectors.index(v)].config for v in expected
         ]
 
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda width: st.lists(
+                st.tuples(*[st.integers(0, 5).map(float)] * width),
+                min_size=150,
+                max_size=200,
+            )
+        )
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_large_sets_of_one_to_three_objectives_match_dominates(self, vectors):
+        matrix = dominance_matrix(vectors)
+        assert matrix.tolist() == [
+            [dominates(a, b) for b in vectors] for a in vectors
+        ]
+
+    def test_array_input_matches_tuple_input(self):
+        import numpy as np
+
+        vectors = [(1.0, 3.0, 2.0), (1.0, 2.0, 2.0), (2.0, 1.0, 0.5), (1.0, 2.0, 2.0)]
+        array = np.array(vectors)
+        assert (dominance_matrix(array) == dominance_matrix(vectors)).all()
+        assert (dominance_matrix(array[:, [0, 2]]) == dominance_matrix(
+            [(v[0], v[2]) for v in vectors]
+        )).all()
+
     def test_ragged_input_rejected(self):
         with pytest.raises(ValueError):
             dominance_matrix([(1.0, 2.0), (1.0,)])
+        with pytest.raises(ValueError):
+            dominance_matrix([1.0, 2.0])
         with pytest.raises(ValueError):
             pareto_points([(1.0, 2.0), (1.0,)])
 
     def test_empty(self):
         assert dominance_matrix([]).shape == (0, 0)
+        assert not dominance_matrix([(), ()]).any()
         assert pareto_points([]) == []
 
 
