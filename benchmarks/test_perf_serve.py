@@ -3,7 +3,7 @@
 The service layer must not tax the engine it fronts:
 
 * a sweep submitted through the full service stack (JobManager ->
-  JobRunner -> checkpointed ParallelSweep -> sqlite store) is measured
+  JobRunner -> ParallelSweep, storing each chunk in sqlite) is measured
   against the identical direct engine sweep -- the orchestration tax;
 * a resubmission of the same spec is measured absolutely: it touches no
   evaluator at all, so its cost is pure store reads, and it bounds the

@@ -58,9 +58,9 @@ Subcommands mirror the paper's workflow:
     cancels it).
 ``store``
     Offline result-store maintenance: ``store verify`` audits every
-    row's sha256 checksum; ``--repair`` quarantines corrupt rows,
-    backfills legacy checksums, and rebuilds estimates from checkpoint
-    journals.
+    row's sha256 checksum; ``--repair`` quarantines corrupt rows (they
+    are evaluated again when next requested) and backfills legacy
+    checksums.
 ``top``
     Live dashboard for a running service: queue depth, jobs in flight,
     configs/s, store hit rate and latency percentiles, redrawn on an
@@ -624,7 +624,7 @@ def _pareto_remote(args: argparse.Namespace) -> int:
     if args.checkpoint is not None or args.resume:
         raise CLIError(
             "--checkpoint/--resume are local-run flags; a served search "
-            "journals (and resumes) server-side automatically"
+            "resumes from the server's result store automatically"
         )
     if getattr(args, "energy_model", "hwo") != "hwo":
         raise CLIError(
@@ -916,10 +916,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # engine once; workers never touch the store, so the service
         # package (sqlite, HTTP) stays out of every worker.
         multiprocessing.set_forkserver_preload(["repro.engine.parallel"])
-    spool = args.spool if args.spool is not None else args.store + ".spool"
     service = ExplorationService(
         args.store,
-        spool,
+        args.spool,
         queue_depth=args.queue_depth,
         sweep_jobs=args.jobs,
         trace=not args.no_trace,
@@ -1005,7 +1004,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         raise CLIError(f"unknown store action {args.action!r}")
     store = open_store(args.store)
     try:
-        report = store.verify(repair=args.repair, spool_dir=args.spool)
+        report = store.verify(repair=args.repair)
     finally:
         store.close()
     print(f"scanned {report['scanned']} rows: "
@@ -1016,8 +1015,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
               file=sys.stderr)
     if args.repair:
         print(f"repair: {report['quarantined']} quarantined, "
-              f"{report['checksums_added']} checksums added, "
-              f"{report['rows_rebuilt']} estimates rebuilt from journals")
+              f"{report['checksums_added']} checksums added")
     if not report["clean"]:
         print("store verify FAILED (rerun with --repair to quarantine)",
               file=sys.stderr)
@@ -1208,7 +1206,7 @@ def build_parser() -> argparse.ArgumentParser:
     pareto.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="with --server: wall-clock bound; an expired "
-                             "search cancels but keeps its journal")
+                             "search cancels but keeps its stored rows")
     _add_energy_args(pareto)
     _add_engine_args(pareto)
     _add_manifest_args(pareto)
@@ -1276,8 +1274,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", default="repro-results.db",
                        help="persistent sqlite result store (repro.store/1)")
     serve.add_argument("--spool", default=None, metavar="DIR",
-                       help="checkpoint journal directory "
-                            "(default: <store>.spool)")
+                       help="accepted for compatibility and unused: jobs "
+                            "keep their progress in --store")
     serve.add_argument("--queue-depth", type=int, default=16,
                        help="admission-control bound on queued jobs")
     serve.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -1327,7 +1325,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock bound; an expired job cancels "
-                             "but keeps its checkpoint for resume")
+                             "but keeps its stored rows for resume")
     submit.add_argument("--max-size", type=int, default=512)
     submit.add_argument("--min-size", type=int, default=16)
     submit.add_argument("--ways", type=int, nargs="+", default=[1])
@@ -1367,12 +1365,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify: audit per-row sha256 checksums")
     store.add_argument("--store", default="repro-results.db",
                        help="persistent sqlite result store to scan")
-    store.add_argument("--spool", default=None, metavar="DIR",
-                       help="checkpoint journal directory for --repair "
-                            "estimate rebuilds (default: none)")
     store.add_argument("--repair", action="store_true",
-                       help="quarantine corrupt rows, backfill legacy "
-                            "checksums, rebuild from journals")
+                       help="quarantine corrupt rows (re-evaluated when "
+                            "next requested) and backfill legacy checksums")
     _add_obs_args(store)
     store.set_defaults(func=_cmd_store)
 

@@ -61,7 +61,6 @@ from repro.engine.resilience import (
     SweepCheckpoint,
     SweepChunkError,
     TransientChunkError,
-    load_checkpoint_estimates,
     sweep_fingerprint,
 )
 from repro.engine.result import ExplorationResult
@@ -109,7 +108,6 @@ __all__ = [
     "configure_eval_cache",
     "get_backend",
     "get_eval_cache",
-    "load_checkpoint_estimates",
     "order_configs",
     "sweep_fingerprint",
     "trace_fingerprint",

@@ -27,7 +27,10 @@ Failure handling is per-chunk, not per-sweep (see
 * with a :class:`~repro.engine.resilience.SweepCheckpoint` journal,
   every completed chunk is durably recorded, and ``resume`` restarts a
   killed sweep exactly where it stopped -- the resumed result table is
-  bit-identical to an uninterrupted run.
+  bit-identical to an uninterrupted run;
+* an ``on_commit`` hook sees every completed chunk as it is committed;
+  the exploration service writes each chunk's rows to its result store
+  there, so the store alone records a served sweep's progress.
 
 Per-chunk timeouts are watchdog-style: whenever ``chunk_timeout_s``
 elapses without *any* chunk completing, the in-flight chunks are declared
@@ -375,14 +378,14 @@ class ParallelSweep:
         Retry/timeout/checkpoint behaviour
         (:class:`~repro.engine.resilience.ResilienceOptions`); the default
         retries transient chunk failures but journals nothing.
-    on_progress:
-        Optional ``(done, total)`` callback fired from the parent process
-        whenever completed configurations are committed (a chunk finishes
-        or a resume loads journaled work).  It runs on the executor's
-        threads and must be cheap and non-raising; the exploration
-        service uses it to stream job progress.  Only the resilient
-        executor reports -- the historical direct path (no explicit
-        resilience, tiny/serial sweep) stays bare.
+    on_commit:
+        Optional ``(estimates, done, total)`` callback fired in the
+        parent process once before any work, with no estimates and the
+        configurations already done, and then once per completed chunk
+        with that chunk's fresh estimates.  An exception it raises fails
+        the sweep, like a failed journal write: the exploration service
+        writes each chunk's rows to its result store here, and a lost
+        row would be a wrong result.
     pool:
         The :class:`WorkerPool` to dispatch to; ``None`` builds one that
         lives only for each :meth:`run`.
@@ -390,7 +393,7 @@ class ParallelSweep:
         Estimates the caller already holds (the service's result store),
         by configuration.  Like rows resumed from the checkpoint journal
         they count as done from the start: never dispatched, never
-        journaled, counted by ``on_progress``.
+        journaled, never passed to ``on_commit``.
 
     Worker processes start from the platform default, or from a fork
     server when the calling process runs other threads (see
@@ -402,7 +405,9 @@ class ParallelSweep:
         jobs: Optional[int] = None,
         chunk_size: Optional[int] = None,
         resilience: Optional[ResilienceOptions] = None,
-        on_progress: Optional[Callable[[int, int], None]] = None,
+        on_commit: Optional[
+            Callable[[List[PerformanceEstimate], int, int], None]
+        ] = None,
         pool: Optional[WorkerPool] = None,
         known: Optional[Mapping[CacheConfig, PerformanceEstimate]] = None,
     ) -> None:
@@ -416,7 +421,7 @@ class ParallelSweep:
         self.resilience = (
             resilience if resilience is not None else ResilienceOptions()
         )
-        self.on_progress = on_progress
+        self.on_commit = on_commit
         self.pool = pool
         self.known = known if known is not None else {}
         self._progress_total = 0
@@ -458,17 +463,20 @@ class ParallelSweep:
         opts = self.resilience
         # Without explicit resilience options, tiny/serial sweeps keep the
         # historical direct path (raw exceptions, no journal, no wrapping).
-        if not (self._explicit_resilience or self.known) and (
-            self.jobs <= 1 or len(configs) <= 1
-        ):
+        if not (
+            self._explicit_resilience or self.known or self.on_commit
+        ) and (self.jobs <= 1 or len(configs) <= 1):
             pairs = _evaluate_pairs(evaluator, list(enumerate(configs)))
             return [estimate for _, estimate in pairs]
-        journal, tagged = self._open_journal(evaluator, configs, opts)
-        for index, config in enumerate(configs):
-            if index not in tagged and config in self.known:
-                tagged[index] = self.known[config]
+        journal, known = self._open_journal(evaluator, configs, opts)
+        tagged = {
+            index: known[config]
+            for index, config in enumerate(configs)
+            if config in known
+        }
         self._progress_total = len(configs)
-        self._report_progress(tagged)
+        if self.on_commit is not None:
+            self.on_commit([], len(tagged), len(configs))
         owned: Optional[WorkerPool] = None
         try:
             self._check_cancel(opts, tagged)
@@ -504,33 +512,31 @@ class ParallelSweep:
         evaluator: Any,
         configs: Sequence[CacheConfig],
         opts: ResilienceOptions,
-    ) -> Tuple[Optional[SweepCheckpoint], Dict[int, PerformanceEstimate]]:
+    ) -> Tuple[
+        Optional[SweepCheckpoint], Mapping[CacheConfig, PerformanceEstimate]
+    ]:
+        """The journal to append to, and every estimate known up front."""
         if opts.checkpoint is None:
-            return None, {}
+            return None, self.known
         journal = SweepCheckpoint(opts.checkpoint)
         fingerprint = sweep_fingerprint(evaluator, configs)
-        done: Dict[int, PerformanceEstimate] = {}
+        loaded: Dict[CacheConfig, PerformanceEstimate] = {}
         if opts.resume:
             loaded = journal.load(fingerprint)
-            done = {
-                index: estimate
-                for index, estimate in loaded.items()
-                if 0 <= index < len(configs)
-            }
-            if done:
+            if loaded:
                 get_metrics().counter("resilience.resumed_configs").inc(
-                    len(done)
+                    len(loaded)
                 )
                 logger.info(
                     "resuming sweep from %s: %d of %d configs already done",
                     opts.checkpoint,
-                    len(done),
+                    len(loaded),
                     len(configs),
                 )
         journal.open_for_append(
             fingerprint, fresh=not opts.resume, configs=len(configs)
         )
-        return journal, done
+        return journal, {**self.known, **loaded}
 
     def _pending_chunks(
         self,
@@ -553,28 +559,23 @@ class ParallelSweep:
         journal: Optional[SweepCheckpoint],
         tagged: Dict[int, PerformanceEstimate],
     ) -> None:
-        """Fold one completed chunk into the sweep (merge, tag, journal)."""
+        """Fold one completed chunk into the sweep (merge, tag, record)."""
         if payload is not None:
             self._merge_payload(evaluator, payload)
         for index, estimate in pairs:
             tagged[index] = estimate
+        pairs = sorted(pairs, key=lambda pair: pair[0])
         if journal is not None:
-            journal.record_chunk(sorted(pairs, key=lambda pair: pair[0]))
+            journal.record_chunk(pairs)
             get_metrics().counter("resilience.checkpoint_chunks").inc()
+        if self.on_commit is not None:
+            self.on_commit(
+                [estimate for _, estimate in pairs],
+                len(tagged),
+                self._progress_total,
+            )
         if self.resilience.breaker is not None:
             self.resilience.breaker.record_success()
-        self._report_progress(tagged)
-
-    def _report_progress(
-        self, tagged: Dict[int, PerformanceEstimate]
-    ) -> None:
-        """Fire the ``on_progress`` hook (never lets it break the sweep)."""
-        if self.on_progress is None:
-            return
-        try:
-            self.on_progress(len(tagged), self._progress_total)
-        except Exception:  # pragma: no cover - defensive
-            logger.warning("on_progress hook raised; ignoring", exc_info=True)
 
     def _check_cancel(
         self, opts: ResilienceOptions, tagged: Dict[int, PerformanceEstimate]
@@ -929,9 +930,6 @@ class ParallelSweep:
                         )
                         return []
                     except Exception as exc:
-                        abandoned = True
-                        for f in not_done:
-                            f.cancel()
                         if opts.breaker is not None:
                             opts.breaker.record_failure()
                         raise SweepChunkError.from_chunk(indexed, exc) from exc
@@ -940,8 +938,10 @@ class ParallelSweep:
                             evaluator, payload[0], payload, journal, tagged
                         )
                         metrics.counter("parallel.chunks_completed").inc()
-        except (CircuitOpenError, SweepCancelledError):
-            # Fail fast: never join workers we are abandoning on purpose.
+        except BaseException:
+            # Fail fast on any way out (chunk error, open breaker,
+            # cancellation, failed commit): never join the workers still
+            # busy with this round's chunks.
             abandoned = True
             raise
         finally:

@@ -10,14 +10,16 @@ composes into a fault-tolerant executor:
 * :class:`RetryPolicy` -- per-chunk retry with exponential backoff and
   *deterministic* jitter (seeded, so two runs of the same sweep back off
   identically and tests are reproducible);
-* :class:`SweepCheckpoint` -- an append-only JSONL journal of completed
-  ``(index, PerformanceEstimate)`` chunks.  Every record is flushed and
-  fsynced, so a sweep killed at any point restarts exactly where it
+* :class:`SweepCheckpoint` -- the append-only JSONL journal of evaluated
+  configurations behind ``--checkpoint`` / ``--resume``, shared by CLI
+  sweeps (one record per completed chunk) and searches (one record per
+  generation, see :func:`~repro.moo.driver.run_search`).  Every record is
+  flushed and fsynced, so a run killed at any point restarts where it
   stopped; a torn trailing line (the signature of a mid-write kill) is
-  tolerated and ignored.  The journal is bound to a
-  :func:`sweep_fingerprint` of the workload, backend and configuration
-  list, so resuming against a *different* sweep fails loudly instead of
-  silently mixing results;
+  ignored on load and cut off before the resumed run appends.  The
+  journal is bound to a fingerprint of the workload, backend and
+  configuration list, so resuming against a *different* run fails loudly
+  instead of silently mixing results;
 * :class:`ResilienceOptions` -- the single bundle threaded from the CLI
   flags (``--checkpoint`` / ``--resume`` / ``--chunk-timeout`` /
   ``--max-retries``) down through every exploration layer.
@@ -34,10 +36,15 @@ Checkpoint schema (``repro.checkpoint/1``), one JSON object per line::
     {"schema": "repro.checkpoint/1", "fingerprint": "<sha256>", "configs": N}
     {"chunk": [[index, {estimate...}], ...]}
 
-Estimates round-trip exactly -- :func:`estimate_to_json` keeps every
-field, including the energy breakdown, and JSON floats serialise via
-``repr`` -- so a resumed sweep's result table is bit-identical to an
-uninterrupted run (asserted by the test suite for arbitrary kill points).
+``index`` orders a record's estimates (a sweep's position in its
+configuration list, a search's evaluation count);
+:meth:`SweepCheckpoint.load` keys estimates by the configuration they
+carry.  Every (T, L, S, B) point prices deterministically, so any subset
+of journaled estimates stands in for recomputed ones.  Estimates
+round-trip exactly -- :func:`estimate_to_json` keeps every field,
+including the energy breakdown, and JSON floats serialise via ``repr``
+-- so a resumed run's result table is bit-identical to an uninterrupted
+run (asserted by the test suite for arbitrary kill points).
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.core.config import CacheConfig
 from repro.core.metrics import PerformanceEstimate
@@ -72,7 +79,6 @@ __all__ = [
     "TransientChunkError",
     "estimate_from_json",
     "estimate_to_json",
-    "load_checkpoint_estimates",
     "sweep_fingerprint",
 ]
 
@@ -81,6 +87,8 @@ logger = logging.getLogger(__name__)
 CHECKPOINT_SCHEMA = "repro.checkpoint/1"
 _CHECKPOINT_SCHEMA_PREFIX = "repro.checkpoint/"
 _CHECKPOINT_SCHEMA_VERSION = 1
+#: The generation journal searches wrote before they shared this one.
+_OLD_SEARCH_SCHEMA = "repro.moo.checkpoint/1"
 
 
 def _check_journal_schema(header: Any, path: str) -> None:
@@ -94,6 +102,12 @@ def _check_journal_schema(header: Any, path: str) -> None:
     schema = header.get("schema") if isinstance(header, dict) else None
     if schema == CHECKPOINT_SCHEMA:
         return
+    if schema == _OLD_SEARCH_SCHEMA:
+        raise CheckpointError(
+            f"{path} is a {_OLD_SEARCH_SCHEMA} search journal, which this "
+            f"version no longer reads (searches now journal as "
+            f"{CHECKPOINT_SCHEMA}); delete it or drop --resume to start over"
+        )
     if isinstance(schema, str) and schema.startswith(
         _CHECKPOINT_SCHEMA_PREFIX
     ):
@@ -486,84 +500,107 @@ def sweep_fingerprint(
 
 
 class SweepCheckpoint:
-    """Append-only JSONL journal of completed sweep chunks.
+    """Append-only JSONL journal of evaluated configurations.
 
     Lifecycle: :meth:`load` (on resume) returns everything already
     evaluated, then :meth:`open_for_append` positions the journal for
-    writing (truncating it on a fresh run), and :meth:`record_chunk`
-    appends one flushed, fsynced line per completed chunk.  Records are
-    whole chunks, so a kill between writes loses at most the in-flight
-    chunks -- never corrupts committed ones -- and a torn trailing line is
-    skipped on load with a warning.
+    writing -- truncating it on a fresh run, or cutting a torn tail off
+    on a resumed one so new records never glue onto a fragment -- and
+    :meth:`record_chunk` appends one flushed, fsynced line per record.
+    Records are whole chunks, so a kill between writes loses at most the
+    in-flight ones -- never corrupts committed ones -- and a torn
+    trailing line is skipped on load with a warning.
     """
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
         self._handle: Optional[Any] = None
+        #: Bytes of header plus intact records (``None`` until loaded).
+        self._intact_bytes: Optional[int] = None
 
     def load(
         self, fingerprint: str
-    ) -> Dict[int, PerformanceEstimate]:
-        """Completed ``index -> estimate`` pairs journaled for this sweep.
+    ) -> Dict[CacheConfig, PerformanceEstimate]:
+        """Every estimate journaled for this run, keyed by configuration.
 
         A missing file is an empty resume (first run).  A journal whose
         header names a different fingerprint raises
         :class:`CheckpointMismatchError`; a file that is not a checkpoint
-        at all raises :class:`CheckpointError`.
+        at all raises :class:`CheckpointError`.  A record counts only
+        once its line is complete: everything from the first torn line on
+        is ignored (the run re-evaluates it).
         """
+        self._intact_bytes = 0
         if not os.path.exists(self.path):
             return {}
-        done: Dict[int, PerformanceEstimate] = {}
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        if not lines:
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        if not data:
             return {}
+        # Only newline-terminated lines are whole; ``tail`` is whatever a
+        # kill mid-write left after the last newline (usually nothing).
+        *lines, tail = data.split(b"\n")
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+            header = json.loads(lines[0] if lines else tail)
+        except ValueError as exc:
             raise CheckpointError(
                 f"{self.path} is not a {CHECKPOINT_SCHEMA} journal"
             ) from exc
         _check_journal_schema(header, self.path)
-        if header.get("fingerprint") != fingerprint:
+        if not isinstance(header.get("fingerprint"), str):
+            raise CheckpointError(
+                f"{self.path} has no fingerprint in its header"
+            )
+        if header["fingerprint"] != fingerprint:
             raise CheckpointMismatchError(
                 f"checkpoint {self.path} was written by a different sweep "
-                "(workload, backend or configuration list changed); "
-                "delete it or drop --resume to start over"
+                "or search (workload, backend, configuration list or search "
+                "settings changed); delete it or drop --resume to start over"
             )
+        done: Dict[CacheConfig, PerformanceEstimate] = {}
+        if not lines:
+            return done
+        intact = len(lines[0]) + 1
+        torn = len(lines) + 1 if tail.strip() else None
         for number, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                pairs = record["chunk"]
-                parsed = [
-                    (int(index), estimate_from_json(doc))
-                    for index, doc in pairs
-                ]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                # The signature of a kill mid-write: everything after the
-                # tear is unusable, so stop (the sweep re-evaluates it).
-                logger.warning(
-                    "checkpoint %s: ignoring torn record at line %d "
-                    "(and everything after it)",
-                    self.path,
-                    number,
-                )
-                break
-            for index, estimate in parsed:
-                done[index] = estimate
+            if line.strip():
+                try:
+                    estimates = [
+                        estimate_from_json(doc)
+                        for _, doc in json.loads(line)["chunk"]
+                    ]
+                except (KeyError, TypeError, ValueError):
+                    torn = number
+                    break
+                for estimate in estimates:
+                    done[estimate.config] = estimate
+            intact += len(line) + 1
+        if torn is not None:
+            # The signature of a kill mid-write: everything from the tear
+            # on is unusable, so stop (the run re-evaluates it).
+            logger.warning(
+                "checkpoint %s: ignoring torn record at line %d "
+                "(and everything after it)",
+                self.path,
+                torn,
+            )
+        self._intact_bytes = intact
         return done
 
     def open_for_append(self, fingerprint: str, fresh: bool, configs: int) -> None:
         """Start journaling: truncate + header when ``fresh``, else append.
 
-        On a resumed run with no existing file the header is written too,
-        so ``--resume`` is safe to pass on the very first attempt.
+        A resumed journal is first cut back to its intact records (read
+        by :meth:`load`, which runs here if it has not yet).  When there
+        is no usable journal the header is written too, so ``--resume``
+        is safe to pass on the very first attempt.
         """
-        mode = "w" if fresh or not os.path.exists(self.path) else "a"
-        self._handle = open(self.path, mode, encoding="utf-8")
-        if mode == "w":
+        if not fresh and os.path.exists(self.path):
+            if self._intact_bytes is None:
+                self.load(fingerprint)
+            os.truncate(self.path, self._intact_bytes)
+        if fresh or not self._intact_bytes:
+            self._handle = open(self.path, "w", encoding="utf-8")
             self._write_line(
                 {
                     "schema": CHECKPOINT_SCHEMA,
@@ -571,11 +608,14 @@ class SweepCheckpoint:
                     "configs": configs,
                 }
             )
+        else:
+            self._handle = open(self.path, "a", encoding="utf-8")
 
     def record_chunk(
         self, pairs: Sequence[Tuple[int, PerformanceEstimate]]
     ) -> None:
-        """Append one completed chunk (durable before returning)."""
+        """Append one record of ``(index, estimate)`` pairs (durable before
+        returning)."""
         if self._handle is None:
             raise CheckpointError("checkpoint is not open for appending")
         self._write_line(
@@ -603,28 +643,3 @@ class SweepCheckpoint:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-def load_checkpoint_estimates(path: str) -> List[PerformanceEstimate]:
-    """All estimates journaled at ``path``, in sweep order (no fingerprint
-    check -- inspection/tooling use; sweeps go through :meth:`SweepCheckpoint.load`).
-    """
-    checkpoint = SweepCheckpoint(path)
-    if not os.path.exists(path):
-        raise CheckpointError(f"no checkpoint at {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"{path} is not a {CHECKPOINT_SCHEMA} journal"
-        ) from exc
-    _check_journal_schema(header, path)
-    fingerprint = header.get("fingerprint")
-    if not isinstance(fingerprint, str):
-        raise CheckpointError(
-            f"{path} has no sweep fingerprint in its header"
-        )
-    done = checkpoint.load(fingerprint)
-    return [done[index] for index in sorted(done)]

@@ -41,8 +41,6 @@ Quickstart::
 
 from repro.moo.archive import FRONT_SCHEMA, FrontArchive, crowding_distances
 from repro.moo.driver import (
-    MOO_CHECKPOINT_SCHEMA,
-    SearchCheckpoint,
     SearchRun,
     SearchSettings,
     run_search,
@@ -67,7 +65,6 @@ from repro.moo.seeding import analytic_seeds
 
 __all__ = [
     "FRONT_SCHEMA",
-    "MOO_CHECKPOINT_SCHEMA",
     "OBJECTIVES",
     "ConfigGrammar",
     "FrontArchive",
@@ -76,7 +73,6 @@ __all__ = [
     "NSGA2Searcher",
     "PrunedSweepSearcher",
     "RowIndex",
-    "SearchCheckpoint",
     "SearchOutcome",
     "SearchRun",
     "SearchSettings",

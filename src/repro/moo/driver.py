@@ -6,16 +6,20 @@ them into canonical order, evaluates only the cold ones through
 ``Evaluator.evaluate_batch`` (one grouped one-pass/store-deduplicated
 batch per generation; ``jobs > 1`` fans out through
 :class:`~repro.engine.parallel.ParallelSweep`), updates the
-:class:`~repro.moo.archive.FrontArchive`, journals the generation and
-tells the searcher its fitness vectors.
+:class:`~repro.moo.archive.FrontArchive`, journals the generation's fresh
+estimates and tells the searcher its fitness vectors.
 
 Determinism is the core contract: for a fixed seed the sequence of asked
 configurations, the archive contents and the per-generation events are
-identical under ``jobs=1`` and ``jobs=N``, on a clean run and on a resume
-from the ``repro.moo.checkpoint/1`` journal -- the journal is a pure
-evaluation cache, and "evaluations used" counts unique configurations
-*requested*, not cold simulator calls, so resumed and clean runs report
-the same numbers.
+identical under ``jobs=1`` and ``jobs=N``, on a clean run and on a resume.
+The journal is the sweeps' :class:`~repro.engine.resilience.SweepCheckpoint`
+(``repro.checkpoint/1``, one record per generation that evaluated
+anything, its estimates indexed in evaluation order) bound to
+:func:`search_fingerprint`.  On resume its estimates seed the
+configuration-keyed evaluation cache, and a deterministic searcher
+replays from any subset of them; "evaluations used" counts unique
+configurations *requested*, not cold simulator calls, so resumed and
+clean runs report the same numbers.
 
 Cancellation follows the sweep convention: a set ``cancel_event`` raises
 :class:`~repro.engine.resilience.SweepCancelledError` between generations
@@ -28,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -36,12 +39,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import CacheConfig, config_sort_key
 from repro.core.metrics import PerformanceEstimate
 from repro.engine.resilience import (
-    CheckpointError,
-    CheckpointMismatchError,
     ResilienceOptions,
     SweepCancelledError,
-    estimate_from_json,
-    estimate_to_json,
+    SweepCheckpoint,
     sweep_fingerprint,
 )
 from repro.engine.result import ExplorationResult
@@ -53,8 +53,6 @@ from repro.obs.metrics import get_metrics
 from repro.obs.spans import span
 
 __all__ = [
-    "MOO_CHECKPOINT_SCHEMA",
-    "SearchCheckpoint",
     "SearchRun",
     "SearchSettings",
     "run_search",
@@ -62,8 +60,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-MOO_CHECKPOINT_SCHEMA = "repro.moo.checkpoint/1"
 
 
 def _order(configs) -> List[CacheConfig]:
@@ -164,122 +160,6 @@ def search_fingerprint(
     digest.update(b"|")
     digest.update(settings.canonical().encode())
     return digest.hexdigest()
-
-
-class SearchCheckpoint:
-    """Append-only JSONL journal of completed search generations.
-
-    Schema (``repro.moo.checkpoint/1``), one JSON object per line::
-
-        {"schema": ..., "fingerprint": "<sha256>", "budget": N}
-        {"generation": 0, "estimates": [{estimate...}, ...]}
-
-    Each generation record holds the estimates *newly evaluated* that
-    generation; on resume their union is a pure evaluation cache and the
-    deterministic searcher replays journaled generations without touching
-    a backend.  Records must be contiguous from generation 0; a torn or
-    out-of-order trailing record (a kill mid-write) is dropped along with
-    everything after it, exactly like sweep checkpoints.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self._handle: Optional[Any] = None
-
-    def load(
-        self, fingerprint: str
-    ) -> List[List[PerformanceEstimate]]:
-        """The contiguous complete generation records journaled so far."""
-        if not os.path.exists(self.path):
-            return []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        if not lines:
-            return []
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"{self.path} is not a {MOO_CHECKPOINT_SCHEMA} journal"
-            ) from exc
-        if not isinstance(header, dict) or header.get("schema") != MOO_CHECKPOINT_SCHEMA:
-            raise CheckpointError(
-                f"{self.path} is not a {MOO_CHECKPOINT_SCHEMA} journal"
-            )
-        if header.get("fingerprint") != fingerprint:
-            raise CheckpointMismatchError(
-                f"checkpoint {self.path} was written by a different search "
-                "(workload, backend, space or settings changed); delete it "
-                "or drop --resume to start over"
-            )
-        records: List[List[PerformanceEstimate]] = []
-        for number, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                generation = int(record["generation"])
-                estimates = [
-                    estimate_from_json(doc) for doc in record["estimates"]
-                ]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                logger.warning(
-                    "search checkpoint %s: ignoring torn record at line %d "
-                    "(and everything after it)",
-                    self.path,
-                    number,
-                )
-                break
-            if generation != len(records):
-                logger.warning(
-                    "search checkpoint %s: generation %d out of order at "
-                    "line %d; ignoring it and everything after",
-                    self.path,
-                    generation,
-                    number,
-                )
-                break
-            records.append(estimates)
-        return records
-
-    def open_for_append(self, fingerprint: str, fresh: bool, budget: int) -> None:
-        """Truncate + header when ``fresh``, else position for append."""
-        mode = "w" if fresh or not os.path.exists(self.path) else "a"
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        self._handle = open(self.path, mode, encoding="utf-8")
-        if mode == "w":
-            self._write(
-                {
-                    "schema": MOO_CHECKPOINT_SCHEMA,
-                    "fingerprint": fingerprint,
-                    "budget": budget,
-                }
-            )
-
-    def record_generation(
-        self, generation: int, estimates: Sequence[PerformanceEstimate]
-    ) -> None:
-        """Append one completed generation (flushed and fsynced)."""
-        if self._handle is None:
-            raise RuntimeError("checkpoint is not open for append")
-        self._write(
-            {
-                "generation": generation,
-                "estimates": [estimate_to_json(e) for e in estimates],
-            }
-        )
-
-    def _write(self, doc: Dict[str, Any]) -> None:
-        assert self._handle is not None
-        self._handle.write(json.dumps(doc, separators=(",", ":")) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
 
 
 @dataclass
@@ -390,7 +270,9 @@ def run_search(
 ) -> SearchRun:
     """Run one multi-objective search over ``space`` and return its front.
 
-    ``on_generation(event, archive)`` fires after every completed
+    ``checkpoint`` journals each generation's fresh estimates; with
+    ``resume`` the estimates already journaled there are not evaluated
+    again.  ``on_generation(event, archive)`` fires after every completed
     generation with the ``repro.front/1`` event just recorded -- the hook
     the serve layer uses to stream fronts and persist partial state.
     """
@@ -410,29 +292,22 @@ def run_search(
         seeds=seeds,
     )
 
-    journal: Optional[SearchCheckpoint] = None
-    journaled_generations = 0
+    journal: Optional[SweepCheckpoint] = None
     evaluated: Dict[CacheConfig, PerformanceEstimate] = {}
     if checkpoint:
         fingerprint = search_fingerprint(evaluator, ordered_space, settings)
-        journal = SearchCheckpoint(checkpoint)
-        records: List[List[PerformanceEstimate]] = []
+        journal = SweepCheckpoint(checkpoint)
         if resume:
-            records = journal.load(fingerprint)
-        # Always rewrite: a torn trailing line must not linger mid-file.
-        journal.open_for_append(fingerprint, fresh=True, budget=settings.budget)
-        for generation, estimates in enumerate(records):
-            journal.record_generation(generation, estimates)
-            for estimate in estimates:
-                evaluated[estimate.config] = estimate
-        journaled_generations = len(records)
-        if journaled_generations:
-            logger.info(
-                "search resume: %d generations (%d estimates) from %s",
-                journaled_generations,
-                len(evaluated),
-                checkpoint,
-            )
+            evaluated.update(journal.load(fingerprint))
+            if evaluated:
+                logger.info(
+                    "search resume: %d estimates from %s",
+                    len(evaluated),
+                    checkpoint,
+                )
+        journal.open_for_append(
+            fingerprint, fresh=not resume, configs=len(ordered_space)
+        )
 
     archive = FrontArchive(
         objectives=settings.objectives,
@@ -481,8 +356,11 @@ def run_search(
                 for estimate in fresh:
                     evaluated[estimate.config] = estimate
                 requested.update(admitted)
-                if journal is not None and generation >= journaled_generations:
-                    journal.record_generation(generation, fresh)
+                if journal is not None and fresh:
+                    # Indexed by evaluation order: a search may evaluate
+                    # off-space seeds and grammar products.
+                    first = len(evaluated) - len(fresh)
+                    journal.record_chunk(list(enumerate(fresh, start=first)))
                 generation_estimates = [evaluated[c] for c in admitted]
                 if archive.reference is None:
                     vectors = [

@@ -15,10 +15,11 @@ evaluation, fleet-wide, instead of re-running one-shot CLI sweeps.
   sweep request; an optional ``search`` section turns it into a
   multi-objective search job), :class:`JobManager` (bounded priority
   queue, request coalescing, admission control, persistence) and
-  :class:`JobRunner` (checkpointed execution via
+  :class:`JobRunner` (execution via
   :class:`~repro.engine.parallel.ParallelSweep`, or
-  :func:`~repro.moo.driver.run_search` for search jobs -- either way a
-  killed server resumes bit-identically).
+  :func:`~repro.moo.driver.run_search` for search jobs, storing each
+  completed chunk -- either way a killed server resumes
+  bit-identically from the store).
 * :mod:`repro.serve.tenancy` -- multi-tenant admission control:
   :class:`TenancyPolicy` / :class:`ClientPolicy` (per-client token-bucket
   rate limits, in-flight quotas, fair-share weights) consulted by the
@@ -41,7 +42,7 @@ Quickstart (server side)::
 
     from repro.serve import ExplorationService, make_server
 
-    service = ExplorationService("results.db", "spool").start()
+    service = ExplorationService("results.db").start()
     make_server("127.0.0.1", 8000, service).serve_forever()
 """
 

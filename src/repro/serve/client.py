@@ -5,7 +5,7 @@ submit sweeps (with automatic, bounded retry on ``429``/``503``
 backpressure), poll or long-poll job status, cancel jobs, stream
 progress events, and fetch results -- which deserialise through the same
 exact :func:`~repro.engine.resilience.estimate_from_json` round-trip the
-checkpoint journal uses, so a result fetched over the wire compares equal
+result store uses, so a result fetched over the wire compares equal
 to one computed locally.
 
 Multi-tenant deployments name each client
@@ -191,8 +191,8 @@ class ServeClient:
         the job record with a ``"coalesced"`` flag folded in.
 
         ``deadline_s`` bounds the job's wall clock server-side: an
-        expired job cancels cooperatively but keeps its checkpoint
-        journal, so resubmitting the same spec resumes where it stopped.
+        expired job cancels cooperatively but keeps the rows it stored,
+        so resubmitting the same spec resumes where it stopped.
 
         When the client was built with ``trace=True`` (the default) a
         fresh ``trace_id`` is minted per submit and sent with the spec, so

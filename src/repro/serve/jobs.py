@@ -6,9 +6,9 @@ to a ``spec_hash``.  A spec carrying a ``search`` section
 (:class:`~repro.moo.driver.SearchSettings`) is a *search job* instead:
 the runner drives :func:`~repro.moo.driver.run_search` over the spec's
 grid, publishes one ``repro.front/1`` event per completed generation
-into the job's event history, journals generations to a distinct
-``<spec_hash>.moo.jsonl`` spool file, and persists the final (or, on
-cancellation, partial) front in the run manifest.  The hash is the coalescing key: while a job with the
+into the job's event history, and persists the final (or, on
+cancellation, partial) front in the run manifest.  The hash is the
+coalescing key: while a job with the
 same hash is queued or running, further submissions attach to it instead
 of enqueueing duplicates, so concurrent clients sweeping the same grid
 pay for it once.  Overlapping-but-different grids deduplicate one level
@@ -24,8 +24,10 @@ a retry hint the HTTP layer turns into ``429 Retry-After``) and the job
 registry; every state transition is persisted to the store's ``jobs``
 table, so a ``kill -9`` of the server loses nothing --
 :meth:`JobManager.recover` re-enqueues interrupted jobs on restart and
-:class:`JobRunner` resumes them from their checkpoint journals with
-bit-identical results.
+:class:`JobRunner` resumes them from the rows their committed chunks
+left in the store, with bit-identical results.  The store is the only
+durable record of a job's progress: every configuration prices
+deterministically, so a stored row stands in for a recomputed one.
 
 Dequeue is weighted fair share, not strict global priority: each client
 gets its own priority subqueue and a deficit-round-robin pointer walks
@@ -36,11 +38,11 @@ order jobs *within* a client.
 Jobs can end in a third terminal state, ``cancelled``: a client DELETE,
 a ``deadline_s`` expiry, or drain-time policy sets the job's cancel
 event and the sweep stops cooperatively at the next chunk boundary --
-the checkpoint journal survives, so resubmitting the same spec resumes
-rather than restarts.  Evaluator backends are additionally guarded by a
-per-``eval_id`` circuit breaker: consecutive chunk failures open it and
-later jobs against the same evaluator fail fast with a typed error
-until a cooldown probe succeeds.
+the rows it committed stay in the store, so resubmitting the same spec
+resumes rather than restarts.  Evaluator backends are additionally
+guarded by a per-``eval_id`` circuit breaker: consecutive chunk failures
+open it and later jobs against the same evaluator fail fast with a typed
+error until a cooldown probe succeeds.
 
 Counters fed into the :mod:`repro.obs` registry: ``serve.jobs_submitted``,
 ``serve.jobs_coalesced``, ``serve.jobs_rejected``, ``serve.jobs_completed``,
@@ -61,7 +63,6 @@ import heapq
 import itertools
 import json
 import logging
-import os
 import sqlite3
 import threading
 import time
@@ -544,8 +545,8 @@ class JobManager:
     def recover(self) -> int:
         """Re-enqueue persisted jobs interrupted by a crash or restart.
 
-        ``queued`` and ``running`` records go back on the queue (their
-        checkpoint journals make the resume cheap); terminal records are
+        ``queued`` and ``running`` records go back on the queue (the rows
+        they already stored make the resume cheap); terminal records are
         registered for ``GET /jobs`` history.  Returns the number of jobs
         re-enqueued.
         """
@@ -668,7 +669,7 @@ class JobManager:
             self._rr_pos -= 1
 
     def progress(self, job: Job, done: int, total: int) -> None:
-        """Record sweep progress (journaled chunks) for streaming clients."""
+        """Record sweep progress (committed chunks) for streaming clients."""
         with self._cond:
             job.done_configs = done
             job.total_configs = total
@@ -794,8 +795,8 @@ class JobManager:
     def _finalize_cancel_locked(self, job: Job, reason: str) -> None:
         """Move a job to the ``cancelled`` terminal state (lock held).
 
-        The checkpoint journal is deliberately left on disk: a
-        resubmission of the same spec resumes from the committed chunks.
+        The rows the job committed stay in the store: a resubmission of
+        the same spec resumes from them.
         """
         job.state = "cancelled"
         job.error = reason
@@ -1024,7 +1025,7 @@ class _RunnerEvaluator(StoreBackedEvaluator):
 
 
 class JobRunner(threading.Thread):
-    """The worker loop: claim, sweep (with checkpoints), record.
+    """The worker loop: claim, sweep, record.
 
     One runner executes jobs in fair-share order; parallelism *within* a
     job comes from ``sweep_jobs`` workers
@@ -1033,15 +1034,14 @@ class JobRunner(threading.Thread):
     its whole life.  The result store is read and written here, in the
     runner's process: a job first takes every row the store holds, a job
     the store answers in full finishes without touching the pool, and
-    only the missing configurations are dispatched.  Every dispatching
-    job journals to ``<spool>/<spec_hash>.jsonl`` (keyed on the whole
-    grid) and always runs with ``resume=True``, so a job interrupted by
-    ``kill -9`` -- or cancelled by a client or its deadline -- picks up
-    exactly where its journal and the store stop on resubmission and the
-    final result is bit-identical to an uninterrupted run.  (The journal
-    is keyed by spec hash, not job id: coalescing guarantees at most one
-    active job per spec, and a *new* job for a cancelled spec must find
-    the old journal to resume.)
+    only the missing configurations are dispatched.  Each completed
+    chunk's rows are written to the store as the chunk commits, so a job
+    interrupted by ``kill -9`` -- or cancelled by a client or its
+    deadline -- finds every committed chunk stored on resubmission,
+    dispatches only the rest, and finishes bit-identical to an
+    uninterrupted run.  The store runs WAL with ``synchronous=NORMAL``:
+    a committed row survives a killed process, and a row lost to a power
+    failure is simply recomputed to the same bits.
 
     Backends are guarded per ``eval_id`` by a
     :class:`~repro.engine.resilience.CircuitBreaker`: once one opens,
@@ -1053,14 +1053,12 @@ class JobRunner(threading.Thread):
     def __init__(
         self,
         manager: JobManager,
-        spool_dir: str,
         sweep_jobs: int = 1,
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 30.0,
     ) -> None:
         super().__init__(name="repro-serve-runner", daemon=True)
         self.manager = manager
-        self.spool_dir = str(spool_dir)
         self.sweep_jobs = max(1, int(sweep_jobs))
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
@@ -1068,21 +1066,6 @@ class JobRunner(threading.Thread):
         self._breakers_lock = threading.Lock()
         #: Worker processes shared by every job this runner executes.
         self.pool = WorkerPool(self.sweep_jobs)
-        os.makedirs(self.spool_dir, exist_ok=True)
-
-    def checkpoint_path(self, job: Job) -> str:
-        """Where one job journals its completed work (by spec hash).
-
-        Search jobs journal completed *generations* in the
-        ``repro.moo.checkpoint/1`` format under a distinct ``.moo.jsonl``
-        suffix, so the store's journal-based repair (which replays sweep
-        chunk journals) never misreads one.
-        """
-        if job.spec.search is not None:
-            return os.path.join(
-                self.spool_dir, f"{job.spec.spec_hash}.moo.jsonl"
-            )
-        return os.path.join(self.spool_dir, f"{job.spec.spec_hash}.jsonl")
 
     def breaker_for(self, eval_id: str) -> CircuitBreaker:
         """The (lazily created) circuit breaker guarding one evaluator."""
@@ -1165,8 +1148,8 @@ class JobRunner(threading.Thread):
             else:
                 # deadline_s can be None here: a coalesced join lifted
                 # the deadline after the watch had already fired.  The
-                # sweep has unwound either way; finalise with the
-                # journal intact so a resubmission resumes.
+                # sweep has unwound either way; its committed rows stay
+                # stored so a resubmission resumes.
                 budget = (
                     "deadline"
                     if job.deadline_s is None
@@ -1175,7 +1158,7 @@ class JobRunner(threading.Thread):
                 cancelled_reason = (
                     f"{budget} exceeded "
                     f"({exc.done} of {exc.total} configurations done; "
-                    "resubmit to resume from the checkpoint)"
+                    "resubmit to resume from the stored rows)"
                 )
             logger.info("job %s cancelled: %s", job.job_id, cancelled_reason)
         except Exception as exc:
@@ -1187,7 +1170,6 @@ class JobRunner(threading.Thread):
                 tracer.__exit__(None, None, None)
                 self._record_trace(job, recorder)
         if cancelled_reason is not None:
-            # The journal stays: a resubmission of the same spec resumes.
             self.manager.cancelled(job, cancelled_reason)
             return
         if error is not None:
@@ -1197,10 +1179,6 @@ class JobRunner(threading.Thread):
         get_metrics().histogram("serve.job_seconds").observe(
             time.perf_counter() - started
         )
-        try:
-            os.remove(self.checkpoint_path(job))
-        except OSError:
-            pass
 
     def _record_trace(self, job: Job, recorder: Any) -> None:
         """Persist the job's merged timeline (best-effort, like manifests)."""
@@ -1219,11 +1197,7 @@ class JobRunner(threading.Thread):
         evaluator = spec.build_evaluator()
         eval_id = evaluator_fingerprint(evaluator)
         configs = spec.configs()
-        resilience = ResilienceOptions(
-            checkpoint=self.checkpoint_path(job),
-            resume=True,
-            cancel_event=cancel_event,
-        )
+        resilience = ResilienceOptions(cancel_event=cancel_event)
         estimates = self._resolve(
             job,
             eval_id,
@@ -1252,21 +1226,31 @@ class JobRunner(threading.Thread):
 
         The store is read and written here, in the runner's process, and
         only the configurations it lacks fan out on the runner's pool.
-        Stored rows count as done like rows resumed from the journal,
-        which stays keyed on the whole of ``configs``.  A batch the store
-        answers in full needs no backend: it neither consults nor takes
-        the evaluator's circuit breaker.
+        Each chunk's fresh rows are written to the store as the chunk
+        commits -- one write per chunk, whose failure fails the job -- so
+        the store alone holds an interrupted job's progress.  A batch the
+        store answers in full needs no backend: it neither consults nor
+        takes the evaluator's circuit breaker.
         """
         store = self.manager.store
         stored = store.get_many(eval_id, configs)
         if len(stored) == len(configs):
             return [stored[config] for config in configs]
+
+        def commit(
+            estimates: List[PerformanceEstimate], done: int, total: int
+        ) -> None:
+            if estimates:
+                store.put_many(eval_id, [(e.config, e) for e in estimates])
+            if on_progress is not None:
+                on_progress(done, total)
+
         sweep = ParallelSweep(
             jobs=self.sweep_jobs,
             resilience=replace(
                 resilience, breaker=self._check_breaker(eval_id, job.spec)
             ),
-            on_progress=on_progress,
+            on_commit=commit,
             pool=self.pool,
             known=stored,
         )
@@ -1276,16 +1260,7 @@ class JobRunner(threading.Thread):
             jobs=self.sweep_jobs,
             backend=job.spec.backend,
         ):
-            estimates = sweep.run(evaluator, configs)
-        # Fresh rows and rows resumed from the checkpoint journal.
-        fresh = [
-            (config, estimate)
-            for config, estimate in zip(configs, estimates)
-            if config not in stored
-        ]
-        with span("store.write", rows=len(fresh)):
-            store.put_many(eval_id, fresh)
-        return estimates
+            return sweep.run(evaluator, configs)
 
     def _check_breaker(self, eval_id: str, spec: JobSpec) -> CircuitBreaker:
         """The evaluator's breaker; raise fast while it is open."""
@@ -1306,12 +1281,13 @@ class JobRunner(threading.Thread):
         """Run one multi-objective search job (spec carries ``search``).
 
         One ``repro.front/1`` event per completed generation is published
-        into the job's history (the ``/events`` wire); generations
-        journal to ``<spool>/<spec_hash>.moo.jsonl`` so a cancelled,
-        expired or killed search resumes bit-identically on
-        resubmission.  A cooperative cancellation persists the front as
-        of the last complete generation in a partial search manifest
-        before unwinding.
+        into the job's history (the ``/events`` wire).  Every generation
+        resolves through :meth:`_resolve`, which stores each committed
+        chunk, so a cancelled, expired or killed search replays the
+        stored generations without dispatching them and resumes
+        bit-identically on resubmission.  A cooperative cancellation
+        persists the front as of the last complete generation in a
+        partial search manifest before unwinding.
         """
         spec = job.spec
         settings = spec.search
@@ -1342,8 +1318,6 @@ class JobRunner(threading.Thread):
                     evaluator,
                     configs,
                     settings,
-                    checkpoint=self.checkpoint_path(job),
-                    resume=True,
                     cancel_event=cancel_event,
                     on_generation=publish,
                 )
@@ -1366,14 +1340,6 @@ class JobRunner(threading.Thread):
                     },
                 )
             raise
-        # Estimates resumed from the generation journal never touched the
-        # store-backed evaluator this run; backfill so the store holds
-        # every configuration the search evaluated.
-        with span("store.write", rows=len(run.estimates)):
-            self.manager.store.put_many(
-                evaluator.eval_id,
-                [(estimate.config, estimate) for estimate in run.estimates],
-            )
         self._record_manifest(
             job,
             evaluator.eval_id,

@@ -31,7 +31,7 @@ runner -- behind a :class:`http.server.ThreadingHTTPServer`.  Endpoints
     in-flight quotas answer ``429`` with the client's *exact*
     ``retry_after_s`` in the body.  An optional ``deadline_s`` bounds the
     job's wall clock: when it expires the sweep cancels cooperatively and
-    the checkpoint journal survives, so a resubmission resumes.
+    the rows it stored stay, so a resubmission resumes.
 ``DELETE /jobs/<id>``
     Cancel: dequeues a queued job immediately, signals a running sweep
     to stop at the next chunk boundary.  ``200`` with the job record
@@ -72,8 +72,8 @@ per-endpoint histogram and a per-endpoint/status response counter).
 Graceful drain: the first ``SIGTERM`` (or ``SIGINT``) stops admission
 (new submissions get ``503``), lets the running job finish, then shuts
 the listener down.  A ``kill -9`` instead is recovered on the next start:
-interrupted jobs re-enqueue from the store and resume from their
-checkpoint journals with bit-identical results.
+interrupted jobs re-enqueue from the store and resume from the rows
+their committed chunks stored, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -127,13 +127,15 @@ class ExplorationService:
     ``start()`` recovers interrupted jobs from the store and launches the
     runner thread; ``stop()`` drains and joins it.  The service object is
     usable without HTTP -- the test suite drives it directly as well as
-    through a live server.
+    through a live server.  ``spool_dir`` is accepted for compatibility
+    and unused: the store is the only durable record of a job's progress,
+    and no spool directory is created.
     """
 
     def __init__(
         self,
         store_path: str,
-        spool_dir: str,
+        spool_dir: Optional[str] = None,
         queue_depth: int = 16,
         sweep_jobs: int = 1,
         retry_after_s: float = 2.0,
@@ -151,7 +153,6 @@ class ExplorationService:
         )
         self.runner = JobRunner(
             self.manager,
-            spool_dir=spool_dir,
             sweep_jobs=sweep_jobs,
             breaker_threshold=breaker_threshold,
             breaker_cooldown_s=breaker_cooldown_s,

@@ -7,7 +7,10 @@ the durable L2 tier underneath it: a single sqlite file holding finished
 :class:`~repro.core.metrics.PerformanceEstimate` records, content-addressed
 by the same fingerprint family :mod:`repro.engine.resilience` computes for
 checkpoints -- an *evaluator fingerprint* (workload + backend + energy
-model) plus the ``(T, L, S, B)`` configuration key.  Estimates round-trip
+model) plus the ``(T, L, S, B)`` configuration key.  It is also the only
+durable record of a served job's progress: the job runner writes each
+completed chunk's rows as the chunk commits, and a resumed job
+dispatches only what the store lacks.  Estimates round-trip
 through :func:`~repro.engine.resilience.estimate_to_json`, whose floats
 serialise via ``repr``, so a stored result is bit-identical to a freshly
 computed one.
@@ -52,8 +55,9 @@ against its checksum and re-parses it.  A corrupt row is moved to the
 counted under ``store.corruption.*``, and reported as a miss, so the
 config is transparently re-evaluated instead of served poisoned.
 :meth:`ResultStore.verify` scans the whole file on demand and, with
-``repair=True``, backfills legacy checksums and rebuilds quarantined
-estimates from the serve layer's checkpoint journals.  Writers take a
+``repair=True``, quarantines corrupt rows and backfills legacy
+checksums; a quarantined estimate is evaluated again the next time a
+job asks for it.  Writers take a
 sqlite ``busy_timeout`` plus a bounded, seeded-backoff retry on
 ``SQLITE_BUSY`` so multi-process writers degrade to waiting, not errors.
 
@@ -85,7 +89,6 @@ from repro.engine.resilience import (
     _evaluator_identity,
     estimate_from_json,
     estimate_to_json,
-    load_checkpoint_estimates,
 )
 from repro.engine.result import ExplorationResult
 from repro.obs.metrics import get_metrics
@@ -625,9 +628,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     # integrity scan / repair
 
-    def verify(
-        self, repair: bool = False, spool_dir: Optional[str] = None
-    ) -> Dict[str, Any]:
+    def verify(self, repair: bool = False) -> Dict[str, Any]:
         """Scan every checksummed table; optionally repair in place.
 
         Without ``repair`` this is a pure audit: corrupt rows are
@@ -635,13 +636,9 @@ class ResultStore:
         is untouched.  With ``repair``:
 
         * corrupt rows move to ``quarantine`` (the bytes survive as
-          evidence);
-        * legacy rows written before checksums gain one (backfill);
-        * quarantined *estimates* are rebuilt from the serve layer's
-          checkpoint journals in ``spool_dir`` -- every persisted job's
-          spec names its journal, and journaled estimates re-insert
-          under fresh checksums (first writer wins, so re-verified rows
-          are never overwritten).
+          evidence); a quarantined estimate is simply evaluated again
+          the next time a job asks for its configuration;
+        * legacy rows written before checksums gain one (backfill).
         """
         report: Dict[str, Any] = {
             "scanned": 0,
@@ -649,15 +646,12 @@ class ResultStore:
             "quarantined": 0,
             "missing_checksum": 0,
             "checksums_added": 0,
-            "rows_rebuilt": 0,
             "corrupt_rows": [],
             "clean": True,
         }
         self._verify_estimates(report, repair)
         for table in ("manifests", "traces"):
             self._verify_documents(table, report, repair)
-        if repair and spool_dir is not None:
-            self._rebuild_from_journals(report, spool_dir)
         # After a repair the corrupt rows are quarantined, not lurking.
         report["clean"] = report["corrupt"] == 0 or (
             repair and report["quarantined"] == report["corrupt"]
@@ -754,41 +748,6 @@ class ResultStore:
                 lambda conn: conn.executemany(statement, backfill)
             )
             report["checksums_added"] += len(backfill)
-
-    def _rebuild_from_journals(
-        self, report: Dict[str, Any], spool_dir: str
-    ) -> None:
-        """Refill quarantined/missing estimates from checkpoint journals.
-
-        Every persisted job record names its spec; the spec derives both
-        the journal path (``<spool>/<spec_hash>.jsonl``) and the
-        ``eval_id`` its rows belong under.  ``INSERT OR IGNORE`` keeps
-        healthy rows authoritative -- only the holes fill in.
-        """
-        # Imported here: repro.serve.jobs imports this module at load time.
-        from repro.serve.jobs import JobSpec
-
-        for doc in self.load_jobs():
-            try:
-                spec = JobSpec.from_json(doc["spec"])
-            except (KeyError, ValueError):
-                continue
-            journal = os.path.join(spool_dir, f"{spec.spec_hash}.jsonl")
-            if not os.path.exists(journal):
-                continue
-            try:
-                estimates = load_checkpoint_estimates(journal)
-            except Exception as exc:
-                logger.warning(
-                    "verify: could not read journal %s: %s", journal, exc
-                )
-                continue
-            before = self.count()
-            self.put_many(
-                spec.eval_id(),
-                [(estimate.config, estimate) for estimate in estimates],
-            )
-            report["rows_rebuilt"] += self.count() - before
 
     def close(self) -> None:
         """Close the underlying connection (the file remains usable)."""

@@ -8,7 +8,9 @@ Two layers of assurance on top of ``tests/test_resilience.py``:
 * seeded end-to-end chaos runs (the nightly CI job's entry point):
   a sweep suffering injected crashes, hard kills and corrupt payloads is
   additionally killed mid-journal and resumed, and must still match the
-  clean run byte for byte.
+  clean run byte for byte;
+* served jobs, killed between two store commits at a seed-chosen point,
+  recover bit-identically and dispatch only what the store lacks.
 
 The nightly job parameterises the seeds through ``REPRO_CHAOS_SEEDS``
 (comma-separated ints, default ``0,1,2``); a kill point is derived from
@@ -42,6 +44,7 @@ from repro.serve import (
     TenancyPolicy,
 )
 from repro.serve.jobs import result_to_json
+from tests.test_serve import run_until_killed
 
 SEEDS = [
     int(part)
@@ -203,11 +206,11 @@ class TestMultiTenantChaos:
 
     Two tenants with unequal fair-share weights submit distinct sweeps
     through a quota-enforcing :class:`JobManager`; the server dies with
-    one job mid-journal and one tenant's finished rows corrupted on
+    one job between two chunk commits and a stored row corrupted on
     disk.  A fresh service over the same store must hand every tenant
-    back bit-identical results, quarantine the torn row instead of
-    serving it, and account for every dequeue in the fair-share
-    counters.
+    back bit-identical results, dispatch only the rows the store lacks,
+    quarantine the torn row instead of serving it, and account for every
+    dequeue in the fair-share counters.
     """
 
     SPECS = {
@@ -279,17 +282,18 @@ class TestMultiTenantChaos:
             warm.evaluate(config)
 
         # The first DRR visit credits chaos-a's weight of two, so the
-        # claim that dies mid-journal is deterministically chaos-a's.
-        claimed = first.manager.next_job()
-        assert claimed is not None and claimed.client_id == "chaos-a"
-        journal = first.runner.checkpoint_path(claimed)
-        claimed_spec = jobs[claimed.job_id]
-        claimed_spec.build_evaluator().sweep(
-            configs=claimed_spec.configs(),
-            resilience=ResilienceOptions(checkpoint=journal),
+        # claim that dies between two chunk commits is deterministically
+        # chaos-a's first spec.
+        claimed_spec = self.SPECS["chaos-a"][0]
+        chunks = len(
+            ParallelSweep(jobs=1)._chunks(
+                claimed_spec.build_evaluator(), claimed_spec.configs()
+            )
         )
-        lines = open(journal, encoding="utf-8").read().splitlines()
-        _killed_journal(lines, journal, seed % max(1, len(lines) - 1))
+        assert chunks > 1
+        claimed = run_until_killed(first, commits=1 + seed % (chunks - 1))
+        assert claimed.client_id == "chaos-a"
+        assert jobs[claimed.job_id] == claimed_spec
 
         conn = sqlite3.connect(db)
         with conn:
@@ -304,9 +308,17 @@ class TestMultiTenantChaos:
         conn.close()
         # Session one vanishes here: no stop(), no close() -- kill -9.
 
-        # Session two: recovery re-enqueues the claimed job, the torn
-        # journal resumes, the torn row is quarantined and re-evaluated,
-        # and every tenant's results match the direct sweeps exactly.
+        # Session two: recovery re-enqueues the claimed job, which finds
+        # its committed chunks stored; the torn row is quarantined and
+        # re-evaluated, every tenant's results match the direct sweeps
+        # exactly, and nothing that was stored intact is dispatched again.
+        grid = {
+            (spec.eval_id(), config)
+            for specs in self.SPECS.values()
+            for spec in specs
+            for config in spec.configs()
+        }
+        evaluated = metrics.counter("engine.configs_evaluated").value
         second = ExplorationService(db, spool, tenancy=policy).start()
         try:
             for job_id, spec in jobs.items():
@@ -315,6 +327,10 @@ class TestMultiTenantChaos:
                 assert second.job_result(done)["estimates"] == (
                     result_to_json(direct[spec.spec_hash])
                 )
+            assert (
+                metrics.counter("engine.configs_evaluated").value - evaluated
+                == len(grid) - (rows - 1)
+            )
             assert second.store.stats()["quarantine"] == 1
             assert (
                 metrics.counter("store.corruption.quarantined").value
@@ -399,9 +415,6 @@ class TestSearchChaos:
     def test_killed_search_service_recovers(self, tmp_path_factory):
         from repro.moo import SearchSettings, run_search
 
-        root = tmp_path_factory.mktemp("moo-service-chaos")
-        db = str(root / "results.db")
-        spool = str(root / "spool")
         spec = JobSpec(
             kernel="compress",
             max_size=64,
@@ -411,34 +424,41 @@ class TestSearchChaos:
         direct = run_search(
             spec.build_evaluator(), spec.configs(), spec.search
         )
+        metrics = get_metrics()
+        for seed in SEEDS:
+            root = tmp_path_factory.mktemp("moo-service-chaos")
+            db = str(root / "results.db")
+            spool = str(root / "spool")
 
-        # Fabricate the wreckage of a service killed mid-search: the
-        # spool holds a journal cut off after two generations with a torn
-        # trailing line -- exactly what SIGKILL mid-write leaves behind.
-        os.makedirs(spool, exist_ok=True)
-        scratch = str(root / "scratch.moo.jsonl")
-        run_search(
-            spec.build_evaluator(), spec.configs(), spec.search,
-            checkpoint=scratch,
-        )
-        lines = open(scratch, encoding="utf-8").read().splitlines()
-        journal = os.path.join(spool, f"{spec.spec_hash}.moo.jsonl")
-        with open(journal, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines[:3]) + "\n")
-            handle.write(lines[3][:25])
+            # Session one dies between two chunk commits of a generation,
+            # at a seed-chosen point -- exactly what SIGKILL leaves.
+            first = ExplorationService(db, spool)
+            job, _ = first.manager.submit(spec)
+            run_until_killed(first, commits=1 + seed % 5)
+            stored = first.store.count()
+            assert 0 < stored < len(direct.estimates)
 
-        service = ExplorationService(db, spool).start()
-        try:
-            job, _ = service.manager.submit(spec)
-            done = service.manager.wait(job.job_id, timeout_s=120)
-            assert done is not None and done.state == "done"
-            served = service.job_result(done)
-            assert [row["config"] for row in served["estimates"]] == [
-                [e.config.size, e.config.line_size, e.config.ways,
-                 e.config.tiling]
-                for e in direct.front
-            ]
-            manifest = service.store.load_manifest(job.job_id)
-            assert manifest["search"]["hypervolume"] == direct.hypervolume
-        finally:
-            service.stop()
+            # Session two replays the stored generations without
+            # dispatching them and finishes with the clean front.
+            evaluated = metrics.counter("engine.configs_evaluated").value
+            service = ExplorationService(db, spool).start()
+            try:
+                done = service.manager.wait(job.job_id, timeout_s=120)
+                assert done is not None and done.state == "done"
+                assert done.resumed
+                assert (
+                    metrics.counter("engine.configs_evaluated").value
+                    - evaluated
+                    == len(direct.estimates) - stored
+                )
+                served = service.job_result(done)
+                assert [row["config"] for row in served["estimates"]] == [
+                    [e.config.size, e.config.line_size, e.config.ways,
+                     e.config.tiling]
+                    for e in direct.front
+                ]
+                manifest = service.store.load_manifest(job.job_id)
+                assert manifest["search"]["hypervolume"] == direct.hypervolume
+            finally:
+                service.stop()
+            assert not os.path.exists(spool)

@@ -32,7 +32,6 @@ from repro.engine import (
     RetryPolicy,
     SweepCheckpoint,
     SweepChunkError,
-    load_checkpoint_estimates,
     order_configs,
     sweep_fingerprint,
 )
@@ -50,6 +49,13 @@ FAST_RETRY = RetryPolicy(max_retries=3, backoff_base_s=0.001, backoff_cap_s=0.01
 
 def _counter(name):
     return get_metrics().counter(name).value
+
+
+def _journaled(path, configs, kernel=None):
+    """The estimates a compress sweep's journal holds, in sweep order."""
+    evaluator = Evaluator(KernelWorkload(kernel or get_kernel("compress")))
+    done = SweepCheckpoint(path).load(sweep_fingerprint(evaluator, configs))
+    return [done[config] for config in configs if config in done]
 
 
 def _small_configs():
@@ -173,7 +179,9 @@ class TestSweepCheckpoint:
             journal.open_for_append(fingerprint, fresh=True, configs=len(configs))
             journal.record_chunk(pairs[:2])
             journal.record_chunk(pairs[2:])
-        assert SweepCheckpoint(path).load(fingerprint) == dict(pairs)
+        assert SweepCheckpoint(path).load(fingerprint) == {
+            estimate.config: estimate for _, estimate in pairs
+        }
 
     def test_wrong_fingerprint_refused(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
@@ -194,15 +202,20 @@ class TestSweepCheckpoint:
         path.write_text(json.dumps(header) + "\n")
         with pytest.raises(CheckpointError, match="newer than"):
             SweepCheckpoint(str(path)).load("aaaa")
-        with pytest.raises(CheckpointError, match="newer than"):
-            load_checkpoint_estimates(str(path))
+
+    def test_old_search_journal_refused_with_clear_error(self, tmp_path):
+        path = tmp_path / "search.jsonl"
+        header = {"schema": "repro.moo.checkpoint/1", "fingerprint": "aaaa"}
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(CheckpointError, match="search journal"):
+            SweepCheckpoint(str(path)).load("aaaa")
 
     def test_missing_fingerprint_refused_clearly(self, tmp_path):
         path = tmp_path / "anon.jsonl"
         header = {"schema": CHECKPOINT_SCHEMA, "configs": 4}
         path.write_text(json.dumps(header) + "\n")
         with pytest.raises(CheckpointError, match="fingerprint"):
-            load_checkpoint_estimates(str(path))
+            SweepCheckpoint(str(path)).load("aaaa")
 
     def test_torn_trailing_line_tolerated(self, tmp_path):
         evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
@@ -215,23 +228,26 @@ class TestSweepCheckpoint:
             journal.record_chunk(pairs)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"chunk": [[1, {"config": [64,')  # killed mid-write
-        assert SweepCheckpoint(path).load(fingerprint) == dict(pairs)
+        assert SweepCheckpoint(path).load(fingerprint) == {
+            pairs[0][1].config: pairs[0][1]
+        }
 
     def test_record_requires_open(self, tmp_path):
         journal = SweepCheckpoint(str(tmp_path / "sweep.jsonl"))
         with pytest.raises(CheckpointError, match="not open"):
             journal.record_chunk([])
 
-    def test_load_checkpoint_estimates(self, tmp_path):
+    def test_load_keys_estimates_by_config(self, tmp_path):
         evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
         configs = _small_configs()
         path = str(tmp_path / "sweep.jsonl")
         run = evaluator.sweep(
             configs=configs, resilience=ResilienceOptions(checkpoint=path)
         )
-        assert load_checkpoint_estimates(path) == list(run.estimates)
-        with pytest.raises(CheckpointError, match="no checkpoint"):
-            load_checkpoint_estimates(str(tmp_path / "missing.jsonl"))
+        loaded = SweepCheckpoint(path).load(
+            sweep_fingerprint(evaluator, configs)
+        )
+        assert loaded == {e.config: e for e in run.estimates}
 
 
 class TestCheckpointResume:
@@ -263,6 +279,33 @@ class TestCheckpointResume:
         )
         assert list(resumed.estimates) == list(clean.estimates)
         assert _counter("resilience.resumed_configs") > before
+
+    def test_torn_journal_stays_resumable_after_resume(self, tmp_path):
+        evaluator = Evaluator(KernelWorkload(get_kernel("compress")))
+        configs = _small_configs()
+        clean = evaluator.sweep(configs=configs)
+        path = str(tmp_path / "sweep.jsonl")
+
+        def sweep(resume):
+            return ParallelSweep(
+                jobs=1,
+                chunk_size=2,
+                resilience=ResilienceOptions(checkpoint=path, resume=resume),
+            ).run(evaluator, configs)
+
+        sweep(resume=False)
+        # Killed mid-record after two chunks: the third line is torn.
+        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines[:3]) + "\n" + lines[3][:30])
+        assert sweep(resume=True) == list(clean.estimates)
+        # The resumed run's records must not glue onto the fragment: the
+        # journal now holds every configuration...
+        assert _journaled(path, configs) == list(clean.estimates)
+        # ...so resuming again evaluates nothing.
+        before = _counter("engine.configs_evaluated")
+        assert sweep(resume=True) == list(clean.estimates)
+        assert _counter("engine.configs_evaluated") == before
 
     def test_resume_across_different_job_counts(self, tmp_path):
         evaluator = Evaluator(KernelWorkload(get_kernel("compress")))
@@ -308,7 +351,7 @@ class TestCheckpointResume:
             configs=configs[:4],
             resilience=ResilienceOptions(checkpoint=path),
         )
-        assert len(load_checkpoint_estimates(path)) == 4
+        assert len(_journaled(path, configs[:4], make_compress(n=7))) == 4
 
     def test_resume_refuses_foreign_journal(self, tmp_path):
         evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
@@ -450,7 +493,7 @@ class TestFaultInjection:
             ),
         )
         assert list(run.estimates) == list(clean.estimates)
-        assert load_checkpoint_estimates(path) == list(clean.estimates)
+        assert _journaled(path, configs) == list(clean.estimates)
 
 
 class TestDeterministicFailures:
@@ -524,7 +567,7 @@ class TestEnvironmentFallback:
         ).run(evaluator, configs)
         assert run == clean
         assert _counter("parallel.serial_fallbacks") == before + 1
-        assert load_checkpoint_estimates(path) == clean
+        assert _journaled(path, configs, make_compress(n=7)) == clean
 
 
 class TestCliResilienceFlags:
@@ -538,7 +581,8 @@ class TestCliResilienceFlags:
         ]
         assert main(argv + ["--max-retries", "1"]) == 0
         first = capsys.readouterr().out
-        assert load_checkpoint_estimates(path)
+        lines = open(path, encoding="utf-8").read().splitlines()
+        assert json.loads(lines[1])["chunk"]
         assert main(argv + ["--resume", "--chunk-timeout", "30"]) == 0
         assert capsys.readouterr().out == first
 
@@ -618,7 +662,7 @@ class TestCooperativeCancellation:
             ).run(evaluator, configs)
         # The cooperative stop committed its finished chunks first.
         assert 0 < excinfo.value.done < len(configs)
-        journaled = load_checkpoint_estimates(path)
+        journaled = _journaled(path, configs)
         assert 0 < len(journaled) < len(configs)
         # Resuming the same journal without the event completes exactly.
         resumed = ParallelSweep(

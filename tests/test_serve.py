@@ -12,17 +12,21 @@ The load-bearing claims:
   overlapping grids only pay for their set difference;
 * admission control rejects over-capacity submissions with ``429`` +
   ``Retry-After``, and a draining service answers ``503``;
-* a service killed mid-job (``kill -9`` semantics: no goodbye, journal
-  truncated mid-chunk) recovers on restart and finishes with results
-  bit-identical to an uninterrupted run.
+* a service killed mid-job (``kill -9`` semantics: no goodbye, dead
+  between two store commits) recovers on restart, dispatches only the
+  configurations the store lacks, and finishes with results
+  bit-identical to an uninterrupted run;
+* the store is a served job's only durable record: one write per
+  committed chunk, and nothing under the spool directory.
 """
 
+import os
 import threading
 import time
 
 import pytest
 
-from repro.engine.resilience import ResilienceOptions
+from repro.engine.parallel import ParallelSweep
 from repro.moo import SearchSettings, run_search
 from repro.obs.metrics import get_metrics
 from repro.serve import (
@@ -37,6 +41,7 @@ from repro.serve import (
     open_store,
 )
 from repro.serve.jobs import result_to_json
+from repro.serve.store import config_key
 
 #: Small grids so each sweep is fast; SMALL is a strict subset of BIG.
 SMALL = JobSpec(kernel="compress", max_size=32, min_size=16, tilings=(1,))
@@ -45,6 +50,41 @@ BIG = JobSpec(kernel="compress", max_size=64, min_size=16, tilings=(1,))
 
 def _evaluated():
     return get_metrics().counter("engine.configs_evaluated").value
+
+
+class Killed(BaseException):
+    """Stands in for ``kill -9``: no layer of the service catches it."""
+
+
+def kill_after_commits(service, commits):
+    """Make ``service`` die right after its ``commits``-th estimate write.
+
+    Served jobs write each completed chunk's rows to the store as the
+    chunk commits, so this leaves exactly what a ``kill -9`` between two
+    chunk commits leaves: the committed rows stored, the job record still
+    ``running``.
+    """
+    store = service.store
+    write = store.put_many
+    done = []
+
+    def put_many(eval_id, pairs):
+        write(eval_id, pairs)
+        done.append(1)
+        if len(done) >= commits:
+            raise Killed()
+
+    store.put_many = put_many
+
+
+def run_until_killed(service, commits):
+    """Claim the next job and run it until the kill; returns the job."""
+    job = service.manager.next_job()
+    kill_after_commits(service, commits)
+    with pytest.raises(Killed):
+        service.runner.execute(job)
+    service.runner.pool.close()
+    return job
 
 
 class LiveServer:
@@ -268,34 +308,25 @@ class TestCoalescing:
 
 
 class TestCrashRecovery:
-    def _truncate(self, path, chunk_lines):
-        lines = open(path, encoding="utf-8").read().splitlines()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines[: 1 + chunk_lines]) + "\n")
-
     def test_killed_job_resumes_bit_identically(self, tmp_path):
         spec = BIG
         configs = spec.configs()
         direct = spec.build_evaluator().sweep(configs=configs)
 
-        # Session one: claim the job (state=running), journal part of the
-        # sweep, then vanish without any goodbye -- kill -9 semantics.
+        # Session one: claim the job (state=running), commit two chunks,
+        # then vanish without any goodbye -- kill -9 semantics.
         first = ExplorationService(
             str(tmp_path / "results.db"), str(tmp_path / "spool")
         )
         job, _ = first.manager.submit(spec)
-        claimed = first.manager.next_job()
-        assert claimed.job_id == job.job_id
-        journal = first.runner.checkpoint_path(job)
-        spec.build_evaluator().sweep(
-            configs=configs,
-            resilience=ResilienceOptions(checkpoint=journal),
-        )
-        self._truncate(journal, chunk_lines=2)
+        assert run_until_killed(first, commits=2).job_id == job.job_id
+        stored = first.store.count()
+        assert 0 < stored < len(configs)
 
         # Session two: a fresh service over the same store re-enqueues the
-        # interrupted job and resumes it from the torn journal.
+        # interrupted job and dispatches only what the store lacks.
         recovered_before = get_metrics().counter("serve.jobs_recovered").value
+        evaluated = _evaluated()
         second = ExplorationService(
             str(tmp_path / "results.db"), str(tmp_path / "spool")
         ).start()
@@ -307,6 +338,7 @@ class TestCrashRecovery:
                 get_metrics().counter("serve.jobs_recovered").value
                 == recovered_before + 1
             )
+            assert _evaluated() - evaluated == len(configs) - stored
             doc = second.job_result(done)
             assert doc is not None
             assert doc["estimates"] == result_to_json(direct)
@@ -1009,14 +1041,13 @@ class TestSearchJobs:
     def test_cancel_mid_search_persists_partial_front_then_resumes(
         self, tmp_path
     ):
-        import os
-
         spec = JobSpec(
             kernel="compress",
             max_size=256,
             min_size=16,
             search=SearchSettings(generations=120, population=8, seed=3),
         )
+        direct = run_search(spec.build_evaluator(), spec.configs(), spec.search)
         service = ExplorationService(
             str(tmp_path / "results.db"), str(tmp_path / "spool")
         ).start()
@@ -1038,20 +1069,17 @@ class TestSearchJobs:
                 assert manifest is not None
                 assert manifest["search"]["partial"] is True
                 assert manifest["search"]["front"]
-                # ... and the generation journal survived for the resume.
-                journal = os.path.join(
-                    str(tmp_path / "spool"), f"{spec.spec_hash}.moo.jsonl"
-                )
-                assert os.path.exists(journal)
-            # A resubmission resumes (or re-serves) and finishes with the
-            # same front a clean run produces.
+            # ... and the rows its committed chunks wrote stayed stored.
+            stored = service.store.count()
+            assert stored > 0
+            # A resubmission dispatches only what the store lacks and
+            # finishes with the same front a clean run produces.
+            evaluated = _evaluated()
             retry, _ = service.manager.submit(spec)
             done = service.manager.wait(retry.job_id, timeout_s=120)
             assert done is not None and done.state == "done"
+            assert _evaluated() - evaluated == len(direct.estimates) - stored
             served = service.job_result(done)
-            direct = run_search(
-                spec.build_evaluator(), spec.configs(), spec.search
-            )
             assert [row["config"] for row in served["estimates"]] == [
                 [e.config.size, e.config.line_size, e.config.ways, e.config.tiling]
                 for e in direct.front
@@ -1116,6 +1144,10 @@ def _chunks_completed():
     return get_metrics().counter("parallel.chunks_completed").value
 
 
+def _puts():
+    return get_metrics().counter("store.puts").value
+
+
 class TestStoreInRunner:
     """The runner resolves the store itself and fans out only its misses,
     on one worker pool that lives as long as the runner."""
@@ -1125,26 +1157,19 @@ class TestStoreInRunner:
     COLD_B = JobSpec(kernel="compress", max_size=64, min_size=16, tilings=(2,))
 
     def test_store_answered_job_dispatches_and_journals_nothing(
-        self, tmp_path, monkeypatch
+        self, tmp_path
     ):
-        import repro.engine.parallel as parallel
-
-        journals = []
-
-        class SpyCheckpoint(parallel.SweepCheckpoint):
-            def __init__(self, path):
-                journals.append(path)
-                super().__init__(path)
-
-        monkeypatch.setattr(parallel, "SweepCheckpoint", SpyCheckpoint)
         env = LiveServer(tmp_path, sweep_jobs=2)
         try:
+            puts = _puts()
             first = env.client.submit(BIG)
             assert env.client.wait(first["job_id"], timeout_s=120)[
                 "state"
             ] == "done"
-            assert journals, "a cold job journals its sweep"
-            del journals[:]
+            assert _puts() - puts == len(BIG.configs()), (
+                "a cold job stores its rows as its chunks commit"
+            )
+            puts = _puts()
             chunks = _chunks_completed()
             evaluated = _evaluated()
             again = env.client.submit(BIG)
@@ -1154,7 +1179,8 @@ class TestStoreInRunner:
             ] == "done"
             assert _chunks_completed() == chunks
             assert _evaluated() == evaluated
-            assert journals == []
+            assert _puts() == puts
+            assert not (tmp_path / "spool").exists()
             doc = env.client.trace(again["job_id"])
             paths = {tuple(event["path"]) for event in doc["events"]}
             assert ("job",) in paths and ("job", "sweep") not in paths
@@ -1272,7 +1298,6 @@ class TestStoreInRunner:
 
     def test_part_stored_job_resumes_after_kill_and_repair(self, tmp_path):
         from repro.cli import main
-        from repro.engine.parallel import ParallelSweep
 
         db = str(tmp_path / "results.db")
         spool = str(tmp_path / "spool")
@@ -1280,42 +1305,33 @@ class TestStoreInRunner:
         clean = result_to_json(BIG.build_evaluator().sweep(configs=configs))
 
         # Session one stores SMALL (part of BIG's grid), then claims BIG
-        # and journals some of its missing rows before a kill -9.
+        # and commits one chunk of its missing rows before a kill -9.
         first = ExplorationService(db, spool).start()
         job, _ = first.manager.submit(SMALL)
         assert first.manager.wait(job.job_id, timeout_s=120).state == "done"
         first.stop()
         first = ExplorationService(db, spool)
         job, _ = first.manager.submit(BIG)
-        assert first.manager.next_job().job_id == job.job_id
-        evaluator = BIG.build_evaluator(first.store)
-        stored = first.store.get_many(evaluator.eval_id, configs)
-        assert 0 < len(stored) < len(configs)
-        journal = first.runner.checkpoint_path(job)
-        ParallelSweep(
-            jobs=1,
-            resilience=ResilienceOptions(checkpoint=journal),
-            known=stored,
-        ).run(evaluator.inner, configs)
-        with open(journal, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        assert len(lines) > 2
-        with open(journal, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines[:2]) + "\n")
+        before = first.store.count()
+        assert run_until_killed(first, commits=1).job_id == job.job_id
+        stored = first.store.count()
+        assert len(SMALL.configs()) == before < stored < len(configs)
 
-        # Offline repair replays the journal into the store, as CI does
-        # between the kill and the restart.
-        assert main(["store", "verify", "--repair", "--store", db,
-                     "--spool", spool]) == 0
+        # Offline repair audits the store between the kill and the
+        # restart, as CI does; the committed rows are all it needs.
+        assert main(["store", "verify", "--repair", "--store", db]) == 0
 
+        evaluated = _evaluated()
         second = ExplorationService(db, spool).start()
         try:
             done = second.manager.wait(job.job_id, timeout_s=120)
             assert done is not None and done.state == "done"
             assert done.resumed
+            assert _evaluated() - evaluated == len(configs) - stored
             assert second.job_result(done)["estimates"] == clean
         finally:
             second.stop()
+        assert not os.path.exists(spool)
 
     def test_parallel_search_reads_the_store_in_the_runner(self, tmp_path):
         spec = TestSearchJobs.SEARCH
@@ -1333,6 +1349,106 @@ class TestStoreInRunner:
             assert served == result_to_json(direct.result)
         finally:
             service.stop()
+
+
+class TestStoreIsTheOnlyRecord:
+    """A served job's progress lives in the store alone: one write per
+    committed chunk, and no file under the spool directory."""
+
+    @staticmethod
+    def _recording(service):
+        writes = []
+        write = service.store.put_many
+
+        def put_many(eval_id, pairs):
+            pairs = list(pairs)
+            writes.append(sorted(config_key(config) for config, _ in pairs))
+            write(eval_id, pairs)
+
+        service.store.put_many = put_many
+        return writes
+
+    @pytest.mark.parametrize("sweep_jobs", [1, 2])
+    def test_served_sweep_writes_once_per_chunk(self, tmp_path, sweep_jobs):
+        spool = tmp_path / "spool"
+        configs = BIG.configs()
+        direct = BIG.build_evaluator().sweep(configs=configs)
+        chunks = ParallelSweep(jobs=sweep_jobs)._chunks(
+            BIG.build_evaluator(), configs
+        )
+        service = ExplorationService(
+            str(tmp_path / "results.db"), str(spool), sweep_jobs=sweep_jobs
+        )
+        writes = self._recording(service)
+        service.start()
+        try:
+            job, _ = service.manager.submit(BIG)
+            done = service.manager.wait(job.job_id, timeout_s=120)
+            assert done is not None and done.state == "done"
+            assert sorted(writes) == sorted(
+                sorted(config_key(config) for _, config in chunk)
+                for chunk in chunks
+            )
+            assert len(service.store.get_many(BIG.eval_id(), configs)) == len(
+                configs
+            )
+            assert service.job_result(done)["estimates"] == result_to_json(
+                direct
+            )
+        finally:
+            service.stop()
+        assert not spool.exists()
+
+    @pytest.mark.parametrize("sweep_jobs", [1, 2])
+    def test_failed_chunk_write_fails_the_job(self, tmp_path, sweep_jobs):
+        import sqlite3
+
+        service = ExplorationService(
+            str(tmp_path / "results.db"), None, sweep_jobs=sweep_jobs
+        )
+        write = service.store.put_many
+
+        def failing(eval_id, pairs):
+            raise sqlite3.OperationalError("disk I/O error")
+
+        service.store.put_many = failing
+        service.start()
+        try:
+            job, _ = service.manager.submit(BIG)
+            done = service.manager.wait(job.job_id, timeout_s=120)
+            assert done is not None and done.state == "failed"
+            assert "disk I/O error" in done.error
+            # The failed sweep left the runner's workers usable.
+            service.store.put_many = write
+            job, _ = service.manager.submit(BIG)
+            done = service.manager.wait(job.job_id, timeout_s=120)
+            assert done is not None and done.state == "done", done.error
+        finally:
+            service.stop()
+
+    @pytest.mark.parametrize("sweep_jobs", [1, 2])
+    def test_served_search_writes_each_row_once(self, tmp_path, sweep_jobs):
+        spec = TestSearchJobs.SEARCH
+        spool = tmp_path / "spool"
+        direct = run_search(spec.build_evaluator(), spec.configs(), spec.search)
+        service = ExplorationService(
+            str(tmp_path / "results.db"), str(spool), sweep_jobs=sweep_jobs
+        )
+        writes = self._recording(service)
+        service.start()
+        try:
+            job, _ = service.manager.submit(spec)
+            done = service.manager.wait(job.job_id, timeout_s=120)
+            assert done is not None and done.state == "done"
+            written = [key for chunk in writes for key in chunk]
+            assert sorted(written) == sorted(
+                config_key(e.config) for e in direct.estimates
+            )
+            served = service.job_result(done)["estimates"]
+            assert served == result_to_json(direct.result)
+        finally:
+            service.stop()
+        assert not spool.exists()
 
 
 @pytest.mark.skipif(

@@ -428,35 +428,6 @@ class TestVerify:
         assert again["clean"] is True and again["corrupt"] == 0
         assert again["missing_checksum"] == 0
 
-    def test_repair_rebuilds_estimates_from_journal(self, tmp_path):
-        from repro.engine.resilience import ResilienceOptions
-        from repro.serve import JobManager, JobSpec
-
-        spec = JobSpec(kernel="compress", max_size=32, min_size=16,
-                       tilings=(1,))
-        store = open_store(str(tmp_path / "r.db"))
-        # A persisted job record names the spec (as after a crash or
-        # cancellation)...
-        JobManager(store).submit(spec)
-        # ...and its spool journal holds the committed chunks.
-        spool = tmp_path / "spool"
-        spool.mkdir()
-        journal = str(spool / f"{spec.spec_hash}.jsonl")
-        evaluator = spec.build_evaluator()
-        estimates = evaluator.sweep(
-            configs=spec.configs(),
-            resilience=ResilienceOptions(checkpoint=journal),
-        ).estimates
-        eval_id = spec.eval_id()
-        store.put_many(eval_id, list(zip(spec.configs(), estimates)))
-        _poison_estimate(store.path)
-        report = store.verify(repair=True, spool_dir=str(spool))
-        assert report["quarantined"] == 1
-        assert report["rows_rebuilt"] == 1
-        # The hole is refilled byte-identically from the journal.
-        found = store.get_many(eval_id, spec.configs())
-        assert [found[c] for c in spec.configs()] == list(estimates)
-
 
 class TestBusyRetry:
     def test_write_retries_on_locked_database(self, tmp_path):
