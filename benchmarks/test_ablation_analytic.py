@@ -5,7 +5,9 @@ This bench quantifies what that choice cost: over the Figure 1-4 grid the
 analytic model (a) agrees with the simulator exactly at the minimum
 conflict-free sizes, (b) overestimates misses above them (it ignores
 cross-sweep retention, which is why the paper's min-time points land at
-larger caches than ours), and (c) is orders of magnitude faster.
+larger caches than ours), and (c) is faster.  The table records the miss
+rates only: wall time varies from run to run, so (c) is asserted and not
+written down (timings belong to ``perfbench``).
 """
 
 import time
@@ -39,7 +41,6 @@ def test_ablation_analytic(benchmark, report):
             rows.append(
                 (name, ea.config.label(), ea.miss_rate, es.miss_rate)
             )
-        rows.append((name, "runtime(s)", round(t_a, 5), round(t_s, 5)))
     report(
         "ablation_analytic",
         "Ablation -- analytic (paper-style) vs simulated miss rates",

@@ -44,10 +44,12 @@ def test_perf_engine_sweep(benchmark, report):
         t0 = time.perf_counter()
         cold = evaluator.sweep(**SWEEP)
         t_cold = time.perf_counter() - t0
+        after_cold = cold_cache.stats()
 
         t0 = time.perf_counter()
         warm = evaluator.sweep(**SWEEP)
         t_warm = time.perf_counter() - t0
+        after_warm = cold_cache.stats()
 
         parallel_evaluator = Evaluator(
             KernelWorkload(kernel), cache=EvalCache()
@@ -56,11 +58,11 @@ def test_perf_engine_sweep(benchmark, report):
         par = parallel_evaluator.sweep(jobs=2, **SWEEP)
         t_parallel = time.perf_counter() - t0
 
-        return cold, warm, par, t_cold, t_warm, t_parallel, cold_cache.stats()
+        return cold, warm, par, t_cold, t_warm, t_parallel, after_cold, after_warm
 
-    cold, warm, par, t_cold, t_warm, t_parallel, stats = benchmark.pedantic(
-        compare, rounds=1, iterations=1
-    )
+    (
+        cold, warm, par, t_cold, t_warm, t_parallel, after_cold, stats
+    ) = benchmark.pedantic(compare, rounds=1, iterations=1)
 
     # Hard requirements first: every path returns identical estimates.
     assert list(warm) == list(cold)
@@ -96,8 +98,12 @@ def test_perf_engine_sweep(benchmark, report):
     path.write_text(path.read_text() + "\n".join(cache_lines) + "\n")
 
     # The warm sweep must profit from the cache: every trace and miss
-    # vector the second pass needed was already resident.
-    assert stats.trace_hit_rate > 0.5
+    # vector the second pass needed was already resident, so it adds hits
+    # and not one trace or miss-store miss.  (Over both sweeps the trace
+    # hit rate is exactly one half, so a rate bound cannot say this.)
+    assert stats.trace_misses - after_cold.trace_misses == 0
+    assert stats.trace_hits > after_cold.trace_hits
+    assert stats.miss_misses - after_cold.miss_misses == 0
     assert stats.miss_hit_rate > 0.4
     assert t_warm < t_cold
 

@@ -21,6 +21,7 @@ explorer instances over the same kernel share cached work.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from typing import TYPE_CHECKING, Hashable, NamedTuple, Optional, Tuple
 
 from repro.cache.trace import MemoryTrace
@@ -103,9 +104,14 @@ class KernelWorkload(Workload):
     ``(key, T, L, B)``; the layout itself is memoised once per ``(T, L)``
     in the evaluator's cache under ``("layout", key, T, L)``, so the
     tilings of one geometry and traces rebuilt after an eviction share it.
-    Without it the dense layout is fixed and the key is ``(key, B)``.  The
-    kernel's frozen-dataclass equality is the cache identity, so equal
-    kernels share traces across explorer instances.
+    The layout's simulation certificate measures the untiled trace, so the
+    call that computes a layout for a ``B = 1`` configuration returns that
+    very trace (:attr:`AssignmentResult.trace`) instead of generating it
+    again; the memoised layout keeps no trace, and no trace outlives the
+    bounded trace store.  Without ``optimize_layout`` the dense layout is
+    fixed and the key is ``(key, B)``.  The kernel's frozen-dataclass
+    equality is the cache identity, so equal kernels share traces across
+    explorer instances.
     """
 
     def __init__(self, kernel: "Kernel", optimize_layout: bool = True) -> None:
@@ -121,18 +127,26 @@ class KernelWorkload(Workload):
     def trace_for(
         self, config: "CacheConfig", cache: "EvalCache"
     ) -> TraceBundle:
+        trace = None
         if self.optimize_layout:
             geometry = (config.size, config.line_size)
-            assignment = cache.miss(
-                ("layout", self.key) + geometry,
-                lambda: self.kernel.optimized_layout(*geometry),
-            )
+            certified: "list[Optional[MemoryTrace]]" = []
+
+            def assign():
+                result = self.kernel.optimized_layout(*geometry)
+                certified.append(result.trace)
+                return replace(result, trace=None)
+
+            assignment = cache.miss(("layout", self.key) + geometry, assign)
             layout = assignment.layout
             conflict_free = assignment.conflict_free
+            if certified and config.tiling == 1:
+                trace = certified[0]  # None when no certificate ran
         else:
             layout = self.kernel.default_layout()
             conflict_free = False
-        trace = self.kernel.trace(layout=layout, tile=config.tiling)
+        if trace is None:
+            trace = self.kernel.trace(layout=layout, tile=config.tiling)
         return TraceBundle(
             trace=trace,
             conflict_free=conflict_free,

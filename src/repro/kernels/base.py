@@ -23,7 +23,15 @@ __all__ = ["Kernel"]
 
 @dataclass(frozen=True)
 class Kernel:
-    """A benchmark workload: loop nest + exploration metadata."""
+    """A benchmark workload: loop nest + exploration metadata.
+
+    A kernel is swept over many cache geometries, so the work that does
+    not depend on the geometry is done once per instance: the hash (see
+    :meth:`__hash__`), and the nest's reference grouping, compatibility
+    and ``(H, c)`` parts (:meth:`LoopNest.analysis`).  None of it is a
+    field, so a kernel that has run a sweep compares, hashes, prints and
+    pickles exactly like a fresh one.
+    """
 
     nest: LoopNest
     n_tiled: Optional[int] = None
@@ -76,7 +84,12 @@ class Kernel:
         return default_layout(self.nest)
 
     def optimized_layout(self, cache_size: int, line_size: int) -> AssignmentResult:
-        """Section 4.1 padded placement for the given geometry."""
+        """Section 4.1 padded placement for the given geometry.
+
+        Placement plus its simulation certificate; for a compatible nest
+        the result carries the certified untiled trace, which equals
+        ``self.trace(result.layout)``.
+        """
         return assign_offchip_layout(self.nest, cache_size, line_size)
 
     def trace(

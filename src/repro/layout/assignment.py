@@ -42,33 +42,44 @@ search still separates the anchors (best effort) and the result's
 ``conflict_free`` flag reports which case applies -- verified against the
 simulator's 3C classification by the integration suite.
 
-Cost structure.  Only the outermost row pitch ``P`` varies between pitch
-candidates, so every reference's element offset is ``s0 * P + rest`` and
-every innermost-loop slide is ``dc * P + dk``.  These pitch-linear forms
-are computed once per call (with the reference grouping) and shared by
-both passes; a candidate then costs a few integer multiply-adds per
+Cost structure.  A sweep calls the search once per ``(T, L)``, so the
+work that does not depend on the geometry is done once per nest instance
+(:meth:`~repro.loops.ir.LoopNest.analysis`): the reference grouping, the
+compatibility test and the pitch-linear forms.  Only the outermost row
+pitch ``P`` varies between pitch candidates, so every reference's element
+offset is ``s0 * P + rest`` and every innermost-loop slide is
+``dc * P + dk``; a candidate then costs a few integer multiply-adds per
 reference plus the pairwise separation check of its own windows.  The
-candidates themselves are arithmetic progressions (line-aligned pitches
-first, then the rest; or the pitches coherent with an earlier array), and
-a base is searched only for a candidate whose windows are clear of each
-other.  The sweep-range pass is skipped outright when it provably fails:
-a group whose innermost slope has no row component sweeps at least
-``element_size + (trip - 1) * |slide| * element_size * step`` bytes at any
-pitch (any other group at least ``element_size``), and two windows wider
-than the cache span together can never be separated.  With
-``verify=True`` the simulation certificate costs more than the search.
+candidates are arithmetic progressions (line-aligned pitches first, then
+the rest; or the pitches coherent with an earlier array), a base is
+searched only for a candidate whose windows are clear of each other, and
+two width bounds cut the search short.  Every group's window spans at
+least :meth:`_GroupForm.min_width` bytes at any pitch, so the sweep-range
+pass is skipped outright when the two widest bounds together exceed the
+cache span, and an array's candidates stop after the first (its fallback)
+when its windows plus a line's gap after each cannot fit in the span
+(:func:`_separable`).  With ``verify=True`` the simulation certificate --
+one untiled trace and one grid pass over it -- costs more than the
+search; the result hands that trace on (:attr:`AssignmentResult.trace`),
+because the ``B = 1`` evaluation of the geometry needs it next.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.layout.address_map import ArrayPlacement, DataLayout
 from repro.loops.compat import nest_is_compatible
 from repro.loops.ir import LoopNest
 from repro.loops.reuse import group_references
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.cache.trace import MemoryTrace
 
 __all__ = ["AssignmentResult", "assign_offchip_layout"]
 
@@ -83,7 +94,11 @@ class AssignmentResult:
     the index of its first reference) to the cache-line slot its anchor
     occupies at the first iteration; ``conflict_free`` is True when the nest
     is compatible *and* every window got guarded separation, i.e. the
-    paper's complete-elimination guarantee applies.
+    paper's complete-elimination guarantee applies.  ``trace`` is the
+    untiled trace of ``layout`` that the simulation certificate measured
+    (``None`` when no certificate ran): it is this geometry's ``B = 1``
+    trace, so a caller can use it instead of generating it again.  It
+    takes no part in ``==``, hashing or ``repr``.
     """
 
     layout: DataLayout
@@ -91,6 +106,9 @@ class AssignmentResult:
     conflict_free: bool
     cache_lines: int
     line_size: int
+    trace: Optional["MemoryTrace"] = field(
+        default=None, compare=False, repr=False
+    )
 
     def slot_of(self, first_ref_index: int) -> int:
         """Line slot of the group anchored at ``first_ref_index``."""
@@ -118,6 +136,23 @@ class _GroupForm:
     slide_rest: int
     element_size: int
 
+    def min_width(self, sweeps: int, step: int) -> int:
+        """Fewest bytes the group's window (see :func:`_windows`) spans at
+        any pitch.
+
+        The extent between the group's references is the same at every
+        pitch when they share one row term, and so is the slide when it
+        has no row component; either is at least zero otherwise.
+        """
+        spread = 0
+        if len({row for row, _ in self.terms}) == 1:
+            rests = [rest for _, rest in self.terms]
+            spread = max(rests) - min(rests)
+        width = (spread + 1) * self.element_size
+        if self.slide_row == 0:
+            width += sweeps * abs(self.slide_rest) * self.element_size * step
+        return width
+
 
 def _split_row(values: Sequence[int], tail: Sequence[int]) -> Tuple[int, int]:
     """``(row, rest)``: the padded-row coefficient and the dense remainder.
@@ -131,7 +166,11 @@ def _split_row(values: Sequence[int], tail: Sequence[int]) -> Tuple[int, int]:
 
 
 def _array_forms(nest: LoopNest) -> Dict[str, List[_GroupForm]]:
-    """Pitch-linear forms of every referenced array's groups, in order."""
+    """Pitch-linear forms of every referenced array's groups, in order.
+
+    Geometry-free, so :func:`assign_offchip_layout` reads it through
+    :meth:`LoopNest.analysis`, once per nest instance.
+    """
     first_point = {lp.index: lp.lower for lp in nest.loops}
     innermost = nest.loops[-1].index if nest.loops else None
     forms: Dict[str, List[_GroupForm]] = {}
@@ -209,21 +248,35 @@ def _sweep_pass_doomed(
 ) -> bool:
     """True when the sweep-range pass cannot come out clear at any pitch.
 
-    A group whose innermost slide has no row component sweeps at least
-    ``element_size + (trip - 1) * |slide| * element_size * step`` bytes
-    whatever the pitch; any other group at least ``element_size``.  If the
-    two largest of these lower bounds exceed the cache span together, that
-    pair fails :func:`_pair_clear` at every pitch and base.
+    If the two largest :meth:`_GroupForm.min_width` bounds exceed the cache
+    span together, that pair fails :func:`_pair_clear` at every pitch and
+    base.
     """
     sweeps, step = _sweep_trips(nest)
     bounds = sorted(
-        g.element_size
-        + (sweeps * abs(g.slide_rest) * g.element_size * step
-           if g.slide_row == 0 else 0)
-        for groups in forms.values()
-        for g in groups
+        g.min_width(sweeps, step) for groups in forms.values() for g in groups
     )
     return len(bounds) >= 2 and bounds[-1] + bounds[-2] > span
+
+
+def _separable(
+    groups: Sequence[_GroupForm],
+    sweeps: int,
+    step: int,
+    line_size: int,
+    span: int,
+) -> bool:
+    """False when no row pitch lets these groups' windows clear each other.
+
+    Windows that clear each other (:func:`_intervals_clear`) are disjoint
+    arcs of the ``span``-byte circle, each followed by at least
+    ``line_size - 1`` free bytes, so together they need
+    ``sum(width) + len(groups) * (line_size - 1)`` bytes of it.
+    """
+    if len(groups) < 2:
+        return True
+    need = sum(g.min_width(sweeps, step) + line_size - 1 for g in groups)
+    return need <= span
 
 
 def _pair_clear(
@@ -338,13 +391,17 @@ def assign_offchip_layout(
         flag is set only when the padded trace takes *exactly* as many
         misses direct-mapped as fully associative at this capacity.  With
         ``verify=False`` the flag reports the constructive sweep-range
-        criterion only (sound but conservative).
+        criterion only.  That criterion is no certificate: a lone group
+        whose innermost loop walks down the rows can sweep more than the
+        cache span and still conflict with itself (``a[j][i]`` for
+        ``i, j = 1..3`` over a 4x4 array, in an 8-byte cache with 2-byte
+        lines).
     """
     if cache_size <= 0 or line_size <= 0 or cache_size % line_size:
         raise ValueError("cache size must be a positive multiple of line size")
     if max_pitch_padding is not None and max_pitch_padding < 0:
         raise ValueError("max_pitch_padding must be non-negative")
-    forms = _array_forms(nest)
+    forms = nest.analysis(_array_forms)
     all_clear = False
     if not _sweep_pass_doomed(forms, nest, cache_size):
         placements, slots, all_clear = _place(
@@ -357,11 +414,13 @@ def assign_offchip_layout(
 
     num_lines = cache_size // line_size
     layout = DataLayout.from_dict(placements)
+    trace = None
     if nest_is_compatible(nest) and nest.refs:
         if verify:
-            conflict_free = _verified_conflict_free(
-                nest, layout, cache_size, line_size
-            )
+            from repro.loops.trace_gen import generate_trace
+
+            trace = generate_trace(nest, layout=layout)
+            conflict_free = _certified(trace, cache_size, line_size)
         else:
             conflict_free = all_clear
     else:
@@ -372,25 +431,23 @@ def assign_offchip_layout(
         conflict_free=conflict_free,
         cache_lines=num_lines,
         line_size=line_size,
+        trace=trace,
     )
 
 
-def _verified_conflict_free(
-    nest: LoopNest, layout: DataLayout, cache_size: int, line_size: int
-) -> bool:
+def _certified(trace: "MemoryTrace", cache_size: int, line_size: int) -> bool:
     """Simulation certificate: zero conflict misses in the 3C sense.
 
     A miss is a *conflict* miss when the direct-mapped cache takes it but a
     fully-associative LRU cache of the same capacity would not; the layout
-    is certified when the direct-mapped miss count does not exceed the
-    fully-associative one.  (A good padded placement can beat
-    fully-associative LRU outright -- the indexed placement protects lines
-    LRU would evict -- so equality is not required.)
+    is certified when the direct-mapped miss count of its untiled
+    ``trace`` does not exceed the fully-associative one.  (A good padded
+    placement can beat fully-associative LRU outright -- the indexed
+    placement protects lines LRU would evict -- so equality is not
+    required.)
     """
     from repro.cache.stackdist import grid_miss_counts
-    from repro.loops.trace_gen import generate_trace
 
-    trace = generate_trace(nest, layout=layout)
     num_lines = cache_size // line_size
     direct_mapped, fully_assoc = (num_lines, 1), (1, num_lines)
     counts = grid_miss_counts(
@@ -449,6 +506,11 @@ def _place(
                 dense[0], pad_limit, element_size, line_size, span,
                 required_shift,
             )
+
+        if not _separable(groups, sweeps, step, line_size, span):
+            # Every candidate's windows collide, so the first candidate is
+            # the fallback and the others need not be tried.
+            candidates = islice(candidates, 1)
 
         # A candidate whose windows collide with each other only serves as
         # the fallback, placed at the base of the lowest line slot; the

@@ -40,8 +40,13 @@ def nest_is_compatible(nest: LoopNest) -> bool:
 
     This is the precondition under which the Section 4.1 assignment
     guarantees *complete* elimination of conflict misses (verified by an
-    integration test against the simulator's 3C classification).
+    integration test against the simulator's 3C classification).  The
+    answer is computed once per nest instance (:meth:`LoopNest.analysis`).
     """
+    return nest.analysis(_all_compatible)
+
+
+def _all_compatible(nest: LoopNest) -> bool:
     refs = nest.refs
     if len(refs) <= 1:
         return True

@@ -24,7 +24,7 @@ Loop bounds are *inclusive* on both ends, matching the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Sequence, Tuple, TypeVar, Union
 
 __all__ = [
     "AffineExpr",
@@ -38,6 +38,8 @@ __all__ = [
 
 #: Anything accepted where an affine expression is expected.
 ExprLike = Union["AffineExpr", int, str]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -336,6 +338,34 @@ class LoopNest:
             if lp.index == index:
                 return lp
         raise KeyError(f"nest {self.name!r} has no loop index {index!r}")
+
+    def analysis(self, compute: Callable[["LoopNest"], _T]) -> _T:
+        """``compute(self)``, computed once per nest instance.
+
+        For the geometry-free analyses that the Section 4.1 search and
+        trace generation would otherwise repeat for every cache geometry
+        (reference grouping, compatibility, each reference's ``H`` and
+        ``c``).  ``compute`` must be a pure function of the nest, and its
+        result must not be mutated.  The results are kept in the instance
+        dict, keyed by ``compute``: they are not fields, so ``==``, hashing
+        and ``repr`` ignore them, and ``__getstate__`` leaves them out of
+        pickles and copies.  Threads racing on a fresh nest may each
+        compute a result; being pure, the results are equal.
+        """
+        memo = self.__dict__.get("_analyses")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_analyses", memo)
+        try:
+            return memo[compute]
+        except KeyError:
+            value = memo[compute] = compute(self)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_analyses", None)
+        return state
 
     def __str__(self) -> str:
         header = ", ".join(

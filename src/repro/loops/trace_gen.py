@@ -9,12 +9,14 @@ byte address of a reference at iteration ``i`` under a
 
 Because everything is affine, the whole trace is computed with one
 matrix-vector product per reference: the per-dimension pitches fold ``H``
-into a single coefficient vector over the loop indices.
+into a single coefficient vector over the loop indices.  Each reference's
+``H`` and ``c`` do not depend on the layout, so they are built once per
+nest instance (:meth:`~repro.loops.ir.LoopNest.analysis`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +28,20 @@ from repro.loops.tiling import iteration_space, tiled_iteration_space
 __all__ = ["generate_trace", "iteration_space", "ref_addresses"]
 
 
+def _affine_parts(nest: LoopNest) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """Each reference's ``(H, c)`` as read-only int64 arrays, in order."""
+    parts = []
+    for ref in nest.refs:
+        h_matrix = np.asarray(
+            ref.linear_matrix(nest.index_order), dtype=np.int64
+        )
+        c_vector = np.asarray(ref.constant_vector(), dtype=np.int64)
+        h_matrix.flags.writeable = False
+        c_vector.flags.writeable = False
+        parts.append((h_matrix, c_vector))
+    return tuple(parts)
+
+
 def ref_addresses(
     nest: LoopNest,
     ref_index: int,
@@ -33,11 +49,8 @@ def ref_addresses(
     iterations: np.ndarray,
 ) -> np.ndarray:
     """Byte addresses touched by one reference across ``iterations``."""
-    ref = nest.refs[ref_index]
-    placement = layout.placement(ref.array)
-    index_order = nest.index_order
-    h_matrix = np.asarray(ref.linear_matrix(index_order), dtype=np.int64)
-    c_vector = np.asarray(ref.constant_vector(), dtype=np.int64)
+    placement = layout.placement(nest.refs[ref_index].array)
+    h_matrix, c_vector = nest.analysis(_affine_parts)[ref_index]
     pitches = np.asarray(placement.pitches, dtype=np.int64)
     coeffs = pitches @ h_matrix  # one coefficient per loop index
     offset = int(pitches @ c_vector)

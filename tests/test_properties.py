@@ -15,8 +15,12 @@ from repro.cache.simulator import CacheGeometry, CacheSimulator
 from repro.layout.address_map import layouts_overlap
 from repro.layout.assignment import (
     _array_forms,
+    _intervals_clear,
     _place,
+    _separable,
     _sweep_pass_doomed,
+    _sweep_trips,
+    _windows,
     assign_offchip_layout,
 )
 from repro.loops.compat import nest_is_compatible
@@ -25,15 +29,16 @@ from repro.loops.trace_gen import generate_trace
 
 
 @st.composite
-def compatible_nests(draw, rank=2, element_sizes=(1,)):
-    """A random nest whose references all share the identity H.
+def compatible_nests(draw, rank=2, element_sizes=(1,), transposed=False):
+    """A random nest whose references all share one linear part H.
 
     ``rank`` 2 gives an ``i, j`` nest over 2D arrays, ``rank`` 1 a single
     ``j`` loop over 1-D arrays; each array's element size is drawn from
-    ``element_sizes``.
+    ``element_sizes``.  ``transposed`` (rank 2 only) subscripts square
+    arrays ``[j][i]``, so the innermost loop walks down the rows.
     """
     rows = draw(st.integers(4, 12))
-    cols = draw(st.integers(4, 12))
+    cols = rows if transposed else draw(st.integers(4, 12))
     n_arrays = draw(st.integers(1, 3))
     dims = (rows, cols)[2 - rank:]
     arrays = tuple(
@@ -49,7 +54,7 @@ def compatible_nests(draw, rank=2, element_sizes=(1,)):
         di = draw(st.integers(-1, 0))
         dj = draw(st.integers(-1, 0))
         is_write = draw(st.booleans()) and r == n_refs - 1
-        subscripts = (i + di, j + dj)[2 - rank:]
+        subscripts = (j + dj, i + di) if transposed else (i + di, j + dj)[2 - rank:]
         refs.append(ArrayRef(f"a{array}", subscripts, is_write=is_write))
     loops = (Loop("i", 1, rows - 1), Loop("j", 1, cols - 1))[2 - rank:]
     return LoopNest(
@@ -80,6 +85,60 @@ class TestSweepPassSkip:
         if _sweep_pass_doomed(forms, nest, size):
             _, _, all_clear = _place(nest, forms, size, line, None, sweep=True)
             assert not all_clear
+
+    @given(
+        nest=st.one_of(
+            compatible_nests(),
+            compatible_nests(element_sizes=(1, 2, 4)),
+            compatible_nests(rank=1, element_sizes=(1, 2, 4)),
+            compatible_nests(element_sizes=(1, 2, 4), transposed=True),
+        ),
+        line=st.sampled_from([1, 2, 4, 8]),
+        lines=st.integers(1, 48),
+        sweep=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_inseparable_groups_clear_at_no_pitch(self, nest, line, lines, sweep):
+        """The placement search stops after the first pitch candidate of an
+        array whose groups fail :func:`_separable`; no pitch in the
+        search's range may leave such windows clear of each other."""
+        span = line * lines
+        sweeps, step = _sweep_trips(nest)
+        if not sweep:
+            sweeps = 0
+        for name, groups in _array_forms(nest).items():
+            if _separable(groups, sweeps, step, line, span):
+                continue
+            decl = nest.array(name)
+            dense_row = decl.row_major_strides()[0]
+            pad_limit = max(span // decl.element_size, 1)
+            for pitch in range(dense_row, dense_row + pad_limit + 1):
+                windows = _windows(groups, pitch, decl.element_size, sweeps, step)
+                assert not _intervals_clear(windows, line, span), (name, pitch)
+
+
+class TestCertificateSkipEvidence:
+    @given(
+        nest=st.one_of(
+            compatible_nests(),
+            compatible_nests(element_sizes=(1, 2, 4)),
+            compatible_nests(rank=1, element_sizes=(1, 2, 4)),
+        ),
+        line=st.sampled_from([2, 4, 8, 16]),
+        lines=st.integers(1, 32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_clear_sweep_pass_passes_the_certificate(self, nest, line, lines):
+        """Evidence for skipping the simulation certificate where the
+        sweep-range pass comes out clear (the ``verify=False`` flag on a
+        compatible nest): on nests whose innermost loop walks along a row
+        (``[i][j]``) the certificate then passes too.  It does not on
+        ``transposed`` nests: ``a[j][i]`` alone for ``i, j = 1..3`` over a
+        4x4 array, in an 8-byte cache with 2-byte lines, is clear and
+        fails it."""
+        size = line * lines
+        if assign_offchip_layout(nest, size, line, verify=False).conflict_free:
+            assert assign_offchip_layout(nest, size, line).conflict_free
 
 
 class TestAssignmentGuarantee:
