@@ -12,7 +12,7 @@ measures that cost two ways and holds it under the 5% budget:
 * a direct wall-clock comparison of warm sweeps with profiling off and
   on, asserting the profiled run returns bit-identical estimates.
 
-Tracing (:mod:`repro.obs.trace`) has a looser budget: it is opt-in per
+Tracing (:func:`repro.obs.spans.tracing`) has a looser budget: it is opt-in per
 job and wraps *real* evaluations, so its per-evaluation recording cost is
 held under 10% of a cold evaluation -- the work a traced job actually
 does.  (Relative to a warm, all-cache-hit sweep the recording dominates,
@@ -25,7 +25,6 @@ import timeit
 from repro import obs
 from repro.engine import EvalCache, Evaluator, KernelWorkload
 from repro.kernels import get_kernel
-from repro.obs import trace as obs_trace
 from repro.obs.spans import span
 
 SWEEP = dict(max_size=256, min_size=16, ways=(1, 2, 4), tilings=(1, 2))
@@ -63,7 +62,7 @@ def test_perf_obs_overhead(benchmark, report):
         finally:
             obs.disable_profiling()
 
-        with obs_trace.tracing("bench-trace"):
+        with obs.tracing("bench-trace"):
             t0 = time.perf_counter()
             traced = evaluator.sweep(**SWEEP)
             t_traced = time.perf_counter() - t0

@@ -52,11 +52,6 @@ class CacheStats:
         return self.read_hits + self.read_misses
 
     @property
-    def write_accesses(self) -> int:
-        """Total write accesses."""
-        return self.write_hits + self.write_misses
-
-    @property
     def read_miss_rate(self) -> float:
         """Miss rate over read accesses only (the paper's energy input)."""
         reads = self.read_accesses

@@ -260,9 +260,8 @@ class EvalCache:
     def counters(self) -> Dict[str, Dict[str, int]]:
         """Raw per-store counters of **this process only**.
 
-        The baseline/delta primitive :class:`~repro.engine.parallel.ParallelSweep`
-        workers use; remote contributions are deliberately excluded so a
-        worker forked from an already-merged parent cannot re-export them.
+        Merged worker contributions are excluded; :meth:`snapshot` and
+        :meth:`stats` add them.
         """
         return {
             "trace": self._traces.counters(),
@@ -270,7 +269,10 @@ class EvalCache:
         }
 
     def merge_remote(self, delta: Dict[str, Dict[str, int]]) -> None:
-        """Fold a worker's counter delta (``counters`` diff) into this cache.
+        """Fold a worker's per-store counter delta into this cache.
+
+        :class:`~repro.engine.parallel.ParallelSweep` reads it off the
+        worker's ``evalcache.<store>.<field>`` registry counters.
 
         The delta is validated before anything is accumulated: a worker
         payload that survived the executor's structural checks but still

@@ -43,21 +43,27 @@ exploration service's job runner) passes its own, so consecutive sweeps
 reuse warm workers.  Either way a round that breaks the pool or abandons
 it discards it unjoined, and the next round starts a fresh one.
 
-Observability crosses the process boundary with the results: each worker
-evaluates its chunk under a fresh :class:`~repro.obs.spans.SpanCollector`
-(when the parent is profiling) and computes its metric and
-:class:`~repro.engine.cache.EvalCache` counter deltas against a
-chunk-start baseline, so that fork-inherited parent counts are never
-double-reported.  The parent merges each chunk's payload exactly once, as
-it completes -- retried chunks merge only their successful attempt -- so
-the metrics registry and ``EvalCache`` stats stay truthful under
-``jobs=N`` even across failures and resumes.
+Observability crosses the process boundary with the results: a chunk's
+payload is ``(pairs, delta)``, its tagged estimates plus one delta.  The
+delta holds the metrics registry's diff against a chunk-start baseline
+(so fork-inherited parent counts are never double-reported) and the
+snapshot of the one :class:`~repro.obs.spans.SpanRecorder` the worker
+recorded into, when the parent's exported context
+(:func:`~repro.obs.spans.export_context`) said the profile or a trace
+records.  The worker's ``evalcache.<store>.<field>`` counters move in
+lockstep with its cache's own, so the parent rebuilds the
+:class:`~repro.engine.cache.EvalCache` delta from the metrics diff.  The
+parent validates each payload whole, then merges it exactly once, as it
+completes -- retried chunks merge only their successful attempt -- so
+the metrics registry, ``EvalCache`` stats, profile and job trace stay
+truthful under ``jobs=N`` even across failures and resumes.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import concurrent.futures.process
+import contextlib
 import logging
 import multiprocessing
 import os
@@ -88,17 +94,14 @@ from repro.engine.resilience import (
     TransientChunkError,
     sweep_fingerprint,
 )
-from repro.obs import trace as _trace
 from repro.obs.metrics import get_metrics
 from repro.obs.spans import (
-    SpanCollector,
+    SpanRecorder,
     activate,
-    current_path,
-    get_collector,
-    profiling_enabled,
-    reset_stack,
-    restore,
-    restore_stack,
+    current_trace,
+    deactivate,
+    export_context,
+    merge_active,
     span,
 )
 
@@ -106,17 +109,10 @@ __all__ = ["ParallelSweep", "WorkerPool"]
 
 logger = logging.getLogger(__name__)
 
-#: What one worker ships back: tagged estimates, the chunk's span
-#: snapshot (empty unless profiling), the metric / cache deltas, and the
-#: chunk's trace events (empty unless the parent exported a trace
-#: context -- see :mod:`repro.obs.trace`).
-_ChunkPayload = Tuple[
-    List[Tuple[int, PerformanceEstimate]],
-    List[Dict[str, Any]],
-    Dict[str, Any],
-    Dict[str, Dict[str, int]],
-    List[Dict[str, Any]],
-]
+#: What one worker ships back: tagged estimates and one delta,
+#: ``{"metrics": <registry diff>, "spans": <recorder snapshot>}`` (no
+#: span events unless the parent's context asked for them).
+_ChunkPayload = Tuple[List[Tuple[int, PerformanceEstimate]], Dict[str, Any]]
 
 #: One chunk of work: ``(index, config)`` pairs in sweep order.
 _Chunk = List[Tuple[int, CacheConfig]]
@@ -131,15 +127,19 @@ _TRANSIENT_ERRORS = (
 _ENVIRONMENT_ERRORS = (OSError, PermissionError, pickle.PicklingError)
 
 
-def _diff_cache_counters(
-    current: Dict[str, Dict[str, int]], base: Dict[str, Dict[str, int]]
-) -> Dict[str, Dict[str, int]]:
+def _cache_delta(counters: Mapping[str, int]) -> Dict[str, Dict[str, int]]:
+    """:meth:`EvalCache.merge_remote`'s input, read off a counter delta.
+
+    Every lookup of a worker's cache also counts in the registry's
+    ``evalcache.<store>.<field>`` counters, so the metrics delta carries
+    the cache's.
+    """
     return {
         store: {
-            field: current[store][field] - base[store].get(field, 0)
+            field: counters.get(f"evalcache.{store}.{field}", 0)
             for field in ("hits", "misses", "evictions")
         }
-        for store in current
+        for store in ("trace", "miss")
     }
 
 
@@ -151,79 +151,81 @@ def _evaluate_pairs(
     return [(index, est) for (index, _), est in zip(indexed, estimates)]
 
 
+def _chunk_span(indexed: _Chunk, **attrs: Any):
+    """The ``chunk[<first index>]`` span a traced timeline shows per chunk.
+
+    Opened only under a trace: the profile keeps its per-stage rows.
+    """
+    if current_trace() is None:
+        return contextlib.nullcontext()
+    return span(
+        "chunk[%d]" % indexed[0][0],
+        configs=len(indexed),
+        pid=os.getpid(),
+        **attrs,
+    )
+
+
 def _evaluate_chunk(
     evaluator: Any,
-    indexed: Sequence[Tuple[int, CacheConfig]],
-    profile: bool = False,
+    indexed: _Chunk,
+    context: Optional[Dict[str, Any]] = None,
     injector: Optional[Any] = None,
     attempt: int = 0,
-    trace_ctx: Optional[Dict[str, Any]] = None,
 ) -> _ChunkPayload:
     """Worker entry point: evaluate one chunk, tagging results by index.
 
-    Counter deltas are taken against a chunk-start baseline because a
+    Metric deltas are taken against a chunk-start baseline because a
     forked worker inherits the parent's (and, on a reused pool worker, the
-    previous chunks') counts.  ``injector`` is the deterministic fault
-    harness (:class:`~repro.engine.faults.FaultInjector`); it runs at this
+    previous chunks') counts.  ``context`` (from
+    :func:`~repro.obs.spans.export_context`, ``None`` when nothing
+    records) activates one fresh recorder as the profile, the trace or
+    both, continuing the dispatcher's span path; its snapshot ships back
+    in the delta.  ``injector`` is the deterministic fault harness
+    (:class:`~repro.engine.faults.FaultInjector`); it runs at this
     dispatch boundary only, so the parent's degradation paths stay clean.
-
-    ``trace_ctx`` (from :func:`repro.obs.trace.export_context`) activates
-    a fresh worker-side recorder whose events -- the chunk wrapper span
-    plus every stage span under it -- ship back in the payload for the
-    parent to merge into the job timeline.
     """
     token = indexed[0][0] if indexed else -1
     if injector is not None:
         injector.on_chunk_start(token, attempt)
-    cache = getattr(evaluator, "cache", None)
-    if cache is None:  # e.g. CompositeProgram: its evaluators share the global
-        cache = get_eval_cache()
-    cache_base = cache.counters()
     metrics_base = get_metrics().snapshot()
-    collector = SpanCollector()
-    trace_token = _trace.activate_remote(trace_ctx)
-    span_token = activate(collector, enabled=profile)
-    # A forked worker inherits the dispatcher's open span names; the
-    # trace context already carries them, so chunk spans start clean.
-    stack_token = reset_stack()
+    recorder = activation = None
+    if context is not None:
+        recorder = SpanRecorder(context["trace_id"])
+        activation = activate(
+            recorder,
+            profile=context["profile"],
+            trace=context["trace_id"] is not None,
+            path=context["path"],
+        )
     chunk_started = time.perf_counter()
     try:
-        if trace_token is not None:
-            with span(
-                "chunk[%d]" % token,
-                configs=len(indexed),
-                pid=os.getpid(),
-                attempt=attempt,
-            ):
-                pairs = _evaluate_pairs(evaluator, indexed)
-        else:
+        with _chunk_span(indexed, attempt=attempt):
             pairs = _evaluate_pairs(evaluator, indexed)
     finally:
         get_metrics().histogram("engine.chunk_seconds").observe(
             time.perf_counter() - chunk_started
         )
-        restore_stack(stack_token)
-        restore(span_token)
-        if trace_token is not None:
-            _trace.deactivate(trace_token)
-    payload: _ChunkPayload = (
-        pairs,
-        collector.snapshot() if profile else [],
-        get_metrics().diff(metrics_base),
-        _diff_cache_counters(cache.counters(), cache_base),
-        trace_token[1].snapshot() if trace_token is not None else [],
-    )
+        if activation is not None:
+            deactivate(activation)
+    delta = {
+        "metrics": get_metrics().diff(metrics_base),
+        "spans": recorder.snapshot() if recorder is not None else [],
+    }
+    payload: _ChunkPayload = (pairs, delta)
     if injector is not None:
         payload = injector.mangle_payload(token, attempt, payload)
     return payload
 
 
-def _validate_payload(
-    payload: Any, indexed: _Chunk
-) -> _ChunkPayload:
-    """Structural check of a worker payload; corrupt ones are transient."""
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _validate_payload(payload: Any, indexed: _Chunk) -> _ChunkPayload:
+    """Check every field the merge reads; a corrupt payload is transient."""
     try:
-        pairs, spans, metrics_delta, cache_delta, trace_events = payload
+        pairs, delta = payload
     except (TypeError, ValueError):
         raise CorruptPayloadError(
             "worker payload has the wrong shape"
@@ -239,19 +241,24 @@ def _validate_payload(
         raise CorruptPayloadError(
             "worker returned estimates for the wrong configurations"
         )
-    if (
-        not isinstance(spans, list)
-        or not isinstance(metrics_delta, dict)
-        or not isinstance(trace_events, list)
+    metrics = delta.get("metrics") if isinstance(delta, dict) else None
+    spans = delta.get("spans") if isinstance(delta, dict) else None
+    if not isinstance(metrics, dict) or not all(
+        isinstance(metrics.get(part), dict)
+        for part in ("counters", "gauges", "histograms")
     ):
-        raise CorruptPayloadError("worker observability payload is malformed")
-    if not isinstance(cache_delta, dict) or any(
-        not isinstance(row, dict)
-        or any(isinstance(v, bool) or not isinstance(v, int) for v in row.values())
-        for row in cache_delta.values()
+        raise CorruptPayloadError("worker metrics delta is malformed")
+    if not all(_is_count(value) for value in metrics["counters"].values()):
+        raise CorruptPayloadError("worker counter delta is malformed")
+    if not isinstance(spans, list) or not all(
+        isinstance(event, dict)
+        and isinstance(event.get("path"), list)
+        and _is_count(event.get("count"))
+        and isinstance(event.get("total_s"), (int, float))
+        for event in spans
     ):
-        raise CorruptPayloadError("worker cache delta is malformed")
-    return payload
+        raise CorruptPayloadError("worker span events are malformed")
+    return pairs, delta
 
 
 def _group_key(evaluator: Any, config: CacheConfig):
@@ -555,13 +562,13 @@ class ParallelSweep:
         self,
         evaluator: Any,
         pairs: Sequence[Tuple[int, PerformanceEstimate]],
-        payload: Optional[_ChunkPayload],
+        delta: Optional[Dict[str, Any]],
         journal: Optional[SweepCheckpoint],
         tagged: Dict[int, PerformanceEstimate],
     ) -> None:
         """Fold one completed chunk into the sweep (merge, tag, record)."""
-        if payload is not None:
-            self._merge_payload(evaluator, payload)
+        if delta is not None:
+            self._merge_delta(evaluator, delta)
         for index, estimate in pairs:
             tagged[index] = estimate
         pairs = sorted(pairs, key=lambda pair: pair[0])
@@ -615,20 +622,15 @@ class ParallelSweep:
         else:
             time.sleep(delay_s)
 
-    def _merge_payload(self, evaluator: Any, payload: _ChunkPayload) -> None:
-        """Fold one worker's observability payload into this process."""
+    def _merge_delta(self, evaluator: Any, delta: Dict[str, Any]) -> None:
+        """Fold one worker's validated delta into this process."""
         cache = getattr(evaluator, "cache", None)
-        if cache is None:
+        if cache is None:  # e.g. CompositeProgram: its evaluators share it
             cache = get_eval_cache()
-        _, span_snapshot, metrics_delta, cache_delta, trace_events = payload
-        if span_snapshot:
-            get_collector().merge(span_snapshot)
-        get_metrics().merge(metrics_delta)
-        cache.merge_remote(cache_delta)
-        if trace_events:
-            recorder = _trace.current_trace()
-            if recorder is not None:
-                recorder.merge(trace_events)
+        get_metrics().merge(delta["metrics"])
+        cache.merge_remote(_cache_delta(delta["metrics"]["counters"]))
+        if delta["spans"]:
+            merge_active(delta["spans"])
 
     # ------------------------------------------------------------------
     # serial paths (jobs=1, tiny sweeps, degraded chunks, no-fork sandboxes)
@@ -639,15 +641,8 @@ class ParallelSweep:
         """In-parent evaluation; deterministic failures name the chunk."""
         started = time.perf_counter()
         try:
-            if _trace.trace_active():
-                with span(
-                    "chunk[%d]" % indexed[0][0],
-                    configs=len(indexed),
-                    pid=os.getpid(),
-                    serial=True,
-                ):
-                    return _evaluate_pairs(evaluator, indexed)
-            return _evaluate_pairs(evaluator, indexed)
+            with _chunk_span(indexed, serial=True):
+                return _evaluate_pairs(evaluator, indexed)
         except Exception as exc:
             if self.resilience.breaker is not None:
                 self.resilience.breaker.record_failure()
@@ -665,41 +660,66 @@ class ParallelSweep:
         journal: Optional[SweepCheckpoint],
         tagged: Dict[int, PerformanceEstimate],
     ) -> None:
-        for indexed in pending:
-            self._check_cancel(opts, tagged)
-            pairs = self._serial_chunk_with_retries(evaluator, indexed, opts)
-            self._commit(evaluator, pairs, None, journal, tagged)
-
-    def _serial_chunk_with_retries(
-        self, evaluator: Any, indexed: _Chunk, opts: ResilienceOptions
-    ) -> List[Tuple[int, PerformanceEstimate]]:
-        """One chunk in-process, honouring the injector and retry policy."""
+        """Each chunk in-process, honouring the injector and retry policy."""
         injector = opts.fault_injector
         metrics = get_metrics()
-        token = indexed[0][0]
-        attempt = 0
-        while True:
-            self._check_cancel(opts, {})
-            try:
-                if injector is not None:
-                    injector.on_chunk_start(token, attempt)
-                return self._evaluate_clean(evaluator, indexed)
-            except TransientChunkError as exc:
-                metrics.counter("resilience.chunk_failures").inc()
-                self._record_chunk_failure(opts)
-                if attempt >= opts.retry.max_retries:
-                    metrics.counter("resilience.degraded_chunks").inc()
-                    logger.warning(
-                        "chunk at index %d exhausted %d retries (%s); "
-                        "degrading to clean serial evaluation",
-                        token,
-                        opts.retry.max_retries,
-                        exc,
+        for indexed in pending:
+            token = indexed[0][0]
+            attempt = 0
+            while True:
+                self._check_cancel(opts, tagged)
+                try:
+                    if injector is not None:
+                        injector.on_chunk_start(token, attempt)
+                    pairs = self._evaluate_clean(evaluator, indexed)
+                except TransientChunkError as exc:
+                    metrics.counter("resilience.chunk_failures").inc()
+                    self._record_chunk_failure(opts)
+                    if attempt >= opts.retry.max_retries:
+                        self._evaluate_in_parent(
+                            evaluator,
+                            [indexed],
+                            journal,
+                            tagged,
+                            "resilience.degraded_chunks",
+                            "chunk at index %d exhausted %d retries (%s); "
+                            "degrading to clean serial evaluation",
+                            token,
+                            opts.retry.max_retries,
+                            exc,
+                        )
+                        break
+                    metrics.counter("resilience.chunk_retries").inc()
+                    self._interruptible_sleep(
+                        opts, opts.retry.delay_s(attempt, token)
                     )
-                    return self._evaluate_clean(evaluator, indexed)
-                metrics.counter("resilience.chunk_retries").inc()
-                self._interruptible_sleep(opts, opts.retry.delay_s(attempt, token))
-                attempt += 1
+                    attempt += 1
+                else:
+                    self._commit(evaluator, pairs, None, journal, tagged)
+                    break
+
+    def _evaluate_in_parent(
+        self,
+        evaluator: Any,
+        chunks: Sequence[_Chunk],
+        journal: Optional[SweepCheckpoint],
+        tagged: Dict[int, PerformanceEstimate],
+        counter: str,
+        warning: str,
+        *args: Any,
+    ) -> None:
+        """Degrade: count and warn once, then evaluate ``chunks`` here.
+
+        The one path for a chunk out of retries and for an environment
+        that cannot run a pool.  Each chunk is evaluated cleanly (no fault
+        injection) and committed with no worker delta to merge, so
+        counters stay truthful after the degradation.
+        """
+        get_metrics().counter(counter).inc()
+        logger.warning(warning, *args)
+        for indexed in chunks:
+            pairs = self._evaluate_clean(evaluator, indexed)
+            self._commit(evaluator, pairs, None, journal, tagged)
 
     def _environment_fallback(
         self,
@@ -709,37 +729,17 @@ class ParallelSweep:
         tagged: Dict[int, PerformanceEstimate],
         exc: BaseException,
     ) -> None:
-        """No fork / no pickling here: finish every unfinished chunk serially.
-
-        Only chunks that never merged a worker payload are re-evaluated, so
-        counters stay truthful after the degradation.
-        """
-        logger.warning(
+        """No fork / no pickling here: finish every unfinished chunk here."""
+        self._evaluate_in_parent(
+            evaluator,
+            chunks,
+            journal,
+            tagged,
+            "parallel.serial_fallbacks",
             "parallel sweep (jobs=%d) fell back to serial execution: %s",
             self.jobs,
             exc,
         )
-        get_metrics().counter("parallel.serial_fallbacks").inc()
-        for indexed in chunks:
-            pairs = self._evaluate_clean(evaluator, indexed)
-            self._commit(evaluator, pairs, None, journal, tagged)
-
-    def _degrade_chunk(
-        self,
-        evaluator: Any,
-        indexed: _Chunk,
-        journal: Optional[SweepCheckpoint],
-        tagged: Dict[int, PerformanceEstimate],
-    ) -> None:
-        """Retries exhausted: evaluate this one chunk cleanly in-parent."""
-        get_metrics().counter("resilience.degraded_chunks").inc()
-        logger.warning(
-            "chunk at index %d exhausted its retries; "
-            "evaluating it serially in-parent",
-            indexed[0][0],
-        )
-        pairs = self._evaluate_clean(evaluator, indexed)
-        self._commit(evaluator, pairs, None, journal, tagged)
 
     # ------------------------------------------------------------------
     # the parallel executor proper
@@ -768,7 +768,16 @@ class ParallelSweep:
                 if attempts[chunk[0][0]] <= retry.max_retries
             ]
             for indexed in overdue:
-                self._degrade_chunk(evaluator, indexed, journal, tagged)
+                self._evaluate_in_parent(
+                    evaluator,
+                    [indexed],
+                    journal,
+                    tagged,
+                    "resilience.degraded_chunks",
+                    "chunk at index %d exhausted its retries; "
+                    "evaluating it serially in-parent",
+                    indexed[0][0],
+                )
             if not queue:
                 break
             if round_no > 0:
@@ -812,11 +821,10 @@ class ParallelSweep:
         return no failures.
         """
         metrics = get_metrics()
-        profile = profiling_enabled()
         injector = opts.fault_injector
-        # Exported once per round: the trace context plus this thread's
+        # Exported once per round: what records here plus this thread's
         # open span path, so worker chunk events nest under our "sweep".
-        trace_ctx = _trace.export_context(current_path())
+        context = export_context()
         try:
             executor = pool.executor()
         except _ENVIRONMENT_ERRORS as exc:
@@ -833,10 +841,9 @@ class ParallelSweep:
                         _evaluate_chunk,
                         evaluator,
                         indexed,
-                        profile,
+                        context,
                         injector,
                         attempts[indexed[0][0]],
-                        trace_ctx,
                     )
                 except concurrent.futures.process.BrokenProcessPool as exc:
                     # A worker died between rounds: fail the chunk like
@@ -901,7 +908,9 @@ class ParallelSweep:
                     indexed = futures[future]
                     token = indexed[0][0]
                     try:
-                        payload = _validate_payload(future.result(), indexed)
+                        pairs, delta = _validate_payload(
+                            future.result(), indexed
+                        )
                     except _TRANSIENT_ERRORS as exc:
                         if isinstance(
                             exc, concurrent.futures.process.BrokenProcessPool
@@ -934,9 +943,7 @@ class ParallelSweep:
                             opts.breaker.record_failure()
                         raise SweepChunkError.from_chunk(indexed, exc) from exc
                     else:
-                        self._commit(
-                            evaluator, payload[0], payload, journal, tagged
-                        )
+                        self._commit(evaluator, pairs, delta, journal, tagged)
                         metrics.counter("parallel.chunks_completed").inc()
         except BaseException:
             # Fail fast on any way out (chunk error, open breaker,

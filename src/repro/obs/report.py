@@ -1,10 +1,15 @@
-"""The machine-readable observability report and its human rendering.
+"""The two documents over a span recorder, and the ``repro stats`` table.
 
-One JSON document (:data:`SCHEMA`) carries everything a run collected:
-span aggregates (nested paths and the per-stage rollup), the metrics
-registry snapshot, and the :class:`~repro.engine.cache.EvalCache`
-counters.  The CLI writes it via ``--metrics-out FILE.json``; benchmarks
-diff these documents across PRs to track where sweep time goes.
+Both are views of one :class:`~repro.obs.spans.SpanRecorder` snapshot:
+
+* :func:`build_report` -- the profile view, ``repro.obs/1``: what a run
+  collected, as span aggregates (nested paths and the per-stage rollup)
+  beside the metrics registry snapshot and the
+  :class:`~repro.engine.cache.EvalCache` counters.  The CLI writes it via
+  ``--metrics-out FILE.json``;
+* :func:`build_document` -- the job view, ``repro.trace/1``: one traced
+  job's timeline, persisted in the result store's ``traces`` table and
+  served at ``GET /jobs/<id>/trace``.
 
 Schema (``repro.obs/1``)::
 
@@ -20,7 +25,22 @@ Schema (``repro.obs/1``)::
     }
 
 ``spans``/``stages`` are empty unless profiling was enabled; ``cache`` is
-``null`` when the caller did not supply a cache snapshot.  The module
+``null`` when the caller did not supply a cache snapshot.
+
+Schema (``repro.trace/1``)::
+
+    {
+      "schema": "repro.trace/1", "trace_id": "...", "job_id": "...",
+      "started_s": 1700000000.0, "duration_s": 1.25,
+      "workers": [4242, 4243], "dropped": 0,
+      "events": [{"span_id": "...", "parent_id": "...",
+                  "path": ["job","sweep","chunk[7]"], "name": "chunk[7]",
+                  "count": 1, "total_s": 0.2, "start_s": .., "end_s": ..,
+                  "attrs": {"configs": 12, ...}, "workers": [4243]}]
+    }
+
+A chunk wrapper span is named ``chunk[<first config index>]``, so the
+fan-out stays visible per chunk and per worker pid.  The module
 deliberately imports nothing from :mod:`repro.engine` -- cache state is
 passed in as the plain dict ``EvalCache.snapshot()`` returns -- so the
 dependency arrow stays engine -> obs.
@@ -55,15 +75,29 @@ These are rendered as their own block by :func:`render_stage_table`
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry, get_metrics
-from repro.obs.spans import SpanCollector, get_collector
+from repro.obs.spans import SpanRecorder, get_profile
 
-__all__ = ["SCHEMA", "build_report", "render_stage_table", "write_report"]
+__all__ = [
+    "SCHEMA",
+    "TRACE_SCHEMA",
+    "build_document",
+    "build_report",
+    "render_stage_table",
+    "write_report",
+]
 
 SCHEMA = "repro.obs/1"
+
+#: Schema tag stamped on every trace document.
+TRACE_SCHEMA = "repro.trace/1"
+
+#: The keys of one ``repro.obs/1`` span record.
+_PROFILE_KEYS = ("path", "name", "count", "total_s")
 
 #: Pipeline stages in execution order; unknown stages sort after these.
 _STAGE_ORDER = (
@@ -78,23 +112,86 @@ _STAGE_ORDER = (
 
 
 def build_report(
-    collector: Optional[SpanCollector] = None,
+    collector: Optional[SpanRecorder] = None,
     metrics: Optional[MetricsRegistry] = None,
     cache: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble the ``repro.obs/1`` document from current process state.
 
     ``cache`` is an ``EvalCache.snapshot()`` dict (or ``None`` to omit the
-    section); ``collector``/``metrics`` default to the process-local ones.
+    section); ``collector``/``metrics`` default to the process profile and
+    registry.
     """
-    collector = collector if collector is not None else get_collector()
+    collector = collector if collector is not None else get_profile()
     metrics = metrics if metrics is not None else get_metrics()
     return {
         "schema": SCHEMA,
-        "spans": collector.snapshot(),
+        "spans": [
+            {key: event[key] for key in _PROFILE_KEYS}
+            for event in collector.snapshot()
+        ],
         "stages": collector.by_stage(),
         "metrics": metrics.snapshot(),
         "cache": cache,
+    }
+
+
+def _span_id(trace_id: str, path: Tuple[str, ...]) -> str:
+    digest = hashlib.sha256(
+        ("\x1f".join((trace_id,) + tuple(path))).encode("utf-8")
+    )
+    return digest.hexdigest()[:16]
+
+
+def build_document(
+    recorder: SpanRecorder,
+    job_id: Optional[str] = None,
+) -> Dict[str, Any]:
+    """Assemble the ``repro.trace/1`` document for a finished trace.
+
+    One event per distinct span path, sorted by wall-clock start, with
+    count, total seconds, earliest start and latest end, first attributes
+    and contributing worker pids.  ``span_id`` is a deterministic hash of
+    ``(trace_id, path)`` and ``parent_id`` links each event to the event
+    one path element up (``None`` for roots), so parent/child links
+    survive JSON round-trips without mutable state.
+    """
+    trace_id = recorder.trace_id or ""
+    events = recorder.snapshot()
+    known = {tuple(event["path"]) for event in events}
+    workers: set = set()
+    documents = []
+    for event in events:
+        path = tuple(event["path"])
+        parent = path[:-1]
+        workers.update(event["workers"])
+        documents.append(
+            {
+                "span_id": _span_id(trace_id, path),
+                "parent_id": (
+                    _span_id(trace_id, parent) if parent in known else None
+                ),
+                **event,
+            }
+        )
+    documents.sort(
+        key=lambda e: (
+            e["start_s"] if e["start_s"] is not None else float("inf"),
+            len(e["path"]),
+            e["path"],
+        )
+    )
+    starts = [e["start_s"] for e in documents if e["start_s"] is not None]
+    ends = [e["end_s"] for e in documents if e["end_s"] is not None]
+    return {
+        "schema": TRACE_SCHEMA,
+        "trace_id": recorder.trace_id,
+        "job_id": job_id,
+        "started_s": min(starts) if starts else None,
+        "duration_s": (max(ends) - min(starts)) if starts and ends else 0.0,
+        "workers": sorted(workers),
+        "dropped": recorder.dropped,
+        "events": documents,
     }
 
 

@@ -1,126 +1,230 @@
-"""Lightweight span tracing for the evaluation pipeline.
+"""Span recording: one event model behind the profile and the job trace.
 
 A *span* is a named, nested wall-time measurement::
 
     with span("trace_gen", kernel="compress"):
         ...
 
-Spans are **disabled by default**: :func:`span` then returns a shared
-no-op context manager, so instrumented hot paths pay one flag check and
-one call per stage (the overhead budget is asserted in
-``benchmarks/test_perf_obs.py``).  When enabled -- by the CLI's
-``--profile`` flag, the ``repro stats`` subcommand or
-:func:`enable_profiling` -- each exit records ``(path, elapsed)`` into the
-process-local :class:`SpanCollector`, where *path* is the tuple of active
-span names on the current thread
-(``("sweep", "evaluate_batch", "trace_gen")``),
-preserving parent/child nesting.
+Every closed span takes one path: :meth:`SpanRecorder.record` on each
+recorder active for the current thread.  There are two activations of
+that one class:
 
-Collectors aggregate rather than stream: one entry per distinct path with
-a call count and total seconds, so a million-configuration sweep costs a
-dictionary of a dozen entries, not a million records.  Snapshots are plain
-JSON-compatible lists, which is what lets
-:class:`~repro.engine.parallel.ParallelSweep` ship worker-side collections
-across the process boundary and :meth:`SpanCollector.merge` fold them back
-into the parent.
+* the process **profile** (``--profile``, ``repro stats``,
+  :func:`collecting`, :func:`enable_profiling`): process-wide, the source
+  of the ``repro.obs/1`` ``spans`` and ``stages`` sections;
+* a **trace** bound to a :mod:`contextvars` context (:func:`tracing`): a
+  served job's timeline, the source of its ``repro.trace/1`` document
+  (:func:`repro.obs.report.build_document`).
+
+Tracing alone does not feed the profile, and profiling alone records no
+trace.  Spans are **disabled by default**: while neither activation is
+live, :func:`span` returns a shared no-op context manager, so
+instrumented hot paths pay one flag check and one call per stage (the
+overhead budget is asserted in ``benchmarks/test_perf_obs.py``).
+
+Recorders aggregate rather than stream: one event per distinct *path*
+(the tuple of span names open on the thread, e.g. ``("sweep",
+"evaluate_batch", "trace_gen")``) with a call count, total seconds, the
+earliest start and latest end, the first attributes and the pids that
+contributed.  A million-configuration sweep costs a dictionary of a few
+dozen entries, not a million records.
+
+Across processes, :func:`export_context` captures what records on this
+thread -- the profile flag, the trace id and the open span path -- as a
+JSON dict.  A :class:`~repro.engine.parallel.ParallelSweep` worker
+:func:`activate`\\ s one fresh recorder with it, continuing that path,
+and ships its :meth:`~SpanRecorder.snapshot` back; the parent folds the
+snapshot into whatever records here with :func:`merge_active`.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
-
-from . import trace as _trace
+import uuid
+from contextvars import ContextVar
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "SpanCollector",
+    "MAX_EVENTS",
+    "SpanRecorder",
+    "activate",
     "collecting",
     "current_path",
+    "current_trace",
+    "deactivate",
     "disable_profiling",
     "enable_profiling",
-    "get_collector",
+    "export_context",
+    "get_profile",
+    "merge_active",
+    "new_trace_id",
     "profiling_enabled",
-    "reset_stack",
-    "restore_stack",
     "span",
+    "trace_active",
+    "tracing",
 ]
 
 logger = logging.getLogger(__name__)
 
-SpanKey = Tuple[str, ...]
+SpanPath = Tuple[str, ...]
+
+#: Distinct span paths kept per recorder; beyond this, events are counted
+#: as dropped rather than stored, bounding document size for pathological
+#: span cardinality.
+MAX_EVENTS = 4096
 
 
-class _SpanStat:
-    """Mutable accumulator for one span path."""
+class _EventStat:
+    """Mutable aggregate for one span path within one recorder."""
 
-    __slots__ = ("count", "total_s")
+    __slots__ = ("count", "total_s", "start_s", "end_s", "attrs", "workers")
 
     def __init__(self) -> None:
         self.count = 0
         self.total_s = 0.0
+        self.start_s: Optional[float] = None
+        self.end_s: Optional[float] = None
+        self.attrs: Dict[str, Any] = {}
+        self.workers: set = set()
+
+    def add(
+        self,
+        count: int,
+        total_s: float,
+        start_s: Optional[float],
+        end_s: Optional[float],
+        attrs: Optional[Dict[str, Any]],
+        workers: Iterable[int],
+    ) -> None:
+        self.count += count
+        self.total_s += total_s
+        if start_s is not None and (
+            self.start_s is None or start_s < self.start_s
+        ):
+            self.start_s = start_s
+        if end_s is not None and (self.end_s is None or end_s > self.end_s):
+            self.end_s = end_s
+        if attrs and not self.attrs:
+            self.attrs = dict(attrs)
+        self.workers.update(workers)
 
 
-class SpanCollector:
-    """Aggregates span timings by nesting path (thread-safe).
+class SpanRecorder:
+    """Aggregates closed spans by nesting path (thread-safe).
 
-    The collector is process-local; cross-process runs produce one
-    collector per worker whose :meth:`snapshot` the parent merges with
-    :meth:`merge`.
+    ``trace_id`` names the trace a context-bound recorder collects (the
+    process profile has none).  Wall-clock times come from one
+    ``time.time()``/``perf_counter`` anchor pair per recorder, so each
+    span costs one ``perf_counter`` call.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, trace_id: Optional[str] = None) -> None:
+        self.trace_id = trace_id
+        self.dropped = 0
         self._lock = threading.Lock()
-        self._stats: Dict[SpanKey, _SpanStat] = {}
+        self._events: Dict[SpanPath, _EventStat] = {}
+        self._anchor_wall = time.time()
+        self._anchor_perf = time.perf_counter()
+        self._pid = os.getpid()
 
-    def record(self, path: SpanKey, elapsed_s: float) -> None:
-        """Fold one completed span into the aggregate."""
+    def _stat(self, path: SpanPath) -> Optional[_EventStat]:
+        """The aggregate for ``path`` (lock held); ``None`` once capped."""
+        stat = self._events.get(path)
+        if stat is None:
+            if len(self._events) >= MAX_EVENTS:
+                self.dropped += 1
+                return None
+            stat = self._events[path] = _EventStat()
+        return stat
+
+    def record(
+        self,
+        path: Sequence[str],
+        start_perf: float,
+        end_perf: float,
+        attrs: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Fold one closed span (``perf_counter`` endpoints) in."""
+        self.add_event(
+            path,
+            self._anchor_wall + (start_perf - self._anchor_perf),
+            end_perf - start_perf,
+            attrs,
+        )
+
+    def add_event(
+        self,
+        path: Sequence[str],
+        start_s: float,
+        duration_s: float,
+        attrs: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Fold in an event with an explicit wall-clock start.
+
+        Also for synthetic events that did not run under a span, such as
+        the server's ``queue.wait`` covering submit to start.
+        """
         with self._lock:
-            stat = self._stats.get(path)
-            if stat is None:
-                stat = self._stats[path] = _SpanStat()
-            stat.count += 1
-            stat.total_s += elapsed_s
+            stat = self._stat(tuple(path))
+            if stat is not None:
+                stat.add(
+                    1,
+                    duration_s,
+                    start_s,
+                    start_s + duration_s,
+                    attrs,
+                    (self._pid,),
+                )
 
     def snapshot(self) -> List[Dict[str, Any]]:
-        """JSON-compatible copy: one record per distinct path."""
+        """JSON-compatible event list: one record per distinct path."""
         with self._lock:
             return [
                 {
                     "path": list(path),
-                    "name": path[-1],
+                    "name": path[-1] if path else "",
                     "count": stat.count,
                     "total_s": stat.total_s,
+                    "start_s": stat.start_s,
+                    "end_s": stat.end_s,
+                    "attrs": dict(stat.attrs),
+                    "workers": sorted(stat.workers),
                 }
-                for path, stat in sorted(self._stats.items())
+                for path, stat in sorted(self._events.items())
             ]
 
-    def merge(self, snapshot: List[Dict[str, Any]]) -> None:
-        """Fold another collector's :meth:`snapshot` into this one.
+    def merge(self, events: Iterable[Dict[str, Any]]) -> None:
+        """Fold another recorder's :meth:`snapshot` into this one.
 
-        Counts and totals add, so merging N worker snapshots yields the
-        same aggregate as if every span had run in this process.
+        Counts and totals add, extents widen and worker pids union, so
+        merging N worker snapshots gives the same events as if every span
+        had run here.
         """
         with self._lock:
-            for record in snapshot:
-                path = tuple(record["path"])
-                stat = self._stats.get(path)
-                if stat is None:
-                    stat = self._stats[path] = _SpanStat()
-                stat.count += int(record["count"])
-                stat.total_s += float(record["total_s"])
+            for event in events:
+                stat = self._stat(tuple(event["path"]))
+                if stat is not None:
+                    stat.add(
+                        int(event["count"]),
+                        float(event["total_s"]),
+                        event.get("start_s"),
+                        event.get("end_s"),
+                        event.get("attrs"),
+                        event.get("workers", ()),
+                    )
 
     def by_stage(self) -> Dict[str, Dict[str, Any]]:
         """Aggregate over nesting: leaf name -> calls / total seconds.
 
         The per-stage view the ``repro stats`` table prints; a stage that
-        appears under several parents (``evaluate`` under ``sweep`` and at
-        top level in merged worker snapshots) is summed.
+        appears under several parents is summed.
         """
         with self._lock:
             stages: Dict[str, Dict[str, Any]] = {}
-            for path, stat in self._stats.items():
+            for path, stat in self._events.items():
                 entry = stages.setdefault(
                     path[-1], {"calls": 0, "total_s": 0.0}
                 )
@@ -133,12 +237,13 @@ class SpanCollector:
             return stages
 
     def clear(self) -> None:
-        """Drop every aggregate."""
+        """Drop every event."""
         with self._lock:
-            self._stats.clear()
+            self._events.clear()
+            self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self._stats)
+        return len(self._events)
 
 
 class _NullSpan:
@@ -155,8 +260,19 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
-_enabled = False
-_collector = SpanCollector()
+#: The process profile and whether it records.
+_profile = SpanRecorder()
+_profiling = False
+
+#: The trace bound to the current context, and a process-level count of
+#: live bindings: the span() hot path checks the plain integer before
+#: touching the ContextVar.
+_trace: ContextVar[Optional[SpanRecorder]] = ContextVar(
+    "repro_span_trace", default=None
+)
+_traces = 0
+_traces_lock = threading.Lock()
+
 _state = threading.local()
 
 
@@ -167,33 +283,32 @@ def _stack() -> List[str]:
     return stack
 
 
-def current_path() -> Tuple[str, ...]:
-    """The tuple of span names currently open on this thread.
-
-    :class:`~repro.engine.parallel.ParallelSweep` exports this alongside
-    the trace context so worker-side chunk events nest under the
-    dispatching thread's open spans (typically ``("job", "sweep")``).
-    """
+def current_path() -> SpanPath:
+    """The tuple of span names currently open on this thread."""
     return tuple(_stack())
 
 
-def reset_stack() -> List[str]:
-    """Swap in an empty span stack for this thread; returns the old one.
+def current_trace() -> Optional[SpanRecorder]:
+    """The trace bound to the current context, if any."""
+    return _trace.get() if _traces else None
 
-    A forked pool worker inherits the dispatching thread's open span
-    names, which would prefix every chunk path a second time (the trace
-    context already carries them as the worker recorder's base path).
-    Workers clear the inherited stack on chunk entry and
-    :func:`restore_stack` it on exit.
+
+def trace_active() -> bool:
+    """Whether any trace is bound anywhere in this process."""
+    return _traces > 0
+
+
+def _recorders() -> Tuple[SpanRecorder, ...]:
+    """What a span closing here feeds: the profile, the trace, or both.
+
+    A worker's one recorder can be both; it is fed once.
     """
-    old = _stack()
-    _state.stack = []
-    return old
-
-
-def restore_stack(stack: List[str]) -> None:
-    """Undo a previous :func:`reset_stack`."""
-    _state.stack = stack
+    trace = current_trace()
+    if not _profiling:
+        return () if trace is None else (trace,)
+    if trace is None or trace is _profile:
+        return (_profile,)
+    return (_profile, trace)
 
 
 class _Span:
@@ -212,19 +327,17 @@ class _Span:
 
     def __exit__(self, *exc_info: Any) -> bool:
         end = time.perf_counter()
-        elapsed = end - self._start
         stack = _stack()
         path = tuple(stack)
         stack.pop()
-        if _enabled:
-            _collector.record(path, elapsed)
-        if _trace._active:
-            recorder = _trace.current_trace()
-            if recorder is not None:
-                recorder.record(path, self._start, end, self.attrs)
+        for recorder in _recorders():
+            recorder.record(path, self._start, end, self.attrs)
         if self.attrs and logger.isEnabledFor(logging.DEBUG):
             logger.debug(
-                "span %s took %.6fs", "/".join(path), elapsed, extra=self.attrs
+                "span %s took %.6fs",
+                "/".join(path),
+                end - self._start,
+                extra=self.attrs,
             )
         return False
 
@@ -232,74 +345,137 @@ class _Span:
 def span(name: str, **attrs: Any):
     """A context manager timing ``name``.
 
-    No-op unless profiling (aggregate stage sums) or an active trace
-    (per-job timeline, :mod:`repro.obs.trace`) wants the measurement;
-    the disabled path is one flag check per sink.
+    No-op unless the profile or a trace records; the disabled path is one
+    flag check.
     """
-    if not _enabled and not _trace._active:
+    if not _profiling and not _traces:
         return _NULL_SPAN
     return _Span(name, attrs)
 
 
 def enable_profiling() -> None:
-    """Start recording spans into the process collector."""
-    global _enabled
-    _enabled = True
+    """Start recording spans into the process profile."""
+    global _profiling
+    _profiling = True
 
 
 def disable_profiling() -> None:
-    """Stop recording spans (already-collected aggregates are kept)."""
-    global _enabled
-    _enabled = False
+    """Stop profiling (the events already recorded are kept)."""
+    global _profiling
+    _profiling = False
 
 
 def profiling_enabled() -> bool:
-    """Whether :func:`span` currently records."""
-    return _enabled
+    """Whether spans currently feed the process profile."""
+    return _profiling
 
 
-def get_collector() -> SpanCollector:
-    """The process-local collector spans record into."""
-    return _collector
+def get_profile() -> SpanRecorder:
+    """The process profile spans record into while profiling."""
+    return _profile
+
+
+def new_trace_id() -> str:
+    """A fresh 32-hex-digit trace identifier."""
+    return uuid.uuid4().hex
+
+
+_Token = Tuple[
+    Optional[Tuple[SpanRecorder, bool]], Any, Optional[List[str]]
+]
 
 
 def activate(
-    collector: SpanCollector, enabled: bool = True
-) -> Tuple[SpanCollector, bool]:
-    """Swap in ``collector`` (and the enabled flag); returns a restore token.
+    recorder: SpanRecorder,
+    *,
+    profile: bool = False,
+    trace: bool = False,
+    path: Optional[Sequence[str]] = None,
+) -> _Token:
+    """Make ``recorder`` record spans; returns a :func:`deactivate` token.
 
-    Used by :class:`~repro.engine.parallel.ParallelSweep` workers to record
-    a chunk into a fresh collector regardless of whatever state the worker
-    inherited at fork, and by tests needing isolation.
+    ``profile`` installs it as the process profile with profiling on;
+    ``trace`` binds it to the current context as its trace; ``path``
+    replaces this thread's open span names, so that a worker's spans
+    continue the dispatching thread's path.
     """
-    global _collector, _enabled
-    token = (_collector, _enabled)
-    _collector = collector
-    _enabled = enabled
-    return token
+    global _profile, _profiling, _traces
+    previous = None
+    if profile:
+        previous = (_profile, _profiling)
+        _profile, _profiling = recorder, True
+    bound = None
+    if trace:
+        bound = _trace.set(recorder)
+        with _traces_lock:
+            _traces += 1
+    stack = None
+    if path is not None:
+        stack = _stack()
+        _state.stack = list(path)
+    return previous, bound, stack
 
 
-def restore(token: Tuple[SpanCollector, bool]) -> None:
-    """Undo a previous :func:`activate`."""
-    global _collector, _enabled
-    _collector, _enabled = token
+def deactivate(token: _Token) -> None:
+    """Undo an :func:`activate`."""
+    global _profile, _profiling, _traces
+    previous, bound, stack = token
+    if stack is not None:
+        _state.stack = stack
+    if bound is not None:
+        _trace.reset(bound)
+        with _traces_lock:
+            _traces -= 1
+    if previous is not None:
+        _profile, _profiling = previous
 
 
-class _Collecting:
-    """Context-manager form of :func:`activate`/:func:`restore`."""
+def export_context() -> Optional[Dict[str, Any]]:
+    """What records on this thread, as a JSON dict; ``None`` if nothing.
 
-    def __init__(self, collector: Optional[SpanCollector]) -> None:
-        self.collector = collector if collector is not None else SpanCollector()
+    ``profile`` is whether the process profile records, ``trace_id`` the
+    context's trace (or ``None``), and ``path`` this thread's open span
+    names.
+    """
+    trace = current_trace()
+    if not _profiling and trace is None:
+        return None
+    return {
+        "profile": _profiling,
+        "trace_id": None if trace is None else trace.trace_id,
+        "path": list(_stack()),
+    }
 
-    def __enter__(self) -> SpanCollector:
-        self._token = activate(self.collector)
-        return self.collector
+
+def merge_active(events: List[Dict[str, Any]]) -> None:
+    """Fold a worker recorder's snapshot into what records here."""
+    for recorder in _recorders():
+        recorder.merge(events)
+
+
+class _Recording:
+    """Context-manager form of :func:`activate`; yields the recorder."""
+
+    def __init__(self, recorder: SpanRecorder, **how: bool) -> None:
+        self.recorder = recorder
+        self._how = how
+
+    def __enter__(self) -> SpanRecorder:
+        self._token = activate(self.recorder, **self._how)
+        return self.recorder
 
     def __exit__(self, *exc_info: Any) -> bool:
-        restore(self._token)
+        deactivate(self._token)
         return False
 
 
-def collecting(collector: Optional[SpanCollector] = None) -> _Collecting:
-    """Record spans into an isolated collector for the ``with`` body."""
-    return _Collecting(collector)
+def collecting(recorder: Optional[SpanRecorder] = None) -> _Recording:
+    """Profile the ``with`` body into an isolated recorder."""
+    return _Recording(
+        recorder if recorder is not None else SpanRecorder(), profile=True
+    )
+
+
+def tracing(trace_id: Optional[str] = None) -> _Recording:
+    """Trace the ``with`` body (this context) into a fresh recorder."""
+    return _Recording(SpanRecorder(trace_id or new_trace_id()), trace=True)

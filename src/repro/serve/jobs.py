@@ -51,8 +51,8 @@ Counters fed into the :mod:`repro.obs` registry: ``serve.jobs_submitted``,
 and ``breaker.*``; latency histograms ``serve.queue.wait_seconds``
 (submit to claim) and ``serve.job_seconds`` (execution wall time).  A job
 submitted with a ``trace_id`` additionally produces a ``repro.trace/1``
-timeline (see :mod:`repro.obs.trace`) persisted in the store's
-``traces`` table.
+timeline (see :func:`repro.obs.report.build_document`) persisted in the
+store's ``traces`` table.
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ from repro.engine.result import ExplorationResult
 from repro.engine.workload import KernelWorkload
 from repro.kernels import get_kernel
 from repro.moo.driver import SearchSettings, run_search
-from repro.obs import trace as obs_trace
 from repro.obs.metrics import get_metrics
-from repro.obs.spans import span
+from repro.obs.report import build_document
+from repro.obs.spans import SpanRecorder, activate, deactivate, span
 from repro.registry import build_manifest, get_registry
 from repro.serve.store import ResultStore, StoreBackedEvaluator, evaluator_fingerprint
 from repro.serve.tenancy import (
@@ -309,7 +309,7 @@ class Job:
     total_configs: int = 0
     coalesced: int = 0
     resumed: bool = False
-    #: Trace identity (repro.obs.trace); ``None`` runs the job untraced.
+    #: Trace identity (see repro.obs.spans); ``None`` runs the job untraced.
     trace_id: Optional[str] = None
     #: Who submitted the job (fair-share / quota accounting key).
     client_id: str = DEFAULT_CLIENT
@@ -941,14 +941,6 @@ class JobManager:
         with self._cond:
             return not self._queued and not self._active
 
-    def queue_stats(self) -> Dict[str, Any]:
-        """Queue depth and per-client in-flight counts (for /health)."""
-        with self._cond:
-            return {
-                "queued": self._queued,
-                "inflight": dict(self._inflight),
-            }
-
 
 class _DeadlineWatch:
     """Deadline enforcement for one running job, coalesce-merge aware.
@@ -1106,25 +1098,27 @@ class JobRunner(threading.Thread):
     def execute(self, job: Job) -> None:
         """Run one job to a terminal state (never raises).
 
-        A job carrying a ``trace_id`` runs under an active
-        :class:`~repro.obs.trace.TraceRecorder`: a synthetic
-        ``queue.wait`` event covers submit to start, a root ``job`` span
-        wraps the sweep (whose workers ship their chunk events back
-        through the payload protocol), and the merged timeline is
+        A job carrying a ``trace_id`` runs with a
+        :class:`~repro.obs.spans.SpanRecorder` bound as its trace: a
+        synthetic ``queue.wait`` event covers submit to start, a root
+        ``job`` span wraps the sweep (whose workers ship their chunk
+        events back in each chunk's delta), and the merged timeline is
         persisted to the store's ``traces`` table -- on failure too.
         The timeline lands *before* the job turns terminal, so a client
         woken by the done state never races the trace write.
         """
         started = time.perf_counter()
-        tracer = obs_trace.tracing(job.trace_id) if job.trace_id else None
-        recorder = tracer.__enter__() if tracer is not None else None
-        if recorder is not None and job.started_s is not None:
-            recorder.add_event(
-                ("job", "queue.wait"),
-                job.submitted_s,
-                max(0.0, job.started_s - job.submitted_s),
-                {"priority": job.priority},
-            )
+        recorder = activation = None
+        if job.trace_id:
+            recorder = SpanRecorder(job.trace_id)
+            activation = activate(recorder, trace=True)
+            if job.started_s is not None:
+                recorder.add_event(
+                    ("job", "queue.wait"),
+                    job.submitted_s,
+                    max(0.0, job.started_s - job.submitted_s),
+                    {"priority": job.priority},
+                )
         cancel_event = threading.Event()
         self.manager.attach_cancel_event(job, cancel_event)
         deadline_watch = _DeadlineWatch(
@@ -1166,8 +1160,8 @@ class JobRunner(threading.Thread):
             error = f"{type(exc).__name__}: {exc}"
         finally:
             deadline_watch.stop()
-            if tracer is not None:
-                tracer.__exit__(None, None, None)
+            if activation is not None:
+                deactivate(activation)
                 self._record_trace(job, recorder)
         if cancelled_reason is not None:
             self.manager.cancelled(job, cancelled_reason)
@@ -1180,10 +1174,10 @@ class JobRunner(threading.Thread):
             time.perf_counter() - started
         )
 
-    def _record_trace(self, job: Job, recorder: Any) -> None:
+    def _record_trace(self, job: Job, recorder: SpanRecorder) -> None:
         """Persist the job's merged timeline (best-effort, like manifests)."""
         try:
-            document = obs_trace.build_document(recorder, job_id=job.job_id)
+            document = build_document(recorder, job_id=job.job_id)
             self.manager.store.save_trace(job.job_id, document)
         except Exception as exc:  # pragma: no cover - timeline best-effort
             logger.warning(

@@ -93,7 +93,6 @@ from repro.core.config import CacheConfig
 from repro.engine.cache import get_eval_cache
 from repro.engine.result import ExplorationResult
 from repro.moo.driver import run_search
-from repro.obs import trace as obs_trace
 from repro.obs.metrics import get_metrics
 from repro.obs.prometheus import render_prometheus
 from repro.serve.jobs import (
@@ -295,7 +294,7 @@ class ExplorationService:
                     "trace_id must be 1-64 alphanumeric/-/_ characters"
                 )
         elif self.trace and doc.get("trace") is not False:
-            trace_id = obs_trace.new_trace_id()
+            trace_id = obs.new_trace_id()
         return self.manager.submit(
             spec,
             priority=priority,

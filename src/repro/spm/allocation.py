@@ -49,11 +49,6 @@ class Allocation:
             return 0.0
         return self.captured_accesses / self.total_accesses
 
-    @property
-    def utilization(self) -> float:
-        """Fraction of the scratchpad capacity actually used."""
-        return self.mapped_bytes / self.capacity if self.capacity else 0.0
-
 
 def allocate_arrays(kernel: Kernel, capacity: int) -> Allocation:
     """Optimal 0/1 knapsack allocation of ``kernel``'s arrays.

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import os
 import threading
 
 import pytest
@@ -12,7 +13,7 @@ from repro.engine.cache import EvalCache, get_eval_cache
 from repro.engine.evaluator import Evaluator
 from repro.engine.workload import KernelWorkload
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanCollector, span
+from repro.obs.spans import SpanRecorder, span
 
 
 @pytest.fixture(autouse=True)
@@ -22,7 +23,7 @@ def _obs_isolation():
     yield
     if obs.profiling_enabled() and not was_enabled:
         obs.disable_profiling()
-    obs.get_collector().clear()
+    obs.get_profile().clear()
 
 
 class TestSpans:
@@ -51,19 +52,19 @@ class TestSpans:
         assert paths[("sweep", "evaluate", "trace_gen")] == 2
 
     def test_by_stage_aggregates_across_parents(self):
-        collector = SpanCollector()
-        collector.record(("sweep", "evaluate", "trace_gen"), 0.25)
-        collector.record(("trace_gen",), 0.75)
+        collector = SpanRecorder()
+        collector.record(("sweep", "evaluate", "trace_gen"), 0.0, 0.25)
+        collector.record(("trace_gen",), 0.0, 0.75)
         stages = collector.by_stage()
         assert stages["trace_gen"]["calls"] == 2
         assert stages["trace_gen"]["total_s"] == pytest.approx(1.0)
         assert stages["trace_gen"]["mean_s"] == pytest.approx(0.5)
 
     def test_merge_adds_counts_and_totals(self):
-        left, right = SpanCollector(), SpanCollector()
-        left.record(("evaluate",), 1.0)
-        right.record(("evaluate",), 2.0)
-        right.record(("miss_measure",), 0.5)
+        left, right = SpanRecorder(), SpanRecorder()
+        left.record(("evaluate",), 0.0, 1.0)
+        right.record(("evaluate",), 0.0, 2.0)
+        right.record(("miss_measure",), 0.0, 0.5)
         left.merge(right.snapshot())
         stages = left.by_stage()
         assert stages["evaluate"]["calls"] == 2
@@ -71,10 +72,10 @@ class TestSpans:
         assert stages["miss_measure"]["calls"] == 1
 
     def test_snapshot_is_json_compatible(self):
-        collector = SpanCollector()
-        collector.record(("sweep", "evaluate"), 0.125)
+        collector = SpanRecorder()
+        collector.record(("sweep", "evaluate"), 0.0, 0.125)
         round_tripped = json.loads(json.dumps(collector.snapshot()))
-        fresh = SpanCollector()
+        fresh = SpanRecorder()
         fresh.merge(round_tripped)
         assert fresh.by_stage() == collector.by_stage()
 
@@ -179,7 +180,7 @@ class TestEvalCacheStats:
         assert stats.trace_evictions == 1
         assert stats.miss_hits == 3
         assert stats.miss_misses == 4
-        # counters() stays local-only: it is the worker baseline primitive.
+        # counters() stays local-only: merged worker counts are kept apart.
         assert cache.counters()["trace"]["hits"] == 0
 
     def test_clear_zeroes_remote(self):
@@ -288,6 +289,48 @@ class TestParallelMergeBack:
         )
         assert requests == len(groups)
 
+    #: Stages that open once per call, cache hit or miss.
+    DETERMINISTIC_STAGES = (
+        "evaluate_batch",
+        "trace_gen",
+        "add_bs",
+        "cycles",
+        "energy",
+    )
+
+    def _stage_calls(self, collector):
+        stages = collector.by_stage()
+        return {name: stages[name]["calls"] for name in self.DETERMINISTIC_STAGES}
+
+    def test_profile_and_trace_together(self, compress_small):
+        configs = self._configs()
+        with obs.collecting() as alone:
+            Evaluator(KernelWorkload(compress_small), cache=EvalCache()).sweep(
+                configs=configs, jobs=2
+            )
+        base = obs.get_metrics().snapshot()
+        with obs.tracing("both") as trace, obs.collecting() as profile:
+            with span("job"):
+                Evaluator(
+                    KernelWorkload(compress_small), cache=EvalCache()
+                ).sweep(configs=configs, jobs=2)
+        delta = obs.get_metrics().diff(base)
+
+        # Each worker records once into its one recorder, which is both
+        # its profile and its trace: no stage is counted twice.
+        assert self._stage_calls(profile) == self._stage_calls(alone)
+
+        events = {tuple(e["path"]): e for e in trace.snapshot()}
+        chunks = [e for e in events.values() if e["name"].startswith("chunk[")]
+        assert len(chunks) == delta["counters"]["parallel.chunks_completed"]
+        assert len(chunks) >= 2
+        for chunk in chunks:
+            # Worker events continue the dispatcher's exported path.
+            assert chunk["path"][:2] == ["job", "sweep"]
+            assert chunk["count"] == 1
+            assert chunk["workers"] and os.getpid() not in chunk["workers"]
+            assert (*chunk["path"], "evaluate_batch") in events
+
     def test_parallel_matches_serial(self, compress_small):
         configs = self._configs()
         serial = Evaluator(KernelWorkload(compress_small)).sweep(configs=configs)
@@ -328,8 +371,8 @@ class TestParallelMergeBack:
 
 class TestReport:
     def test_schema_and_sections(self):
-        collector = SpanCollector()
-        collector.record(("sweep", "evaluate"), 0.5)
+        collector = SpanRecorder()
+        collector.record(("sweep", "evaluate"), 0.0, 0.5)
         cache = EvalCache()
         cache.trace("k", lambda: 1)
         report = obs.build_report(
@@ -341,8 +384,8 @@ class TestReport:
         assert set(report) == {"schema", "spans", "stages", "metrics", "cache"}
 
     def test_write_report_round_trip(self, tmp_path):
-        collector = SpanCollector()
-        collector.record(("evaluate",), 0.25)
+        collector = SpanRecorder()
+        collector.record(("evaluate",), 0.0, 0.25)
         report = obs.build_report(collector=collector)
         path = tmp_path / "metrics.json"
         obs.write_report(str(path), report)
@@ -351,9 +394,9 @@ class TestReport:
         assert loaded["stages"]["evaluate"]["total_s"] == pytest.approx(0.25)
 
     def test_render_stage_table(self):
-        collector = SpanCollector()
+        collector = SpanRecorder()
         for stage in ("sweep", "evaluate", "trace_gen", "miss_measure"):
-            collector.record((stage,), 0.01)
+            collector.record((stage,), 0.0, 0.01)
         cache = EvalCache()
         cache.miss("k", lambda: 1)
         table = obs.render_stage_table(
@@ -366,7 +409,7 @@ class TestReport:
 
     def test_render_without_spans_hints_at_profile(self):
         table = obs.render_stage_table(
-            obs.build_report(collector=SpanCollector())
+            obs.build_report(collector=SpanRecorder())
         )
         assert "--profile" in table
 

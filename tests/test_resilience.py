@@ -15,7 +15,9 @@ The load-bearing claims:
   ``parallel.*`` counters.
 """
 
+import copy
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -40,8 +42,10 @@ from repro.engine.resilience import (
     estimate_from_json,
     estimate_to_json,
 )
+from repro.engine.cache import EvalCache
 from repro.kernels import get_kernel, make_compress
 from repro.obs.metrics import get_metrics
+from repro.obs.spans import tracing
 
 #: A quick retry policy so failure tests do not sleep for real.
 FAST_RETRY = RetryPolicy(max_retries=3, backoff_base_s=0.001, backoff_cap_s=0.01)
@@ -81,6 +85,27 @@ class _PoisonedEvaluator:
 
     def evaluate_batch(self, configs):
         return [self.evaluate(config) for config in configs]
+
+
+@dataclass(frozen=True)
+class _FieldCorrupter(FaultInjector):
+    """Corrupts one field of every chunk's first-attempt delta."""
+
+    field: str = "bool"
+
+    def mangle_payload(self, token, attempt, payload):
+        if attempt > 0:
+            return payload
+        pairs, delta = payload
+        delta = copy.deepcopy(delta)
+        counters = delta["metrics"]["counters"]
+        if self.field == "bool":
+            counters["evalcache.trace.hits"] = True
+        elif self.field == "str":
+            counters["evalcache.miss.misses"] = "7"
+        else:
+            del delta["spans"][0]["path"]
+        return pairs, delta
 
 
 class TestRetryPolicy:
@@ -425,6 +450,45 @@ class TestFaultInjection:
         )
         assert list(run.estimates) == list(clean.estimates)
         assert _counter("resilience.chunk_failures") > before
+
+    @pytest.mark.parametrize("field", ["bool", "str", "pathless"])
+    def test_one_corrupt_field_rejected(self, field):
+        # A payload with one bad field is rejected whole and retried: the
+        # registry, the cache stats and the job trace see only the
+        # accepted second attempt of each chunk.
+        _, configs, clean = self._clean()
+        evaluator = Evaluator(
+            KernelWorkload(get_kernel("compress")), cache=EvalCache()
+        )
+        base = get_metrics().snapshot()
+        with tracing("corrupt") as trace:
+            run = evaluator.sweep(
+                configs=configs,
+                jobs=2,
+                resilience=ResilienceOptions(
+                    retry=FAST_RETRY, fault_injector=_FieldCorrupter(field=field)
+                ),
+            )
+        delta = get_metrics().diff(base)["counters"]
+        assert list(run.estimates) == list(clean.estimates)
+
+        chunks = [e for e in trace.snapshot() if e["name"].startswith("chunk[")]
+        assert len(chunks) >= 2
+        assert delta["resilience.chunk_failures"] == len(chunks)
+        assert delta["parallel.chunks_completed"] == len(chunks)
+        for chunk in chunks:
+            assert chunk["count"] == 1
+            assert chunk["attrs"]["attempt"] == 1
+
+        groups = len({(c.size, c.line_size, c.tiling) for c in configs})
+        assert delta["engine.configs_evaluated"] == len(configs)
+        assert (
+            delta.get("evalcache.trace.hits", 0)
+            + delta.get("evalcache.trace.misses", 0)
+            == groups
+        )
+        stats = evaluator.cache.stats()
+        assert stats.trace_hits + stats.trace_misses == groups
 
     def test_hard_kills_absorbed(self):
         evaluator, configs, clean = self._clean()

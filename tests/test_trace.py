@@ -1,13 +1,12 @@
-"""Distributed tracing (``repro.obs.trace``) and Prometheus exposition.
+"""Job traces (``repro.obs.spans.tracing``) and Prometheus exposition.
 
 Unit-level claims, no server involved:
 
 * spans closing inside a ``tracing()`` context aggregate by path into the
-  recorder, with wall-clock extents, while leaving the profiling span
-  collector alone;
-* the worker protocol (``export_context`` -> ``activate_remote`` ->
-  ``snapshot`` -> ``merge``) is lossless: counts add, extents widen,
-  worker pids union;
+  context's recorder, with wall-clock extents, while leaving the process
+  profile alone;
+* the worker protocol (``export_context`` -> ``activate`` -> ``snapshot``
+  -> ``merge``) is lossless: counts add, extents widen, worker pids union;
 * ``build_document`` produces ``repro.trace/1`` with deterministic,
   internally consistent parent/child links;
 * the Prometheus text rendering round-trips through the strict parser,
@@ -20,17 +19,20 @@ import time
 
 import pytest
 
-from repro.obs import trace as obs_trace
+from repro.obs import spans as obs_spans
 from repro.obs.metrics import (
     BUCKET_BOUNDS,
     MetricsRegistry,
 )
 from repro.obs.prometheus import parse_prometheus, render_prometheus
-from repro.obs.spans import get_collector, span
-from repro.obs.trace import (
-    TRACE_SCHEMA,
-    TraceRecorder,
-    build_document,
+from repro.obs.report import TRACE_SCHEMA, build_document
+from repro.obs.spans import (
+    SpanRecorder,
+    activate,
+    deactivate,
+    export_context,
+    get_profile,
+    span,
     tracing,
 )
 from repro.serve.top import render as render_top
@@ -38,7 +40,7 @@ from repro.serve.top import render as render_top
 
 class TestRecorder:
     def test_record_aggregates_by_path(self):
-        recorder = TraceRecorder("t1")
+        recorder = SpanRecorder("t1")
         recorder.record(("sweep", "evaluate"), 1.0, 1.5)
         recorder.record(("sweep", "evaluate"), 2.0, 2.25)
         recorder.record(("sweep",), 0.5, 3.0)
@@ -51,29 +53,37 @@ class TestRecorder:
         assert ev["end_s"] - ev["start_s"] == pytest.approx(1.25)
 
     def test_base_path_prefixes_events(self):
-        recorder = TraceRecorder("t1", base_path=("job", "sweep"))
-        recorder.record(("chunk[0]",), 0.0, 1.0)
+        # A worker activates with the dispatcher's exported path, so its
+        # spans continue that path.
+        recorder = SpanRecorder("t1")
+        token = activate(recorder, trace=True, path=("job", "sweep"))
+        try:
+            with span("chunk[0]"):
+                pass
+        finally:
+            deactivate(token)
         assert recorder.snapshot()[0]["path"] == ["job", "sweep", "chunk[0]"]
+        assert obs_spans.current_path() == ()
 
     def test_first_attrs_win(self):
-        recorder = TraceRecorder("t1")
+        recorder = SpanRecorder("t1")
         recorder.record(("a",), 0.0, 1.0, {"configs": 4})
         recorder.record(("a",), 1.0, 2.0, {"configs": 9})
         assert recorder.snapshot()[0]["attrs"] == {"configs": 4}
 
     def test_event_cap_counts_drops(self):
-        recorder = TraceRecorder("t1")
-        for index in range(obs_trace.MAX_EVENTS + 7):
+        recorder = SpanRecorder("t1")
+        for index in range(obs_spans.MAX_EVENTS + 7):
             recorder.add_event((f"s{index}",), 0.0, 0.1)
-        assert len(recorder) == obs_trace.MAX_EVENTS
+        assert len(recorder) == obs_spans.MAX_EVENTS
         assert recorder.dropped == 7
 
     def test_merge_is_lossless(self):
-        parent = TraceRecorder("t1")
+        parent = SpanRecorder("t1")
         parent.record(("sweep",), 0.0, 5.0)
-        worker = TraceRecorder("t1", base_path=("sweep",))
-        worker.record(("chunk[0]", "evaluate"), 1.0, 2.0)
-        worker.record(("chunk[0]", "evaluate"), 2.0, 3.0)
+        worker = SpanRecorder("t1")
+        worker.record(("sweep", "chunk[0]", "evaluate"), 1.0, 2.0)
+        worker.record(("sweep", "chunk[0]", "evaluate"), 2.0, 3.0)
         parent.merge(worker.snapshot())
         events = {tuple(e["path"]): e for e in parent.snapshot()}
         merged = events[("sweep", "chunk[0]", "evaluate")]
@@ -84,46 +94,51 @@ class TestRecorder:
 
 class TestContext:
     def test_spans_record_into_active_trace(self):
-        spans_before = len(get_collector().snapshot())
+        spans_before = len(get_profile().snapshot())
         with tracing("abc") as recorder:
             with span("outer"):
                 with span("inner"):
                     time.sleep(0.001)
         events = {tuple(e["path"]) for e in recorder.snapshot()}
         assert events == {("outer",), ("outer", "inner")}
-        # Tracing alone must not feed the profiling collector.
-        assert len(get_collector().snapshot()) == spans_before
+        # Tracing alone must not feed the process profile.
+        assert len(get_profile().snapshot()) == spans_before
 
     def test_no_recorder_outside_context(self):
-        assert obs_trace.current_trace() is None
+        assert obs_spans.current_trace() is None
         with tracing("abc"):
-            assert obs_trace.trace_active()
-        assert obs_trace.current_trace() is None
+            assert obs_spans.trace_active()
+        assert obs_spans.current_trace() is None
 
     def test_export_activate_round_trip(self):
         with tracing("abc") as parent:
-            context = obs_trace.export_context(("job", "sweep"))
-        assert context == {"trace_id": "abc", "path": ["job", "sweep"]}
-        token = obs_trace.activate_remote(context)
-        assert token is not None
-        _, remote = token
+            with span("job"):
+                with span("sweep"):
+                    context = export_context()
+        assert context == {
+            "profile": False,
+            "trace_id": "abc",
+            "path": ["job", "sweep"],
+        }
+        remote = SpanRecorder(context["trace_id"])
+        token = activate(remote, trace=True, path=context["path"])
         try:
             with span("chunk[0]"):
                 pass
         finally:
-            obs_trace.deactivate(token)
+            deactivate(token)
         parent.merge(remote.snapshot())
         paths = {tuple(e["path"]) for e in parent.snapshot()}
         assert ("job", "sweep", "chunk[0]") in paths
 
-    def test_activate_remote_none_is_noop(self):
-        assert obs_trace.activate_remote(None) is None
-        obs_trace.deactivate(None)  # must not raise
+    def test_nothing_recording_exports_none(self):
+        # Workers get no context, so they activate nothing.
+        assert export_context() is None
 
 
 class TestDocument:
     def test_parent_links_are_consistent(self):
-        recorder = TraceRecorder("t1")
+        recorder = SpanRecorder("t1")
         recorder.record(("job",), 0.0, 10.0)
         recorder.record(("job", "sweep"), 1.0, 8.0)
         recorder.record(("job", "sweep", "chunk[0]"), 2.0, 3.0)
@@ -145,7 +160,7 @@ class TestDocument:
         ]
 
     def test_events_sorted_by_start_with_wall_extent(self):
-        recorder = TraceRecorder("t1")
+        recorder = SpanRecorder("t1")
         recorder.add_event(("b",), 5.0, 1.0)
         recorder.add_event(("a",), 2.0, 10.0)
         doc = build_document(recorder)
@@ -154,8 +169,8 @@ class TestDocument:
         assert doc["duration_s"] == pytest.approx(10.0)
 
     def test_orphan_paths_have_no_parent(self):
-        recorder = TraceRecorder("t1", base_path=("job",))
-        recorder.record(("sweep", "chunk[0]"), 0.0, 1.0)
+        recorder = SpanRecorder("t1")
+        recorder.record(("job", "sweep", "chunk[0]"), 0.0, 1.0)
         doc = build_document(recorder)
         (event,) = doc["events"]
         assert event["parent_id"] is None  # ("job","sweep") never recorded
