@@ -2,13 +2,18 @@
 
 The resilience layer must be cheap enough to leave on for real sweeps:
 
-* journaling every completed chunk (flush + fsync per chunk) is measured
-  against the identical un-journaled sweep -- the durability tax;
-* resuming from a complete journal is measured absolutely -- a resumed
-  sweep does no evaluation, so its cost is pure journal parsing, and it
+* recording every completed chunk in a result store (one sqlite WAL
+  commit per chunk, ``synchronous=NORMAL``) is measured against the
+  identical unrecorded sweep -- the durability tax;
+* resuming from a complete store is measured absolutely -- a resumed
+  sweep does no evaluation, so its cost is one store read, and it
   bounds how fast a killed exploration gets back to where it died;
 * both paths must return bit-identical estimates, asserted here like
   every other executor bench.
+
+The rows keep the labels they had when a JSONL journal was the sweep's
+record (``journaled`` is the store-recorded sweep, ``complete journal``
+the complete store), so the regression gate compares like with like.
 """
 
 import time
@@ -21,13 +26,14 @@ from repro.engine import (
     ResilienceOptions,
 )
 from repro.kernels import get_kernel
+from repro.serve.store import ResultStore
 
 SWEEP = dict(max_size=256, min_size=16, ways=(1, 2, 4), tilings=(1, 2))
 
 
 def test_perf_resilience_overhead(benchmark, report, tmp_path):
     kernel = get_kernel("compress")
-    path = str(tmp_path / "bench.jsonl")
+    path = str(tmp_path / "bench.db")
 
     def compare():
         evaluator = Evaluator(KernelWorkload(kernel), cache=EvalCache())
@@ -38,18 +44,17 @@ def test_perf_resilience_overhead(benchmark, report, tmp_path):
         plain = ParallelSweep(jobs=1).run(evaluator, configs)
         t_plain = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        journaled = ParallelSweep(
-            jobs=1, resilience=ResilienceOptions(checkpoint=path)
-        ).run(evaluator, configs)
-        t_journaled = time.perf_counter() - t0
+        with ResultStore(path) as store:
+            recorded = ParallelSweep(
+                jobs=1, resilience=ResilienceOptions(store=store)
+            )
+            t0 = time.perf_counter()
+            journaled = recorded.run(evaluator, configs)
+            t_journaled = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        resumed = ParallelSweep(
-            jobs=1,
-            resilience=ResilienceOptions(checkpoint=path, resume=True),
-        ).run(evaluator, configs)
-        t_resumed = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            resumed = recorded.run(evaluator, configs)
+            t_resumed = time.perf_counter() - t0
 
         return plain, journaled, resumed, t_plain, t_journaled, t_resumed
 

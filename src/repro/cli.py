@@ -76,15 +76,19 @@ logger hierarchy), ``--profile`` (collect spans and print the per-stage
 table) and ``--metrics-out FILE.json`` (write the machine-readable
 ``repro.obs/1`` report).  The sweeping subcommands (``explore``,
 ``mpeg``, ``spm``, ``stats``) also take the resilience flags
-``--checkpoint FILE.jsonl`` / ``--resume`` / ``--chunk-timeout`` /
-``--max-retries`` for fault-tolerant, resumable sweeps, and (with
-``search``) ``--manifest-out FILE.json`` to write the run's
-``repro.manifest/1`` provenance document.
+``--checkpoint STORE.db`` / ``--chunk-timeout`` / ``--max-retries`` for
+fault-tolerant, resumable sweeps (``pareto`` takes ``--checkpoint``
+too), and (with ``search``) ``--manifest-out FILE.json`` to write the
+run's ``repro.manifest/1`` provenance document.  ``--checkpoint`` names
+a result store: a run takes every row stored for its evaluator, so
+rerunning a killed command over the same store resumes it, and a run
+over a complete store evaluates nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import multiprocessing
 import sys
@@ -190,14 +194,10 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("resilience (fault-tolerant sweeps)")
     group.add_argument(
         "--checkpoint",
-        metavar="FILE.jsonl",
+        metavar="STORE.db",
         default=None,
-        help="journal completed sweep chunks to this append-only file",
-    )
-    group.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip configurations already journaled in --checkpoint",
+        help="result store to resume from and record each completed "
+        "chunk in",
     )
     group.add_argument(
         "--chunk-timeout",
@@ -215,26 +215,70 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resilience(args: argparse.Namespace):
-    """Build :class:`ResilienceOptions` from the CLI flags (or ``None``)."""
-    if (
-        args.checkpoint is None
-        and not args.resume
-        and args.chunk_timeout is None
-        and args.max_retries is None
-    ):
+def _journal_schema(path: str) -> Optional[str]:
+    """The schema of the JSONL sweep journal at ``path``, if it is one."""
+    try:
+        with open(path, "rb") as handle:
+            header = json.loads(handle.readline(1 << 16))
+    except (OSError, ValueError):
         return None
-    from repro.engine.resilience import ResilienceOptions, RetryPolicy
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if isinstance(schema, str) and schema.startswith(
+        ("repro.checkpoint/", "repro.moo.checkpoint/")
+    ):
+        return schema
+    return None
 
-    retry = RetryPolicy()
-    if args.max_retries is not None:
-        retry = RetryPolicy(max_retries=args.max_retries)
-    return ResilienceOptions(
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        chunk_timeout_s=args.chunk_timeout,
-        retry=retry,
-    )
+
+def _open_store(path: str):
+    """The result store at ``path``; a file that is not one is a CLIError."""
+    from repro.serve.store import StoreError, open_store
+
+    try:
+        return open_store(path)
+    except StoreError as exc:
+        schema = _journal_schema(path)
+        if schema is not None:
+            raise CLIError(
+                f"{path} is a {schema} sweep journal; that format is "
+                "retired and --checkpoint now names a result store, so "
+                "pick a new path"
+            ) from None
+        raise CLIError(str(exc)) from None
+
+
+@contextlib.contextmanager
+def _checkpoint_store(args: argparse.Namespace):
+    """The store ``--checkpoint`` names, open for the command (or ``None``)."""
+    if args.checkpoint is None:
+        yield None
+        return
+    store = _open_store(args.checkpoint)
+    try:
+        yield store
+    finally:
+        store.close()
+
+
+@contextlib.contextmanager
+def _resilience(args: argparse.Namespace):
+    """:class:`ResilienceOptions` from the CLI flags (or ``None``)."""
+    with _checkpoint_store(args) as store:
+        if (
+            store is None
+            and args.chunk_timeout is None
+            and args.max_retries is None
+        ):
+            yield None
+            return
+        from repro.engine.resilience import ResilienceOptions, RetryPolicy
+
+        retry = RetryPolicy()
+        if args.max_retries is not None:
+            retry = RetryPolicy(max_retries=args.max_retries)
+        yield ResilienceOptions(
+            store=store, chunk_timeout_s=args.chunk_timeout, retry=retry
+        )
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -292,20 +336,19 @@ def _write_manifest(
     """
     if getattr(args, "manifest_out", None) is None:
         return
+    from repro.engine.resilience import (
+        RetryPolicy,
+        evaluator_fingerprint,
+        sweep_fingerprint,
+    )
     from repro.registry import MANIFEST_SCHEMA, build_manifest
 
     eval_id = None
     sweep_fp = None
     if evaluator is not None:
-        from repro.serve.store import evaluator_fingerprint
-
         eval_id = evaluator_fingerprint(evaluator)
         if configs is not None:
-            from repro.engine.resilience import sweep_fingerprint
-
             sweep_fp = sweep_fingerprint(evaluator, list(configs))
-    resilience = _resilience(args) if hasattr(args, "checkpoint") else None
-    seed = resilience.retry.seed if resilience is not None else 0
     plugins = [("kernel", name) for name in kernels]
     plugins.append(("backend", args.backend))
     plugins.append(("energy", getattr(args, "energy_model", "hwo")))
@@ -314,7 +357,7 @@ def _write_manifest(
         plugins,
         eval_id=eval_id,
         sweep_fingerprint=sweep_fp,
-        seeds={"retry_backoff": seed},
+        seeds={"retry_backoff": RetryPolicy.seed},
     )
     with open(args.manifest_out, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -349,14 +392,15 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         optimize_layout=not args.no_layout_opt,
         backend=args.backend,
     )
-    result = explorer.explore(
-        max_size=args.max_size,
-        min_size=args.min_size,
-        ways=tuple(args.ways),
-        tilings=tuple(args.tilings) if args.tilings else None,
-        jobs=args.jobs,
-        resilience=_resilience(args),
-    )
+    with _resilience(args) as resilience:
+        result = explorer.explore(
+            max_size=args.max_size,
+            min_size=args.min_size,
+            ways=tuple(args.ways),
+            tilings=tuple(args.tilings) if args.tilings else None,
+            jobs=args.jobs,
+            resilience=resilience,
+        )
     _write_manifest(
         args,
         [args.kernel],
@@ -426,7 +470,8 @@ def _cmd_mpeg(args: argparse.Namespace) -> int:
             tilings=(1, 2, 4, 8, 16),
         )
     )
-    result = program.explore(configs, jobs=args.jobs, resilience=_resilience(args))
+    with _resilience(args) as resilience:
+        result = program.explore(configs, jobs=args.jobs, resilience=resilience)
     _write_manifest(
         args,
         [f"mpeg:{name}" for name in sorted(k.name for k in program.kernels)],
@@ -448,14 +493,15 @@ def _cmd_spm(args: argparse.Namespace) -> int:
     from repro.spm.explorer import compare_cache_vs_spm
 
     kernel = _resolve_kernel(args.kernel)
-    rows = compare_cache_vs_spm(
-        kernel,
-        budgets=args.budgets,
-        energy_model=_energy_model(args),
-        backend=args.backend,
-        jobs=args.jobs,
-        resilience=_resilience(args),
-    )
+    with _resilience(args) as resilience:
+        rows = compare_cache_vs_spm(
+            kernel,
+            budgets=args.budgets,
+            energy_model=_energy_model(args),
+            backend=args.backend,
+            jobs=args.jobs,
+            resilience=resilience,
+        )
     _write_manifest(args, [args.kernel])
     print(f"{'budget':>8s} {'cache nJ':>10s} {'spm nJ':>10s} "
           f"{'spm hit':>8s} {'E winner':>9s} {'t winner':>9s}")
@@ -568,7 +614,6 @@ def _print_front(estimates, objectives) -> None:
 def _cmd_pareto(args: argparse.Namespace) -> int:
     if args.server is not None:
         return _pareto_remote(args)
-    from repro.engine.resilience import CheckpointError
     from repro.moo import run_search
 
     settings = _search_settings(args)
@@ -588,17 +633,17 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
         )
     )
     try:
-        run = run_search(
-            explorer.evaluator,
-            space,
-            settings,
-            jobs=args.jobs,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            on_generation=lambda event, archive: print(_front_line(event)),
-        )
-    except CheckpointError as exc:
-        raise CLIError(str(exc)) from None
+        with _checkpoint_store(args) as store:
+            run = run_search(
+                explorer.evaluator,
+                space,
+                settings,
+                jobs=args.jobs,
+                store=store,
+                on_generation=lambda event, archive: print(
+                    _front_line(event)
+                ),
+            )
     except ValueError as exc:
         raise CLIError(str(exc)) from None
     _write_manifest(
@@ -621,10 +666,10 @@ def _pareto_remote(args: argparse.Namespace) -> int:
     from repro.serve import JobSpec, ServeClient, ServeError
 
     settings = _search_settings(args)
-    if args.checkpoint is not None or args.resume:
+    if args.checkpoint is not None:
         raise CLIError(
-            "--checkpoint/--resume are local-run flags; a served search "
-            "resumes from the server's result store automatically"
+            "--checkpoint is a local-run flag; a served search resumes "
+            "from the server's result store automatically"
         )
     if getattr(args, "energy_model", "hwo") != "hwo":
         raise CLIError(
@@ -747,14 +792,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     was_profiling = obs.profiling_enabled()
     obs.enable_profiling()
     try:
-        result = explorer.explore(
-            max_size=args.max_size,
-            min_size=args.min_size,
-            ways=tuple(args.ways),
-            tilings=tuple(args.tilings) if args.tilings else None,
-            jobs=args.jobs,
-            resilience=_resilience(args),
-        )
+        with _resilience(args) as resilience:
+            result = explorer.explore(
+                max_size=args.max_size,
+                min_size=args.min_size,
+                ways=tuple(args.ways),
+                tilings=tuple(args.tilings) if args.tilings else None,
+                jobs=args.jobs,
+                resilience=resilience,
+            )
     finally:
         if not was_profiling:
             obs.disable_profiling()
@@ -998,11 +1044,9 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     """``repro store verify``: audit (and optionally repair) a store."""
-    from repro.serve import open_store
-
     if args.action != "verify":  # pragma: no cover (argparse enforces)
         raise CLIError(f"unknown store action {args.action!r}")
-    store = open_store(args.store)
+    store = _open_store(args.store)
     try:
         report = store.verify(repair=args.repair)
     finally:
@@ -1180,13 +1224,9 @@ def build_parser() -> argparse.ArgumentParser:
     pareto.add_argument("--ways", type=int, nargs="+", default=[1])
     pareto.add_argument("--tilings", type=int, nargs="+", default=None)
     pareto.add_argument(
-        "--checkpoint", metavar="FILE.jsonl", default=None,
-        help="journal completed generations to this append-only file "
-             "(local runs)",
-    )
-    pareto.add_argument(
-        "--resume", action="store_true",
-        help="replay generations already journaled in --checkpoint",
+        "--checkpoint", metavar="STORE.db", default=None,
+        help="result store to replay stored evaluations from and record "
+             "fresh ones in (local runs)",
     )
     pareto.add_argument(
         "--server", default=None, metavar="URL",

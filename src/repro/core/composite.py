@@ -163,8 +163,9 @@ class CompositeProgram:
         :class:`~repro.engine.parallel.ParallelSweep`, preserving order.
         ``resilience`` (a
         :class:`~repro.engine.resilience.ResilienceOptions`) opts into
-        per-chunk retries, timeouts and checkpoint/resume -- the journal
-        fingerprint covers every kernel and trip count of the composite.
+        per-chunk retries, timeouts and a resumable result store, whose
+        key covers every kernel, trip count and the layout flag of the
+        composite.
         """
         ordered = order_configs(configs)
         if (jobs and jobs > 1) or resilience is not None:

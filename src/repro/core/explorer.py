@@ -144,7 +144,7 @@ class MemExplorer:
         sweep shares each generated trace; ``jobs > 1`` distributes the
         sweep across processes with bit-identical results.  ``resilience``
         (a :class:`~repro.engine.resilience.ResilienceOptions`) opts into
-        per-chunk retries, timeouts and checkpoint/resume.
+        per-chunk retries, timeouts and a resumable result store.
         """
         logger.info(
             "MemExplore: kernel=%s backend=%s optimize_layout=%s jobs=%d",

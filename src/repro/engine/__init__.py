@@ -15,8 +15,9 @@ implementation, consumed by every exploration layer:
   multi-process fan-out with deterministic, bit-identical results, on
   a :class:`WorkerPool` a long-lived caller can reuse across sweeps;
 * :mod:`repro.engine.resilience` -- fault tolerance for sweeps: per-chunk
-  retries with backoff, watchdog timeouts, and the append-only
-  :class:`SweepCheckpoint` journal behind ``--checkpoint``/``--resume``;
+  retries with backoff, watchdog timeouts, cancellation, and the
+  evaluator fingerprint that keys the result store behind
+  ``--checkpoint``;
 * :mod:`repro.engine.faults` -- the deterministic fault-injection harness
   (:class:`FaultInjector`) the test suite and nightly CI chaos job wrap
   around chunk dispatch.
@@ -53,14 +54,12 @@ from repro.engine.evaluator import Evaluator, assemble_estimate, order_configs
 from repro.engine.faults import FaultInjector, InjectedCrash
 from repro.engine.parallel import ParallelSweep, WorkerPool
 from repro.engine.resilience import (
-    CheckpointError,
-    CheckpointMismatchError,
     CorruptPayloadError,
     ResilienceOptions,
     RetryPolicy,
-    SweepCheckpoint,
     SweepChunkError,
     TransientChunkError,
+    evaluator_fingerprint,
     sweep_fingerprint,
 )
 from repro.engine.result import ExplorationResult
@@ -77,8 +76,6 @@ __all__ = [
     "AnalyticBackend",
     "Backend",
     "CacheStats",
-    "CheckpointError",
-    "CheckpointMismatchError",
     "CorruptPayloadError",
     "EvalCache",
     "Evaluator",
@@ -95,7 +92,6 @@ __all__ = [
     "ResilienceOptions",
     "RetryPolicy",
     "SampledBackend",
-    "SweepCheckpoint",
     "SweepChunkError",
     "TraceBundle",
     "TraceWorkload",
@@ -106,6 +102,7 @@ __all__ = [
     "available_backends",
     "cached_miss_vector",
     "configure_eval_cache",
+    "evaluator_fingerprint",
     "get_backend",
     "get_eval_cache",
     "order_configs",

@@ -307,10 +307,12 @@ class Evaluator:
         serial path, which the tests assert).
 
         ``resilience`` opts into fault tolerance -- per-chunk retries and
-        timeouts, checkpoint journaling and resume-from-checkpoint (see
+        timeouts, and a result store that supplies what it holds and
+        records each committed chunk (see
         :class:`~repro.engine.resilience.ResilienceOptions`).  It applies
-        to serial sweeps too: ``jobs=1`` with a checkpoint journals and
-        resumes chunk by chunk through the same executor.
+        to serial sweeps too: ``jobs=1`` with a store resumes and records
+        chunk by chunk through the same executor, which opens the
+        ``sweep`` span itself once it has work to do.
         """
         if configs is None:
             configs = design_space(max_size=max_size, **space_kwargs)
@@ -322,16 +324,19 @@ class Evaluator:
             jobs,
         )
         started = time.perf_counter()
-        with span(
-            "sweep", backend=self.backend.name, configs=len(ordered), jobs=jobs
-        ):
-            if (jobs and jobs > 1) or resilience is not None:
-                from repro.engine.parallel import ParallelSweep
+        if (jobs and jobs > 1) or resilience is not None:
+            from repro.engine.parallel import ParallelSweep
 
-                estimates = ParallelSweep(
-                    jobs=jobs or 1, resilience=resilience
-                ).run(self, ordered)
-            else:
+            estimates = ParallelSweep(
+                jobs=jobs or 1, resilience=resilience
+            ).run(self, ordered)
+        else:
+            with span(
+                "sweep",
+                backend=self.backend.name,
+                configs=len(ordered),
+                jobs=jobs,
+            ):
                 estimates = self.evaluate_batch(ordered)
         elapsed = time.perf_counter() - started
         metrics = get_metrics()

@@ -24,13 +24,15 @@ Failure handling is per-chunk, not per-sweep (see
 * environments that cannot fork or pickle at all (restricted sandboxes)
   still fall back to serial execution of whatever is unfinished, logged
   at warning level so the degradation is never silent;
-* with a :class:`~repro.engine.resilience.SweepCheckpoint` journal,
-  every completed chunk is durably recorded, and ``resume`` restarts a
-  killed sweep exactly where it stopped -- the resumed result table is
-  bit-identical to an uninterrupted run;
-* an ``on_commit`` hook sees every completed chunk as it is committed;
-  the exploration service writes each chunk's rows to its result store
-  there, so the store alone records a served sweep's progress.
+* with a result store (``ResilienceOptions.store``: the CLI's
+  ``--checkpoint``, the exploration service's store), a sweep takes
+  every row stored for its evaluator, dispatches only the rest, and
+  writes each completed chunk's rows as the chunk commits -- so a killed
+  sweep, CLI run or served job alike, restarts exactly where it
+  stopped, bit-identical to an uninterrupted run, and a sweep the store
+  answers in full touches neither the pool nor the breaker;
+* an ``on_commit`` hook sees every completed chunk as it is committed
+  (the exploration service reports job progress there).
 
 Per-chunk timeouts are watchdog-style: whenever ``chunk_timeout_s``
 elapses without *any* chunk completing, the in-flight chunks are declared
@@ -89,10 +91,9 @@ from repro.engine.resilience import (
     CorruptPayloadError,
     ResilienceOptions,
     SweepCancelledError,
-    SweepCheckpoint,
     SweepChunkError,
     TransientChunkError,
-    sweep_fingerprint,
+    evaluator_fingerprint,
 )
 from repro.obs.metrics import get_metrics
 from repro.obs.spans import (
@@ -149,6 +150,11 @@ def _evaluate_pairs(
     """Evaluate an indexed chunk as one ``evaluate_batch`` call."""
     estimates = evaluator.evaluate_batch([config for _, config in indexed])
     return [(index, est) for (index, _), est in zip(indexed, estimates)]
+
+
+def _backend_name(evaluator: Any) -> Any:
+    backend = getattr(evaluator, "backend", None)
+    return getattr(backend, "name", backend)
 
 
 def _chunk_span(indexed: _Chunk, **attrs: Any):
@@ -382,25 +388,18 @@ class ParallelSweep:
         run of configurations sharing a trace and line size, so each such
         group is generated and measured by one worker.
     resilience:
-        Retry/timeout/checkpoint behaviour
+        Retry/timeout/store behaviour
         (:class:`~repro.engine.resilience.ResilienceOptions`); the default
-        retries transient chunk failures but journals nothing.
+        retries transient chunk failures but stores nothing.
     on_commit:
         Optional ``(estimates, done, total)`` callback fired in the
         parent process once before any work, with no estimates and the
-        configurations already done, and then once per completed chunk
-        with that chunk's fresh estimates.  An exception it raises fails
-        the sweep, like a failed journal write: the exploration service
-        writes each chunk's rows to its result store here, and a lost
-        row would be a wrong result.
+        configurations the store already held, and then once per
+        completed chunk with that chunk's fresh estimates, after they are
+        stored.  An exception it raises fails the sweep.
     pool:
         The :class:`WorkerPool` to dispatch to; ``None`` builds one that
         lives only for each :meth:`run`.
-    known:
-        Estimates the caller already holds (the service's result store),
-        by configuration.  Like rows resumed from the checkpoint journal
-        they count as done from the start: never dispatched, never
-        journaled, never passed to ``on_commit``.
 
     Worker processes start from the platform default, or from a fork
     server when the calling process runs other threads (see
@@ -416,7 +415,6 @@ class ParallelSweep:
             Callable[[List[PerformanceEstimate], int, int], None]
         ] = None,
         pool: Optional[WorkerPool] = None,
-        known: Optional[Mapping[CacheConfig, PerformanceEstimate]] = None,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("job count must be at least 1")
@@ -430,8 +428,9 @@ class ParallelSweep:
         )
         self.on_commit = on_commit
         self.pool = pool
-        self.known = known if known is not None else {}
         self._progress_total = 0
+        #: The store key of the running sweep's evaluator (with a store).
+        self._eval_id: Optional[str] = None
 
     def _chunks(
         self, evaluator: Any, configs: Sequence[CacheConfig]
@@ -464,86 +463,104 @@ class ParallelSweep:
         ``evaluator`` is anything with a picklable
         ``evaluate_batch(configs)`` method -- an
         :class:`~repro.engine.evaluator.Evaluator`, a
-        :class:`~repro.core.composite.CompositeProgram`, etc.
+        :class:`~repro.core.composite.CompositeProgram`, etc.  With a
+        store, this is the one path that reads it, fans out only what it
+        lacks and writes every committed chunk back.
         """
         configs = list(configs)
         opts = self.resilience
-        # Without explicit resilience options, tiny/serial sweeps keep the
-        # historical direct path (raw exceptions, no journal, no wrapping).
-        if not (
-            self._explicit_resilience or self.known or self.on_commit
-        ) and (self.jobs <= 1 or len(configs) <= 1):
-            pairs = _evaluate_pairs(evaluator, list(enumerate(configs)))
-            return [estimate for _, estimate in pairs]
-        journal, known = self._open_journal(evaluator, configs, opts)
-        tagged = {
-            index: known[config]
-            for index, config in enumerate(configs)
-            if config in known
-        }
+        tagged = self._stored(evaluator, configs, opts)
+        if len(tagged) < len(configs):
+            with span(
+                "sweep",
+                backend=_backend_name(evaluator),
+                configs=len(configs),
+                jobs=self.jobs,
+            ):
+                # Without explicit resilience options, tiny/serial sweeps
+                # keep the historical direct path (raw exceptions, no
+                # wrapping).
+                if not (self._explicit_resilience or self.on_commit) and (
+                    self.jobs <= 1 or len(configs) <= 1
+                ):
+                    tagged = dict(
+                        _evaluate_pairs(evaluator, list(enumerate(configs)))
+                    )
+                else:
+                    self._fan_out(evaluator, configs, opts, tagged)
+        return [tagged[index] for index in range(len(configs))]
+
+    def _fan_out(
+        self,
+        evaluator: Any,
+        configs: List[CacheConfig],
+        opts: ResilienceOptions,
+        tagged: Dict[int, PerformanceEstimate],
+    ) -> None:
+        """Evaluate every configuration not yet in ``tagged``, chunk by chunk."""
         self._progress_total = len(configs)
+        breaker = opts.breaker
+        if breaker is not None and not breaker.allow():
+            get_metrics().counter("breaker.fail_fast").inc()
+            raise CircuitOpenError(
+                "circuit breaker %s is open; retry in %.0fs"
+                % (breaker.name or "<unnamed>", breaker.retry_after_s()),
+                retry_after_s=breaker.retry_after_s(),
+            )
         if self.on_commit is not None:
             self.on_commit([], len(tagged), len(configs))
-        owned: Optional[WorkerPool] = None
+        self._check_cancel(opts, tagged)
+        pending = self._pending_chunks(evaluator, configs, tagged)
+        logger.debug(
+            "dispatching %d configs as %d chunks (%d stored) to %d workers",
+            len(configs),
+            len(pending),
+            len(tagged),
+            self.jobs,
+        )
+        if self.jobs <= 1 or len(pending) <= 1:
+            self._run_chunks_serial(evaluator, pending, opts, tagged)
+            return
+        owned = None
+        pool = self.pool
+        if pool is None:
+            pool = owned = WorkerPool(min(self.jobs, len(pending)))
         try:
-            self._check_cancel(opts, tagged)
-            pending = self._pending_chunks(evaluator, configs, tagged)
-            logger.debug(
-                "dispatching %d configs as %d chunks (%d resumed) to %d workers",
-                len(configs),
-                len(pending),
-                len(tagged),
-                self.jobs,
-            )
-            if self.jobs <= 1 or len(pending) <= 1:
-                self._run_chunks_serial(evaluator, pending, opts, journal, tagged)
-            else:
-                pool = self.pool
-                if pool is None:
-                    pool = owned = WorkerPool(min(self.jobs, len(pending)))
-                self._run_chunks_parallel(
-                    pool, evaluator, pending, opts, journal, tagged
-                )
+            self._run_chunks_parallel(pool, evaluator, pending, opts, tagged)
         finally:
             if owned is not None:
                 owned.close()
-            if journal is not None:
-                journal.close()
-        return [tagged[index] for index in range(len(configs))]
 
     # ------------------------------------------------------------------
-    # checkpoint plumbing
+    # store plumbing
 
-    def _open_journal(
+    def _stored(
         self,
         evaluator: Any,
         configs: Sequence[CacheConfig],
         opts: ResilienceOptions,
-    ) -> Tuple[
-        Optional[SweepCheckpoint], Mapping[CacheConfig, PerformanceEstimate]
-    ]:
-        """The journal to append to, and every estimate known up front."""
-        if opts.checkpoint is None:
-            return None, self.known
-        journal = SweepCheckpoint(opts.checkpoint)
-        fingerprint = sweep_fingerprint(evaluator, configs)
-        loaded: Dict[CacheConfig, PerformanceEstimate] = {}
-        if opts.resume:
-            loaded = journal.load(fingerprint)
-            if loaded:
-                get_metrics().counter("resilience.resumed_configs").inc(
-                    len(loaded)
-                )
-                logger.info(
-                    "resuming sweep from %s: %d of %d configs already done",
-                    opts.checkpoint,
-                    len(loaded),
-                    len(configs),
-                )
-        journal.open_for_append(
-            fingerprint, fresh=not opts.resume, configs=len(configs)
-        )
-        return journal, {**self.known, **loaded}
+    ) -> Dict[int, PerformanceEstimate]:
+        """Every estimate the store already holds, by sweep index."""
+        self._eval_id = None
+        if opts.store is None:
+            return {}
+        self._eval_id = evaluator_fingerprint(evaluator)
+        stored = opts.store.get_many(self._eval_id, configs)
+        if stored:
+            get_metrics().counter("resilience.resumed_configs").inc(
+                len(stored)
+            )
+            logger.info(
+                "%d of %d configs already stored in %s",
+                len(stored),
+                len(configs),
+                opts.store.path,
+            )
+        return {
+            index: stored[config]
+            for index, config in enumerate(configs)
+            if config in stored
+        }
 
     def _pending_chunks(
         self,
@@ -563,17 +580,18 @@ class ParallelSweep:
         evaluator: Any,
         pairs: Sequence[Tuple[int, PerformanceEstimate]],
         delta: Optional[Dict[str, Any]],
-        journal: Optional[SweepCheckpoint],
         tagged: Dict[int, PerformanceEstimate],
     ) -> None:
-        """Fold one completed chunk into the sweep (merge, tag, record)."""
+        """Fold one completed chunk into the sweep (merge, tag, store)."""
         if delta is not None:
             self._merge_delta(evaluator, delta)
         for index, estimate in pairs:
             tagged[index] = estimate
         pairs = sorted(pairs, key=lambda pair: pair[0])
-        if journal is not None:
-            journal.record_chunk(pairs)
+        if self._eval_id is not None:
+            self.resilience.store.put_many(
+                self._eval_id, [(e.config, e) for _, e in pairs]
+            )
             get_metrics().counter("resilience.checkpoint_chunks").inc()
         if self.on_commit is not None:
             self.on_commit(
@@ -589,8 +607,8 @@ class ParallelSweep:
     ) -> None:
         """Raise :class:`SweepCancelledError` if the cancel event is set.
 
-        The journal stays on disk -- committed chunks are durable -- so a
-        resubmission of the same sweep resumes instead of restarting.
+        Committed chunks stay in the store, so a resubmission of the same
+        sweep resumes instead of restarting.
         """
         event = opts.cancel_event
         if event is None or not event.is_set():
@@ -657,7 +675,6 @@ class ParallelSweep:
         evaluator: Any,
         pending: Sequence[_Chunk],
         opts: ResilienceOptions,
-        journal: Optional[SweepCheckpoint],
         tagged: Dict[int, PerformanceEstimate],
     ) -> None:
         """Each chunk in-process, honouring the injector and retry policy."""
@@ -679,7 +696,6 @@ class ParallelSweep:
                         self._evaluate_in_parent(
                             evaluator,
                             [indexed],
-                            journal,
                             tagged,
                             "resilience.degraded_chunks",
                             "chunk at index %d exhausted %d retries (%s); "
@@ -695,14 +711,13 @@ class ParallelSweep:
                     )
                     attempt += 1
                 else:
-                    self._commit(evaluator, pairs, None, journal, tagged)
+                    self._commit(evaluator, pairs, None, tagged)
                     break
 
     def _evaluate_in_parent(
         self,
         evaluator: Any,
         chunks: Sequence[_Chunk],
-        journal: Optional[SweepCheckpoint],
         tagged: Dict[int, PerformanceEstimate],
         counter: str,
         warning: str,
@@ -719,13 +734,12 @@ class ParallelSweep:
         logger.warning(warning, *args)
         for indexed in chunks:
             pairs = self._evaluate_clean(evaluator, indexed)
-            self._commit(evaluator, pairs, None, journal, tagged)
+            self._commit(evaluator, pairs, None, tagged)
 
     def _environment_fallback(
         self,
         evaluator: Any,
         chunks: Sequence[_Chunk],
-        journal: Optional[SweepCheckpoint],
         tagged: Dict[int, PerformanceEstimate],
         exc: BaseException,
     ) -> None:
@@ -733,7 +747,6 @@ class ParallelSweep:
         self._evaluate_in_parent(
             evaluator,
             chunks,
-            journal,
             tagged,
             "parallel.serial_fallbacks",
             "parallel sweep (jobs=%d) fell back to serial execution: %s",
@@ -750,7 +763,6 @@ class ParallelSweep:
         evaluator: Any,
         pending: Sequence[_Chunk],
         opts: ResilienceOptions,
-        journal: Optional[SweepCheckpoint],
         tagged: Dict[int, PerformanceEstimate],
     ) -> None:
         retry = opts.retry
@@ -771,7 +783,6 @@ class ParallelSweep:
                 self._evaluate_in_parent(
                     evaluator,
                     [indexed],
-                    journal,
                     tagged,
                     "resilience.degraded_chunks",
                     "chunk at index %d exhausted its retries; "
@@ -795,7 +806,7 @@ class ParallelSweep:
                 )
                 self._check_cancel(opts, tagged)
             queue = self._dispatch_round(
-                pool, evaluator, queue, opts, attempts, journal, tagged
+                pool, evaluator, queue, opts, attempts, tagged
             )
             round_no += 1
 
@@ -806,12 +817,11 @@ class ParallelSweep:
         queue: Sequence[_Chunk],
         opts: ResilienceOptions,
         attempts: Dict[int, int],
-        journal: Optional[SweepCheckpoint],
         tagged: Dict[int, PerformanceEstimate],
     ) -> List[_Chunk]:
         """One pool round over ``queue``; returns the transient failures.
 
-        Successes commit (merge + tag + journal) as they arrive.  A round
+        Successes commit (merge + tag + store) as they arrive.  A round
         that stalls past ``chunk_timeout_s`` without any completion
         abandons the pool -- hung workers are never joined -- and reports
         everything unfinished as timed out; a round that breaks the pool,
@@ -828,7 +838,7 @@ class ParallelSweep:
         try:
             executor = pool.executor()
         except _ENVIRONMENT_ERRORS as exc:
-            self._environment_fallback(evaluator, queue, journal, tagged, exc)
+            self._environment_fallback(evaluator, queue, tagged, exc)
             return []
         transient: List[_Chunk] = []
         abandoned = False
@@ -935,7 +945,7 @@ class ParallelSweep:
                         for f in not_done:
                             f.cancel()
                         self._environment_fallback(
-                            evaluator, remaining, journal, tagged, exc
+                            evaluator, remaining, tagged, exc
                         )
                         return []
                     except Exception as exc:
@@ -943,7 +953,7 @@ class ParallelSweep:
                             opts.breaker.record_failure()
                         raise SweepChunkError.from_chunk(indexed, exc) from exc
                     else:
-                        self._commit(evaluator, pairs, delta, journal, tagged)
+                        self._commit(evaluator, pairs, delta, tagged)
                         metrics.counter("parallel.chunks_completed").inc()
         except BaseException:
             # Fail fast on any way out (chunk error, open breaker,

@@ -1,28 +1,27 @@
-"""Fault tolerance for sweeps: retries, timeouts, checkpoint/resume.
+"""Fault tolerance for sweeps: retries, timeouts, cancellation, identity.
 
 A production-scale exploration sweeps orders of magnitude more
 configurations than the paper's ``T x L x S x B`` grid, and at that scale
 partial failure is the normal case: a worker process dies, a chunk wedges
 on a pathological geometry, the whole sweep is killed and restarted.
-This module supplies the three pieces :class:`~repro.engine.parallel.ParallelSweep`
+This module supplies the pieces :class:`~repro.engine.parallel.ParallelSweep`
 composes into a fault-tolerant executor:
 
 * :class:`RetryPolicy` -- per-chunk retry with exponential backoff and
   *deterministic* jitter (seeded, so two runs of the same sweep back off
   identically and tests are reproducible);
-* :class:`SweepCheckpoint` -- the append-only JSONL journal of evaluated
-  configurations behind ``--checkpoint`` / ``--resume``, shared by CLI
-  sweeps (one record per completed chunk) and searches (one record per
-  generation, see :func:`~repro.moo.driver.run_search`).  Every record is
-  flushed and fsynced, so a run killed at any point restarts where it
-  stopped; a torn trailing line (the signature of a mid-write kill) is
-  ignored on load and cut off before the resumed run appends.  The
-  journal is bound to a fingerprint of the workload, backend and
-  configuration list, so resuming against a *different* run fails loudly
-  instead of silently mixing results;
+* :class:`CircuitBreaker` -- consecutive-failure fail-fast for one
+  evaluator backend;
 * :class:`ResilienceOptions` -- the single bundle threaded from the CLI
-  flags (``--checkpoint`` / ``--resume`` / ``--chunk-timeout`` /
-  ``--max-retries``) down through every exploration layer.
+  flags (``--checkpoint`` / ``--chunk-timeout`` / ``--max-retries``) and
+  the exploration service down through every exploration layer.  Its
+  ``store`` is an open :class:`~repro.serve.store.ResultStore`, the one
+  durable record of every run: the executor takes every row stored for
+  its evaluator, dispatches only the rest, and writes each committed
+  chunk, so a killed run restarts where it stopped;
+* :func:`evaluator_fingerprint` -- the store key of an evaluator, and
+  :func:`sweep_fingerprint`, the identity of one sweep that manifests
+  record.
 
 Failure classification is the contract between this module and the
 executor: :class:`TransientChunkError` (and its subclasses, including the
@@ -31,28 +30,18 @@ worth re-dispatching; anything else raised by an evaluator is
 deterministic and surfaces immediately as a :class:`SweepChunkError`
 naming the failing chunk's configurations.
 
-Checkpoint schema (``repro.checkpoint/1``), one JSON object per line::
-
-    {"schema": "repro.checkpoint/1", "fingerprint": "<sha256>", "configs": N}
-    {"chunk": [[index, {estimate...}], ...]}
-
-``index`` orders a record's estimates (a sweep's position in its
-configuration list, a search's evaluation count);
-:meth:`SweepCheckpoint.load` keys estimates by the configuration they
-carry.  Every (T, L, S, B) point prices deterministically, so any subset
-of journaled estimates stands in for recomputed ones.  Estimates
-round-trip exactly -- :func:`estimate_to_json` keeps every field,
-including the energy breakdown, and JSON floats serialise via ``repr``
--- so a resumed run's result table is bit-identical to an uninterrupted
-run (asserted by the test suite for arbitrary kill points).
+Every (T, L, S, B) point prices deterministically, so a stored estimate
+stands in for a recomputed one.  Estimates round-trip exactly --
+:func:`estimate_to_json` keeps every field, including the energy
+breakdown, and JSON floats serialise via ``repr`` -- so a resumed run's
+result table is bit-identical to an uninterrupted run (asserted by the
+test suite for arbitrary kill points).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-import os
 import random
 import threading
 import time
@@ -61,65 +50,25 @@ from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.core.config import CacheConfig
 from repro.core.metrics import PerformanceEstimate
-from repro.energy.model import EnergyBreakdown
+from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.obs.metrics import get_metrics
 
 __all__ = [
-    "CHECKPOINT_SCHEMA",
-    "CheckpointError",
-    "CheckpointMismatchError",
     "CircuitBreaker",
     "CircuitOpenError",
     "CorruptPayloadError",
     "ResilienceOptions",
     "RetryPolicy",
     "SweepCancelledError",
-    "SweepCheckpoint",
     "SweepChunkError",
     "TransientChunkError",
     "estimate_from_json",
     "estimate_to_json",
+    "evaluator_fingerprint",
     "sweep_fingerprint",
 ]
 
 logger = logging.getLogger(__name__)
-
-CHECKPOINT_SCHEMA = "repro.checkpoint/1"
-_CHECKPOINT_SCHEMA_PREFIX = "repro.checkpoint/"
-_CHECKPOINT_SCHEMA_VERSION = 1
-#: The generation journal searches wrote before they shared this one.
-_OLD_SEARCH_SCHEMA = "repro.moo.checkpoint/1"
-
-
-def _check_journal_schema(header: Any, path: str) -> None:
-    """Raise :class:`CheckpointError` unless the header's schema is ours.
-
-    A journal written by a *newer* repro (``repro.checkpoint/2`` and up)
-    is named as such -- "upgrade or start over" is a far better failure
-    than the generic not-a-journal error (or a ``KeyError`` from blindly
-    indexing fields the old reader does not know).
-    """
-    schema = header.get("schema") if isinstance(header, dict) else None
-    if schema == CHECKPOINT_SCHEMA:
-        return
-    if schema == _OLD_SEARCH_SCHEMA:
-        raise CheckpointError(
-            f"{path} is a {_OLD_SEARCH_SCHEMA} search journal, which this "
-            f"version no longer reads (searches now journal as "
-            f"{CHECKPOINT_SCHEMA}); delete it or drop --resume to start over"
-        )
-    if isinstance(schema, str) and schema.startswith(
-        _CHECKPOINT_SCHEMA_PREFIX
-    ):
-        suffix = schema[len(_CHECKPOINT_SCHEMA_PREFIX):]
-        if suffix.isdigit() and int(suffix) > _CHECKPOINT_SCHEMA_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} uses schema {schema}, newer than the "
-                f"{CHECKPOINT_SCHEMA} this version reads; upgrade repro or "
-                "delete the journal to start over"
-            )
-    raise CheckpointError(f"{path} is not a {CHECKPOINT_SCHEMA} journal")
-
 
 class TransientChunkError(RuntimeError):
     """A chunk failure worth retrying: crash, corruption, infrastructure.
@@ -162,9 +111,9 @@ class SweepCancelledError(RuntimeError):
     """The sweep was cancelled cooperatively before completing.
 
     Raised by the executor when its ``cancel_event`` is set (client
-    cancellation or a job deadline).  The checkpoint journal is left
-    intact, so a resubmission of the same sweep resumes from the last
-    committed chunk instead of starting over.
+    cancellation or a job deadline).  Every committed chunk stays in the
+    run's store, so a resubmission of the same sweep resumes from the
+    last committed chunk instead of starting over.
     """
 
     def __init__(self, message: str, done: int = 0, total: int = 0) -> None:
@@ -297,14 +246,6 @@ class CircuitBreaker:
             )
 
 
-class CheckpointError(ValueError):
-    """A checkpoint journal could not be used."""
-
-
-class CheckpointMismatchError(CheckpointError):
-    """The journal belongs to a different sweep (fingerprint mismatch)."""
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff with deterministic, seeded jitter.
@@ -343,9 +284,10 @@ class RetryPolicy:
 class ResilienceOptions:
     """Everything a fault-tolerant sweep needs, threaded as one object.
 
-    ``checkpoint`` names the JSONL journal (written per completed chunk);
-    ``resume`` loads it first and evaluates only what is missing.
-    ``chunk_timeout_s`` bounds how long the executor waits without *any*
+    ``store`` is an open :class:`~repro.serve.store.ResultStore` (the
+    CLI's ``--checkpoint``, the service's result store): the executor
+    takes every row it holds for the evaluator, dispatches only the
+    rest, and writes each committed chunk there.  ``chunk_timeout_s`` bounds how long the executor waits without *any*
     chunk completing before declaring the in-flight chunks wedged and
     re-dispatching them.  ``fault_injector`` is the deterministic chaos
     harness (:class:`~repro.engine.faults.FaultInjector`) wrapped around
@@ -353,14 +295,14 @@ class ResilienceOptions:
 
     ``cancel_event`` is the cooperative kill switch: the executor polls
     it between dispatch rounds (and between serial chunks) and raises
-    :class:`SweepCancelledError` when set, leaving the journal intact.
-    ``breaker`` is an optional :class:`CircuitBreaker` fed one
+    :class:`SweepCancelledError` when set, leaving the store intact.
+    ``breaker`` is an optional :class:`CircuitBreaker`: a sweep with work
+    to dispatch fails fast while it is open, and feeds it one
     success/failure per chunk; when it opens mid-sweep the executor
     abandons the remaining work with :class:`CircuitOpenError`.
     """
 
-    checkpoint: Optional[str] = None
-    resume: bool = False
+    store: Optional[Any] = None
     chunk_timeout_s: Optional[float] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     fault_injector: Optional[Any] = None
@@ -368,8 +310,6 @@ class ResilienceOptions:
     breaker: Optional[CircuitBreaker] = None
 
     def __post_init__(self) -> None:
-        if self.resume and not self.checkpoint:
-            raise ValueError("resume requires a checkpoint path")
         if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
             raise ValueError("chunk timeout must be positive")
 
@@ -378,7 +318,7 @@ def estimate_to_json(estimate: PerformanceEstimate) -> Dict[str, Any]:
     """A JSON-compatible dict that round-trips the estimate *exactly*.
 
     Unlike :mod:`repro.core.serialize` (which drops the breakdown for
-    compact result tables), the checkpoint keeps every field so resumed
+    compact result tables), the store keeps every field so stored
     estimates compare equal to freshly computed ones.
     """
     breakdown = estimate.energy_breakdown
@@ -449,7 +389,8 @@ def _evaluator_identity(evaluator: Any) -> str:
 
     Duck-typed over the two evaluator shapes the executor accepts: an
     :class:`~repro.engine.evaluator.Evaluator` (workload + backend) or a
-    :class:`~repro.core.composite.CompositeProgram` (kernels + trips).
+    :class:`~repro.core.composite.CompositeProgram` (kernels + trips +
+    whether the Section 4.1 layout optimisation runs).
     Reprs of the underlying frozen dataclasses are deterministic across
     processes, unlike ``hash()``.
     """
@@ -476,6 +417,7 @@ def _evaluator_identity(evaluator: Any) -> str:
                 [repr(kernel) for kernel in kernels],
                 sorted((trips or {}).items()),
                 backend_name,
+                getattr(evaluator, "optimize_layout", None),
             )
         )
     return repr(("opaque", type(evaluator).__qualname__))
@@ -486,8 +428,9 @@ def sweep_fingerprint(
 ) -> str:
     """SHA-256 identity of one sweep: evaluator + ordered config list.
 
-    Two sweeps share a fingerprint exactly when their journals are
-    interchangeable; :meth:`SweepCheckpoint.load` refuses anything else.
+    Run manifests record it; the store keys rows by
+    :func:`evaluator_fingerprint` instead, so any later sweep over the
+    same evaluator reuses them whatever its configuration list.
     """
     digest = hashlib.sha256()
     digest.update(_evaluator_identity(evaluator).encode())
@@ -499,147 +442,34 @@ def sweep_fingerprint(
     return digest.hexdigest()
 
 
-class SweepCheckpoint:
-    """Append-only JSONL journal of evaluated configurations.
+def evaluator_fingerprint(evaluator: Any) -> str:
+    """SHA-256 identity of *what one configuration evaluates against*.
 
-    Lifecycle: :meth:`load` (on resume) returns everything already
-    evaluated, then :meth:`open_for_append` positions the journal for
-    writing -- truncating it on a fresh run, or cutting a torn tail off
-    on a resumed one so new records never glue onto a fragment -- and
-    :meth:`record_chunk` appends one flushed, fsynced line per record.
-    Records are whole chunks, so a kill between writes loses at most the
-    in-flight ones -- never corrupts committed ones -- and a torn
-    trailing line is skipped on load with a warning.
+    The store key of an evaluator's rows.  Builds on the same textual
+    identity :func:`sweep_fingerprint` hashes (workload key, backend name
+    and parameters, Gray coding), extended with the energy model's
+    constants -- two evaluators that would disagree on any estimate field
+    must never share store rows.  Energy-model *subclasses* (e.g.
+    :class:`~repro.energy.kamble_ghose.KambleGhoseModel`) additionally
+    contribute their class name: they change ``E_cell`` without changing
+    any constant, so sharing rows with the paper's model would poison the
+    store.  The class qualifier is omitted for the base
+    :class:`~repro.energy.model.EnergyModel`, keeping every fingerprint
+    ever written by earlier versions byte-identical.
     """
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self._handle: Optional[Any] = None
-        #: Bytes of header plus intact records (``None`` until loaded).
-        self._intact_bytes: Optional[int] = None
-
-    def load(
-        self, fingerprint: str
-    ) -> Dict[CacheConfig, PerformanceEstimate]:
-        """Every estimate journaled for this run, keyed by configuration.
-
-        A missing file is an empty resume (first run).  A journal whose
-        header names a different fingerprint raises
-        :class:`CheckpointMismatchError`; a file that is not a checkpoint
-        at all raises :class:`CheckpointError`.  A record counts only
-        once its line is complete: everything from the first torn line on
-        is ignored (the run re-evaluates it).
-        """
-        self._intact_bytes = 0
-        if not os.path.exists(self.path):
-            return {}
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        if not data:
-            return {}
-        # Only newline-terminated lines are whole; ``tail`` is whatever a
-        # kill mid-write left after the last newline (usually nothing).
-        *lines, tail = data.split(b"\n")
-        try:
-            header = json.loads(lines[0] if lines else tail)
-        except ValueError as exc:
-            raise CheckpointError(
-                f"{self.path} is not a {CHECKPOINT_SCHEMA} journal"
-            ) from exc
-        _check_journal_schema(header, self.path)
-        if not isinstance(header.get("fingerprint"), str):
-            raise CheckpointError(
-                f"{self.path} has no fingerprint in its header"
-            )
-        if header["fingerprint"] != fingerprint:
-            raise CheckpointMismatchError(
-                f"checkpoint {self.path} was written by a different sweep "
-                "or search (workload, backend, configuration list or search "
-                "settings changed); delete it or drop --resume to start over"
-            )
-        done: Dict[CacheConfig, PerformanceEstimate] = {}
-        if not lines:
-            return done
-        intact = len(lines[0]) + 1
-        torn = len(lines) + 1 if tail.strip() else None
-        for number, line in enumerate(lines[1:], start=2):
-            if line.strip():
-                try:
-                    estimates = [
-                        estimate_from_json(doc)
-                        for _, doc in json.loads(line)["chunk"]
-                    ]
-                except (KeyError, TypeError, ValueError):
-                    torn = number
-                    break
-                for estimate in estimates:
-                    done[estimate.config] = estimate
-            intact += len(line) + 1
-        if torn is not None:
-            # The signature of a kill mid-write: everything from the tear
-            # on is unusable, so stop (the run re-evaluates it).
-            logger.warning(
-                "checkpoint %s: ignoring torn record at line %d "
-                "(and everything after it)",
-                self.path,
-                torn,
-            )
-        self._intact_bytes = intact
-        return done
-
-    def open_for_append(self, fingerprint: str, fresh: bool, configs: int) -> None:
-        """Start journaling: truncate + header when ``fresh``, else append.
-
-        A resumed journal is first cut back to its intact records (read
-        by :meth:`load`, which runs here if it has not yet).  When there
-        is no usable journal the header is written too, so ``--resume``
-        is safe to pass on the very first attempt.
-        """
-        if not fresh and os.path.exists(self.path):
-            if self._intact_bytes is None:
-                self.load(fingerprint)
-            os.truncate(self.path, self._intact_bytes)
-        if fresh or not self._intact_bytes:
-            self._handle = open(self.path, "w", encoding="utf-8")
-            self._write_line(
-                {
-                    "schema": CHECKPOINT_SCHEMA,
-                    "fingerprint": fingerprint,
-                    "configs": configs,
-                }
-            )
-        else:
-            self._handle = open(self.path, "a", encoding="utf-8")
-
-    def record_chunk(
-        self, pairs: Sequence[Tuple[int, PerformanceEstimate]]
-    ) -> None:
-        """Append one record of ``(index, estimate)`` pairs (durable before
-        returning)."""
-        if self._handle is None:
-            raise CheckpointError("checkpoint is not open for appending")
-        self._write_line(
-            {
-                "chunk": [
-                    [index, estimate_to_json(estimate)]
-                    for index, estimate in pairs
-                ]
-            }
+    model = getattr(evaluator, "energy_model", None)
+    if model is None:
+        model_id = None
+    else:
+        model_id = (
+            repr(model.tech),
+            repr(model.sram),
+            model.subbanks,
+            model.phased,
         )
-
-    def _write_line(self, record: Dict[str, Any]) -> None:
-        assert self._handle is not None
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "SweepCheckpoint":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+        if type(model) is not EnergyModel:
+            model_id = (type(model).__qualname__,) + model_id
+    digest = hashlib.sha256()
+    digest.update(_evaluator_identity(evaluator).encode())
+    digest.update(repr(model_id).encode())
+    return digest.hexdigest()

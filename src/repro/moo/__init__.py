@@ -40,12 +40,7 @@ Quickstart::
 """
 
 from repro.moo.archive import FRONT_SCHEMA, FrontArchive, crowding_distances
-from repro.moo.driver import (
-    SearchRun,
-    SearchSettings,
-    run_search,
-    search_fingerprint,
-)
+from repro.moo.driver import SearchRun, SearchSettings, run_search
 from repro.moo.grammar import ConfigGrammar, RowIndex, row_index
 from repro.moo.heuristics import (
     GreedyDescentSearcher,
@@ -86,5 +81,4 @@ __all__ = [
     "reference_point",
     "row_index",
     "run_search",
-    "search_fingerprint",
 ]

@@ -1,36 +1,33 @@
-"""The search driver: generations, batching, checkpoints, cancellation.
+"""The search driver: generations, batching, a result store, cancellation.
 
 :func:`run_search` owns the generation loop so searchers stay pure
 strategies.  Each generation it asks the searcher for candidates, dedupes
 them into canonical order, evaluates only the cold ones through
 ``Evaluator.evaluate_batch`` (one grouped one-pass/store-deduplicated
-batch per generation; ``jobs > 1`` fans out through
+batch per generation; ``jobs > 1`` or a ``store`` routes it through
 :class:`~repro.engine.parallel.ParallelSweep`), updates the
-:class:`~repro.moo.archive.FrontArchive`, journals the generation's fresh
-estimates and tells the searcher its fitness vectors.
+:class:`~repro.moo.archive.FrontArchive` and tells the searcher its
+fitness vectors.
 
 Determinism is the core contract: for a fixed seed the sequence of asked
 configurations, the archive contents and the per-generation events are
 identical under ``jobs=1`` and ``jobs=N``, on a clean run and on a resume.
-The journal is the sweeps' :class:`~repro.engine.resilience.SweepCheckpoint`
-(``repro.checkpoint/1``, one record per generation that evaluated
-anything, its estimates indexed in evaluation order) bound to
-:func:`search_fingerprint`.  On resume its estimates seed the
-configuration-keyed evaluation cache, and a deterministic searcher
-replays from any subset of them; "evaluations used" counts unique
-configurations *requested*, not cold simulator calls, so resumed and
-clean runs report the same numbers.
+The durable record is a :class:`~repro.serve.store.ResultStore` (the
+CLI's ``--checkpoint``): each generation takes the rows stored for its
+evaluator and writes the ones it evaluates, so a killed search rerun
+over the same store replays the stored generations without evaluating
+them, and any other search or sweep over that evaluator reuses them
+too.  "Evaluations used" counts unique configurations *requested*, not
+cold simulator calls, so resumed and clean runs report the same numbers.
 
 Cancellation follows the sweep convention: a set ``cancel_event`` raises
 :class:`~repro.engine.resilience.SweepCancelledError` between generations
-(and aborts a parallel in-flight generation), leaving the journal intact
+(and aborts a parallel in-flight generation), leaving the store intact
 so a resubmission resumes from the last complete generation.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import threading
 from dataclasses import dataclass, field
@@ -38,12 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheConfig, config_sort_key
 from repro.core.metrics import PerformanceEstimate
-from repro.engine.resilience import (
-    ResilienceOptions,
-    SweepCancelledError,
-    SweepCheckpoint,
-    sweep_fingerprint,
-)
+from repro.engine.resilience import ResilienceOptions, SweepCancelledError
 from repro.engine.result import ExplorationResult
 from repro.moo.archive import FRONT_SCHEMA, FrontArchive
 from repro.moo.objectives import objective_vector, reference_point, validate_objectives
@@ -56,7 +48,6 @@ __all__ = [
     "SearchRun",
     "SearchSettings",
     "run_search",
-    "search_fingerprint",
 ]
 
 logger = logging.getLogger(__name__)
@@ -68,7 +59,7 @@ def _order(configs) -> List[CacheConfig]:
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Everything that identifies one search run (and its journal)."""
+    """Everything that identifies one search run."""
 
     searcher: str = "nsga2"
     generations: int = 10
@@ -145,21 +136,6 @@ class SearchSettings:
                     value = tuple(value)
                 kwargs[key] = value
         return cls(**kwargs)
-
-    def canonical(self) -> str:
-        """Canonical JSON (sorted keys) -- the fingerprint input."""
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-
-
-def search_fingerprint(
-    evaluator: Any, configs: Sequence[CacheConfig], settings: SearchSettings
-) -> str:
-    """SHA-256 identity of one search: evaluator + space + settings."""
-    digest = hashlib.sha256()
-    digest.update(sweep_fingerprint(evaluator, configs).encode())
-    digest.update(b"|")
-    digest.update(settings.canonical().encode())
-    return digest.hexdigest()
 
 
 @dataclass
@@ -238,19 +214,20 @@ def _evaluate(
     configs: List[CacheConfig],
     jobs: int,
     cancel_event: Optional[threading.Event],
+    store: Optional[Any],
 ) -> List[PerformanceEstimate]:
     """One generation's cold evaluations (bit-identical serial/parallel)."""
     if not configs:
         return []
-    if jobs and jobs > 1:
+    if (jobs and jobs > 1) or store is not None:
         from repro.engine.parallel import ParallelSweep
 
         resilience = (
-            ResilienceOptions(cancel_event=cancel_event)
-            if cancel_event is not None
+            ResilienceOptions(cancel_event=cancel_event, store=store)
+            if cancel_event is not None or store is not None
             else None
         )
-        return ParallelSweep(jobs=jobs, resilience=resilience).run(
+        return ParallelSweep(jobs=max(1, jobs), resilience=resilience).run(
             evaluator, configs
         )
     return evaluator.evaluate_batch(configs)
@@ -262,19 +239,19 @@ def run_search(
     settings: Optional[SearchSettings] = None,
     *,
     jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
+    store: Optional[Any] = None,
     cancel_event: Optional[threading.Event] = None,
     on_generation: Optional[Callable[[Dict[str, Any], FrontArchive], None]] = None,
     searcher: Optional[Searcher] = None,
 ) -> SearchRun:
     """Run one multi-objective search over ``space`` and return its front.
 
-    ``checkpoint`` journals each generation's fresh estimates; with
-    ``resume`` the estimates already journaled there are not evaluated
-    again.  ``on_generation(event, archive)`` fires after every completed
-    generation with the ``repro.front/1`` event just recorded -- the hook
-    the serve layer uses to stream fronts and persist partial state.
+    ``store`` (an open :class:`~repro.serve.store.ResultStore`) supplies
+    every estimate it holds for ``evaluator`` and records each one this
+    search evaluates.  ``on_generation(event, archive)`` fires after
+    every completed generation with the ``repro.front/1`` event just
+    recorded -- the hook the serve layer uses to stream fronts and
+    persist partial state.
     """
     settings = settings if settings is not None else SearchSettings()
     ordered_space = _order(set(space))
@@ -292,23 +269,7 @@ def run_search(
         seeds=seeds,
     )
 
-    journal: Optional[SweepCheckpoint] = None
     evaluated: Dict[CacheConfig, PerformanceEstimate] = {}
-    if checkpoint:
-        fingerprint = search_fingerprint(evaluator, ordered_space, settings)
-        journal = SweepCheckpoint(checkpoint)
-        if resume:
-            evaluated.update(journal.load(fingerprint))
-            if evaluated:
-                logger.info(
-                    "search resume: %d estimates from %s",
-                    len(evaluated),
-                    checkpoint,
-                )
-        journal.open_for_append(
-            fingerprint, fresh=not resume, configs=len(ordered_space)
-        )
-
     archive = FrontArchive(
         objectives=settings.objectives,
         capacity=settings.archive_capacity,
@@ -318,78 +279,71 @@ def run_search(
     requested: set = set()
     events: List[Dict[str, Any]] = []
     generations_run = 0
-    try:
-        with span(
-            "moo.search",
-            searcher=settings.searcher,
-            generations=settings.generations,
-            population=settings.population,
-            space=len(ordered_space),
-        ):
-            for generation in range(settings.generations):
-                if cancel_event is not None and cancel_event.is_set():
-                    raise SweepCancelledError(
-                        f"search cancelled before generation {generation}",
-                        done=len(requested),
-                        total=settings.budget,
-                    )
-                asked = strategy.ask()
-                if not asked:
-                    break
-                unique = _order(dict.fromkeys(asked))
-                admitted = _admissible(evaluator, unique)
-                if not admitted:
-                    logger.warning(
-                        "generation %d proposed no admissible configurations",
-                        generation,
-                    )
-                    strategy.tell([])
-                    continue
-                missing = [c for c in admitted if c not in evaluated]
-                with span(
-                    "moo.generation",
-                    generation=generation,
-                    configs=len(admitted),
-                    cold=len(missing),
-                ):
-                    fresh = _evaluate(evaluator, missing, jobs, cancel_event)
-                for estimate in fresh:
-                    evaluated[estimate.config] = estimate
-                requested.update(admitted)
-                if journal is not None and fresh:
-                    # Indexed by evaluation order: a search may evaluate
-                    # off-space seeds and grammar products.
-                    first = len(evaluated) - len(fresh)
-                    journal.record_chunk(list(enumerate(fresh, start=first)))
-                generation_estimates = [evaluated[c] for c in admitted]
-                if archive.reference is None:
-                    vectors = [
-                        objective_vector(e, settings.objectives)
-                        for e in generation_estimates
-                    ]
-                    archive.set_reference(reference_point(vectors))
-                archive.add(generation_estimates)
-                strategy.tell(
-                    [
-                        (c, objective_vector(evaluated[c], settings.objectives))
-                        for c in admitted
-                    ]
+    with span(
+        "moo.search",
+        searcher=settings.searcher,
+        generations=settings.generations,
+        population=settings.population,
+        space=len(ordered_space),
+    ):
+        for generation in range(settings.generations):
+            if cancel_event is not None and cancel_event.is_set():
+                raise SweepCancelledError(
+                    f"search cancelled before generation {generation}",
+                    done=len(requested),
+                    total=settings.budget,
                 )
-                generations_run = generation + 1
-                event = archive.record_generation(
-                    generation=generation, evaluations=len(requested)
+            asked = strategy.ask()
+            if not asked:
+                break
+            unique = _order(dict.fromkeys(asked))
+            admitted = _admissible(evaluator, unique)
+            if not admitted:
+                logger.warning(
+                    "generation %d proposed no admissible configurations",
+                    generation,
                 )
-                events.append(event)
-                metrics.counter("moo.generations").inc()
-                metrics.counter("moo.evaluations").inc(len(missing))
-                metrics.gauge("moo.archive_size").set(len(archive))
-                if event["hypervolume"] is not None:
-                    metrics.gauge("moo.hypervolume").set(event["hypervolume"])
-                if on_generation is not None:
-                    on_generation(event, archive)
-    finally:
-        if journal is not None:
-            journal.close()
+                strategy.tell([])
+                continue
+            missing = [c for c in admitted if c not in evaluated]
+            with span(
+                "moo.generation",
+                generation=generation,
+                configs=len(admitted),
+                cold=len(missing),
+            ):
+                fresh = _evaluate(
+                    evaluator, missing, jobs, cancel_event, store
+                )
+            for estimate in fresh:
+                evaluated[estimate.config] = estimate
+            requested.update(admitted)
+            generation_estimates = [evaluated[c] for c in admitted]
+            if archive.reference is None:
+                vectors = [
+                    objective_vector(e, settings.objectives)
+                    for e in generation_estimates
+                ]
+                archive.set_reference(reference_point(vectors))
+            archive.add(generation_estimates)
+            strategy.tell(
+                [
+                    (c, objective_vector(evaluated[c], settings.objectives))
+                    for c in admitted
+                ]
+            )
+            generations_run = generation + 1
+            event = archive.record_generation(
+                generation=generation, evaluations=len(requested)
+            )
+            events.append(event)
+            metrics.counter("moo.generations").inc()
+            metrics.counter("moo.evaluations").inc(len(missing))
+            metrics.gauge("moo.archive_size").set(len(archive))
+            if event["hypervolume"] is not None:
+                metrics.gauge("moo.hypervolume").set(event["hypervolume"])
+            if on_generation is not None:
+                on_generation(event, archive)
 
     front = archive.estimates()
     reference = archive.reference or ()

@@ -64,10 +64,10 @@ version stays ``repro.obs/1`` because counters are open-ended by design):
     Chunks that exhausted their retries and were evaluated serially
     in-parent.
 ``resilience.checkpoint_chunks``
-    Chunks durably journaled to the ``--checkpoint`` file.
+    Completed chunks whose rows were written to the sweep's result
+    store (``--checkpoint``, or the service's store).
 ``resilience.resumed_configs``
-    Configurations loaded from the journal by ``--resume`` instead of
-    re-evaluated.
+    Configurations taken from the result store instead of evaluated.
 
 These are rendered as their own block by :func:`render_stage_table`
 (``repro stats``).

@@ -77,7 +77,6 @@ from repro.engine.evaluator import Evaluator, order_configs
 from repro.engine.parallel import ParallelSweep, WorkerPool
 from repro.engine.resilience import (
     CircuitBreaker,
-    CircuitOpenError,
     ResilienceOptions,
     SweepCancelledError,
     estimate_to_json,
@@ -1001,18 +1000,16 @@ class _RunnerEvaluator(StoreBackedEvaluator):
     def __init__(
         self,
         runner: "JobRunner",
-        job: Job,
         evaluator: Any,
         resilience: ResilienceOptions,
     ) -> None:
         super().__init__(evaluator, runner.manager.store)
         self._runner = runner
-        self._job = job
         self._resilience = resilience
 
     def evaluate_batch(self, configs: Any) -> List[PerformanceEstimate]:
         return self._runner._resolve(
-            self._job, self.eval_id, self.inner, list(configs), self._resilience
+            self.eval_id, self.inner, list(configs), self._resilience
         )
 
 
@@ -1193,12 +1190,11 @@ class JobRunner(threading.Thread):
         configs = spec.configs()
         resilience = ResilienceOptions(cancel_event=cancel_event)
         estimates = self._resolve(
-            job,
             eval_id,
             evaluator,
             configs,
             resilience,
-            on_progress=lambda done, total: self.manager.progress(
+            on_commit=lambda estimates, done, total: self.manager.progress(
                 job, done, total
             ),
         )
@@ -1209,65 +1205,36 @@ class JobRunner(threading.Thread):
 
     def _resolve(
         self,
-        job: Job,
         eval_id: str,
         evaluator: Any,
         configs: List[CacheConfig],
         resilience: ResilienceOptions,
-        on_progress: Optional[Callable[[int, int], None]] = None,
+        on_commit: Optional[
+            Callable[[List[PerformanceEstimate], int, int], None]
+        ] = None,
     ) -> List[PerformanceEstimate]:
         """Estimates for ``configs``: the store's rows, then only its misses.
 
-        The store is read and written here, in the runner's process, and
-        only the configurations it lacks fan out on the runner's pool.
-        Each chunk's fresh rows are written to the store as the chunk
-        commits -- one write per chunk, whose failure fails the job -- so
-        the store alone holds an interrupted job's progress.  A batch the
-        store answers in full needs no backend: it neither consults nor
-        takes the evaluator's circuit breaker.
+        :meth:`ParallelSweep.run <repro.engine.parallel.ParallelSweep.run>`
+        reads and writes the store here, in the runner's process, fans
+        only the configurations it lacks out on the runner's pool, and
+        writes each chunk's fresh rows as the chunk commits -- one write
+        per chunk, whose failure fails the job -- so the store alone holds
+        an interrupted job's progress.  A batch the store answers in full
+        needs no backend: it neither consults nor takes the evaluator's
+        circuit breaker, and an open breaker fails the rest fast.
         """
-        store = self.manager.store
-        stored = store.get_many(eval_id, configs)
-        if len(stored) == len(configs):
-            return [stored[config] for config in configs]
-
-        def commit(
-            estimates: List[PerformanceEstimate], done: int, total: int
-        ) -> None:
-            if estimates:
-                store.put_many(eval_id, [(e.config, e) for e in estimates])
-            if on_progress is not None:
-                on_progress(done, total)
-
         sweep = ParallelSweep(
             jobs=self.sweep_jobs,
             resilience=replace(
-                resilience, breaker=self._check_breaker(eval_id, job.spec)
+                resilience,
+                store=self.manager.store,
+                breaker=self.breaker_for(eval_id),
             ),
-            on_commit=commit,
+            on_commit=on_commit,
             pool=self.pool,
-            known=stored,
         )
-        with span(
-            "sweep",
-            configs=len(configs),
-            jobs=self.sweep_jobs,
-            backend=job.spec.backend,
-        ):
-            return sweep.run(evaluator, configs)
-
-    def _check_breaker(self, eval_id: str, spec: JobSpec) -> CircuitBreaker:
-        """The evaluator's breaker; raise fast while it is open."""
-        breaker = self.breaker_for(eval_id)
-        if not breaker.allow():
-            get_metrics().counter("breaker.fail_fast").inc()
-            raise CircuitOpenError(
-                f"circuit breaker for evaluator {eval_id[:12]} "
-                f"({spec.kernel}/{spec.backend}) is open; "
-                f"retry in {breaker.retry_after_s():.0f}s",
-                retry_after_s=breaker.retry_after_s(),
-            )
-        return breaker
+        return sweep.run(evaluator, configs)
 
     def _search(
         self, job: Job, cancel_event: Optional[threading.Event] = None
@@ -1288,7 +1255,6 @@ class JobRunner(threading.Thread):
         assert settings is not None
         evaluator = _RunnerEvaluator(
             self,
-            job,
             spec.build_evaluator(),
             ResilienceOptions(cancel_event=cancel_event),
         )

@@ -5,11 +5,13 @@ process, so every CLI invocation and every restarted service re-evaluates
 configurations the fleet has already paid for.  :class:`ResultStore` is
 the durable L2 tier underneath it: a single sqlite file holding finished
 :class:`~repro.core.metrics.PerformanceEstimate` records, content-addressed
-by the same fingerprint family :mod:`repro.engine.resilience` computes for
-checkpoints -- an *evaluator fingerprint* (workload + backend + energy
-model) plus the ``(T, L, S, B)`` configuration key.  It is also the only
-durable record of a served job's progress: the job runner writes each
-completed chunk's rows as the chunk commits, and a resumed job
+by an *evaluator fingerprint*
+(:func:`~repro.engine.resilience.evaluator_fingerprint`: workload +
+backend + energy model) plus the ``(T, L, S, B)`` configuration key.  It
+is also the only durable record of every run's progress: a CLI sweep or
+search given ``--checkpoint PATH`` and a served job alike write each
+completed chunk's rows as the chunk commits
+(:class:`~repro.engine.parallel.ParallelSweep`), and a resumed run
 dispatches only what the store lacks.  Estimates round-trip
 through :func:`~repro.engine.resilience.estimate_to_json`, whose floats
 serialise via ``repr``, so a stored result is bit-identical to a freshly
@@ -19,9 +21,9 @@ computed one.
 ``evaluate_batch(configs)`` first consults the store (an L2 hit skips the
 whole pipeline, including the EvalCache), and writes every freshly
 computed estimate back.  The wrapper delegates ``workload`` / ``backend``
-/ ``cache`` to the inner evaluator, so sweep fingerprints, checkpoint
-journals and :class:`~repro.engine.parallel.ParallelSweep` chunking are
-identical with or without the store.  The store stays in the process
+/ ``cache`` to the inner evaluator, so fingerprints and
+:class:`~repro.engine.parallel.ParallelSweep` chunking are identical with
+or without the store.  The store stays in the process
 that opened it: parallel evaluation fans out only the store's misses,
 and only the inner evaluator crosses into workers.
 
@@ -86,9 +88,9 @@ from repro.core.config import CacheConfig
 from repro.core.metrics import PerformanceEstimate
 from repro.engine.resilience import (
     RetryPolicy,
-    _evaluator_identity,
     estimate_from_json,
     estimate_to_json,
+    evaluator_fingerprint,
 )
 from repro.engine.result import ExplorationResult
 from repro.obs.metrics import get_metrics
@@ -163,41 +165,6 @@ class StoreSchemaError(StoreError):
 def config_key(config: CacheConfig) -> str:
     """The ``"T,L,S,B"`` row key of one configuration."""
     return f"{config.size},{config.line_size},{config.ways},{config.tiling}"
-
-
-def evaluator_fingerprint(evaluator: Any) -> str:
-    """SHA-256 identity of *what one configuration evaluates against*.
-
-    Builds on the same textual identity
-    :func:`repro.engine.resilience.sweep_fingerprint` hashes (workload key,
-    backend name and parameters, Gray coding), extended with the energy
-    model's constants -- two evaluators that would disagree on any
-    estimate field must never share store rows.  Energy-model *subclasses*
-    (e.g. :class:`~repro.energy.kamble_ghose.KambleGhoseModel`) additionally
-    contribute their class name: they change ``E_cell`` without changing
-    any constant, so sharing rows with the paper's model would poison the
-    store.  The class qualifier is omitted for the base
-    :class:`~repro.energy.model.EnergyModel`, keeping every fingerprint
-    ever written by earlier versions byte-identical.
-    """
-    from repro.energy.model import EnergyModel
-
-    model = getattr(evaluator, "energy_model", None)
-    if model is None:
-        model_id = None
-    else:
-        model_id = (
-            repr(model.tech),
-            repr(model.sram),
-            model.subbanks,
-            model.phased,
-        )
-        if type(model) is not EnergyModel:
-            model_id = (type(model).__qualname__,) + model_id
-    digest = hashlib.sha256()
-    digest.update(_evaluator_identity(evaluator).encode())
-    digest.update(repr(model_id).encode())
-    return digest.hexdigest()
 
 
 class ResultStore:
@@ -772,8 +739,8 @@ class StoreBackedEvaluator:
     process only: the wrapper never crosses a process boundary.
     Every delegated attribute (``workload``, ``backend``, ``cache``,
     ``energy_model``, ``gray_code``) and :meth:`analytic_explorer` mirror
-    the inner evaluator, so checkpoint fingerprints, sweep chunking and
-    search seeding do not change when the store is layered in.
+    the inner evaluator, so fingerprints, sweep chunking and search
+    seeding do not change when the store is layered in.
     """
 
     def __init__(

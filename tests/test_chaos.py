@@ -2,12 +2,14 @@
 
 Two layers of assurance on top of ``tests/test_resilience.py``:
 
-* a hypothesis property: for *any* kill point in the checkpoint journal
-  and either job count, resuming yields the same result table and the
-  same winning configuration as an uninterrupted run;
+* a hypothesis property: for *any* kill point of a sweep recorded in a
+  result store (the rows of its uncommitted chunks deleted, optionally
+  one committed row torn on disk) and either job count, rerunning over
+  the store yields the same result table and the same winning
+  configuration as an uninterrupted run;
 * seeded end-to-end chaos runs (the nightly CI job's entry point):
   a sweep suffering injected crashes, hard kills and corrupt payloads is
-  additionally killed mid-journal and resumed, and must still match the
+  additionally killed mid-sweep and resumed, and must still match the
   clean run byte for byte;
 * served jobs, killed between two store commits at a seed-chosen point,
   recover bit-identically and dispatch only what the store lacks.
@@ -18,6 +20,7 @@ each seed so different nights exercise different tears.
 """
 
 import os
+import shutil
 import sqlite3
 
 import pytest
@@ -44,6 +47,8 @@ from repro.serve import (
     TenancyPolicy,
 )
 from repro.serve.jobs import result_to_json
+from repro.serve.store import ResultStore
+from tests.test_resilience import forget_rows, tear_row
 from tests.test_serve import run_until_killed
 
 SEEDS = [
@@ -69,35 +74,48 @@ def _configs():
     )
 
 
+def _counter(name):
+    return get_metrics().counter(name).value
+
+
+def _stored_sweep(path, evaluator, configs, **kwargs):
+    """One ``ParallelSweep`` run recorded in the store at ``path``."""
+    options = kwargs.pop("resilience", {})
+    with ResultStore(str(path)) as store:
+        return ParallelSweep(
+            resilience=ResilienceOptions(store=store, **options), **kwargs
+        ).run(evaluator, configs)
+
+
 def _baseline(tmp_path_factory):
-    """Clean estimates plus a complete journal, computed once per session."""
+    """Clean estimates plus a complete store, computed once per session."""
     if not _STATE:
         evaluator = Evaluator(KernelWorkload(get_kernel("compress")))
         configs = _configs()
-        path = str(tmp_path_factory.mktemp("chaos") / "full.jsonl")
-        # chunk_size=2 maximises journal lines, i.e. distinct kill points.
-        estimates = ParallelSweep(
-            jobs=1,
-            chunk_size=2,
-            resilience=ResilienceOptions(checkpoint=path),
-        ).run(evaluator, configs)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        path = str(tmp_path_factory.mktemp("chaos") / "full.db")
+        # chunk_size=2 maximises chunk commits, i.e. distinct kill points.
+        estimates = _stored_sweep(
+            path, evaluator, configs, jobs=1, chunk_size=2
+        )
+        chunks = ParallelSweep(jobs=1, chunk_size=2)._chunks(
+            evaluator, configs
+        )
         _STATE.update(
             evaluator=evaluator,
             configs=configs,
             clean=estimates,
-            journal_lines=lines,
-            chunk_lines=len(lines) - 1,  # minus the header
+            store=path,
+            chunks=[[config for _, config in chunk] for chunk in chunks],
         )
     return _STATE
 
 
-def _killed_journal(lines, path, kill_after):
-    """A journal as left behind by a sweep killed after ``kill_after`` chunks."""
-    kept = lines[: 1 + kill_after]
-    with open(path, "w", encoding="utf-8") as handle:
-        if kept:
-            handle.write("\n".join(kept) + "\n")
+def _killed_store(baseline, path, kill_after):
+    """The store a sweep killed after ``kill_after`` chunk commits leaves."""
+    shutil.copyfile(baseline["store"], path)
+    lost = [c for chunk in baseline["chunks"][kill_after:] for c in chunk]
+    forget_rows(path, baseline["evaluator"], lost)
+    return len(baseline["configs"]) - len(lost)
 
 
 @pytest.fixture(scope="session")
@@ -115,34 +133,37 @@ class TestKillPointProperty:
     def test_any_kill_point_resumes_identically(
         self, baseline, tmp_path_factory, fraction, jobs, torn
     ):
-        kill_after = round(fraction * baseline["chunk_lines"])
+        kill_after = round(fraction * len(baseline["chunks"]))
         path = str(
-            tmp_path_factory.mktemp("kill") / f"k{kill_after}-j{jobs}.jsonl"
+            tmp_path_factory.mktemp("kill") / f"k{kill_after}-j{jobs}.db"
         )
-        _killed_journal(baseline["journal_lines"], path, kill_after)
-        if torn:  # the kill landed mid-write of the next chunk line
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write('{"chunk": [[0, {"conf')
-        resumed = ParallelSweep(
-            jobs=jobs,
-            resilience=ResilienceOptions(checkpoint=path, resume=True),
-        ).run(baseline["evaluator"], baseline["configs"])
+        kept = _killed_store(baseline, path, kill_after)
+        if torn and kept:  # a committed row damaged on disk
+            tear_row(path, baseline["evaluator"], baseline["configs"][0])
+            kept -= 1
+        evaluated = _counter("engine.configs_evaluated")
+        resumed = _stored_sweep(
+            path, baseline["evaluator"], baseline["configs"], jobs=jobs
+        )
         assert resumed == baseline["clean"]
         clean_best = ExplorationResult(baseline["clean"]).min_energy()
         assert ExplorationResult(resumed).min_energy() == clean_best
+        assert (
+            _counter("engine.configs_evaluated") - evaluated
+            == len(baseline["configs"]) - kept
+        )
 
     def test_resume_of_untouched_journal_is_complete(
         self, baseline, tmp_path_factory
     ):
-        path = str(tmp_path_factory.mktemp("kill") / "whole.jsonl")
-        _killed_journal(
-            baseline["journal_lines"], path, baseline["chunk_lines"]
+        path = str(tmp_path_factory.mktemp("kill") / "whole.db")
+        _killed_store(baseline, path, len(baseline["chunks"]))
+        evaluated = _counter("engine.configs_evaluated")
+        resumed = _stored_sweep(
+            path, baseline["evaluator"], baseline["configs"], jobs=1
         )
-        resumed = ParallelSweep(
-            jobs=1,
-            resilience=ResilienceOptions(checkpoint=path, resume=True),
-        ).run(baseline["evaluator"], baseline["configs"])
         assert resumed == baseline["clean"]
+        assert _counter("engine.configs_evaluated") == evaluated
 
 
 class TestSeededChaos:
@@ -152,35 +173,37 @@ class TestSeededChaos:
     def test_chaotic_killed_resumed_matches_clean(
         self, baseline, tmp_path_factory, seed
     ):
-        path = str(tmp_path_factory.mktemp("chaos") / f"seed{seed}.jsonl")
+        path = str(tmp_path_factory.mktemp("chaos") / f"seed{seed}.db")
         injector = FaultInjector(
             seed=seed, crash_rate=0.25, kill_rate=0.15, corrupt_rate=0.2
         )
-        faulty = ParallelSweep(
+        evaluator, configs = baseline["evaluator"], baseline["configs"]
+        faulty = _stored_sweep(
+            path,
+            evaluator,
+            configs,
             jobs=2,
-            resilience=ResilienceOptions(
-                checkpoint=path, retry=FAST_RETRY, fault_injector=injector
-            ),
-        ).run(baseline["evaluator"], baseline["configs"])
+            resilience={"retry": FAST_RETRY, "fault_injector": injector},
+        )
         assert faulty == baseline["clean"]
 
-        # Kill the journal at a seed-derived point and resume under faults
-        # drawn from a different seed (the infrastructure stays unreliable
-        # across the restart).
-        lines = open(path, encoding="utf-8").read().splitlines()
-        kill_after = seed % max(1, len(lines) - 1)
-        _killed_journal(lines, path, kill_after)
-        resumed = ParallelSweep(
+        # Kill the sweep at a seed-derived point (its later rows were
+        # never stored) and resume under faults drawn from a different
+        # seed (the infrastructure stays unreliable across the restart).
+        kill_at = seed % len(configs)
+        forget_rows(path, evaluator, configs[kill_at:])
+        resumed = _stored_sweep(
+            path,
+            evaluator,
+            configs,
             jobs=2,
-            resilience=ResilienceOptions(
-                checkpoint=path,
-                resume=True,
-                retry=FAST_RETRY,
-                fault_injector=FaultInjector(
+            resilience={
+                "retry": FAST_RETRY,
+                "fault_injector": FaultInjector(
                     seed=seed + 1000, crash_rate=0.25, corrupt_rate=0.2
                 ),
-            ),
-        ).run(baseline["evaluator"], baseline["configs"])
+            },
+        )
         assert resumed == baseline["clean"]
         best = ExplorationResult(baseline["clean"]).min_energy()
         assert ExplorationResult(resumed).min_energy() == best
@@ -188,16 +211,18 @@ class TestSeededChaos:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_chaos_under_serial_jobs(self, baseline, tmp_path_factory, seed):
         # kill_rate must stay 0 here: a hard kill in the serial path would
-        # take the test process down (that scenario *is* the journal kill).
-        path = str(tmp_path_factory.mktemp("chaos") / f"serial{seed}.jsonl")
-        run = ParallelSweep(
+        # take the test process down (that scenario *is* the store kill).
+        path = str(tmp_path_factory.mktemp("chaos") / f"serial{seed}.db")
+        run = _stored_sweep(
+            path,
+            baseline["evaluator"],
+            baseline["configs"],
             jobs=1,
-            resilience=ResilienceOptions(
-                checkpoint=path,
-                retry=FAST_RETRY,
-                fault_injector=FaultInjector(seed=seed, crash_rate=0.4),
-            ),
-        ).run(baseline["evaluator"], baseline["configs"])
+            resilience={
+                "retry": FAST_RETRY,
+                "fault_injector": FaultInjector(seed=seed, crash_rate=0.4),
+            },
+        )
         assert run == baseline["clean"]
 
 
@@ -351,7 +376,7 @@ class TestMultiTenantChaos:
 
 
 class TestSearchChaos:
-    """kill -9 mid-search: the generation journal resumes bit-identically."""
+    """kill -9 mid-search: the stored generations resume bit-identically."""
 
     SETTINGS_DOC = {"generations": 6, "population": 8, "seed": 13}
 
@@ -379,33 +404,27 @@ class TestSearchChaos:
         space, clean = self._clean()
         settings_ = SearchSettings(**self.SETTINGS_DOC)
         root = tmp_path_factory.mktemp("moo-chaos")
-        journal = str(root / "search.moo.jsonl")
+        path = str(root / "search.db")
+        evaluator = Evaluator(KernelWorkload(get_kernel("compress")))
 
-        # A completed journal, then the kill: keep the header plus the
-        # first ``kill_after`` generation records, optionally tearing a
-        # half-written line on the end (fsync raced the kill).
-        run_search(
-            Evaluator(KernelWorkload(get_kernel("compress"))),
-            space,
-            settings_,
-            checkpoint=journal,
-        )
-        lines = open(journal, encoding="utf-8").read().splitlines()
-        generations = len(lines) - 1
-        kill_after = min(generations, int(fraction * (generations + 1)))
-        kept = lines[: 1 + kill_after]
-        with open(journal, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(kept) + "\n")
-            if torn and kill_after < generations:
-                handle.write(lines[1 + kill_after][: 20])
+        # A completed search, then the kill: only part of its rows were
+        # stored (a deterministic searcher replays from any subset), and
+        # optionally the last stored row is torn on disk.
+        with ResultStore(path) as store:
+            run_search(evaluator, space, settings_, store=store)
+        evaluated = [estimate.config for estimate in clean.estimates]
+        kill_after = min(len(evaluated), int(fraction * (len(evaluated) + 1)))
+        forget_rows(path, evaluator, evaluated[kill_after:])
+        if torn and kill_after:
+            tear_row(path, evaluator, evaluated[kill_after - 1])
 
-        resumed = run_search(
-            Evaluator(KernelWorkload(get_kernel("compress"))),
-            space,
-            settings_,
-            checkpoint=journal,
-            resume=True,
-        )
+        with ResultStore(path) as store:
+            resumed = run_search(
+                Evaluator(KernelWorkload(get_kernel("compress"))),
+                space,
+                settings_,
+                store=store,
+            )
         assert resumed.events == clean.events
         assert [e.config for e in resumed.front] == [
             e.config for e in clean.front

@@ -49,6 +49,8 @@ from repro.engine.backends import (
 from repro.engine.parallel import _pool_context
 from repro.icache.blocks import ControlFlowTrace, Program
 from repro.kernels import Kernel, get_kernel
+from repro.serve.store import ResultStore
+from tests.test_resilience import forget_rows
 
 
 def _loop_execution() -> ControlFlowTrace:
@@ -358,14 +360,17 @@ class TestTraceGenerationCounts:
         per_config = Evaluator(workload, backend="fastsim", cache=EvalCache())
         assert serial == [per_config.evaluate(e.config) for e in serial]
         assert sweep(jobs=2) == serial
-        journal = tmp_path / "sweep.ckpt"
-        assert sweep(resilience=ResilienceOptions(checkpoint=str(journal))) == serial
-        lines = journal.read_text().splitlines()
-        assert len(lines) > 3  # header + several chunks
-        journal.write_text("\n".join(lines[:3]) + "\n")
-        resumed = sweep(
-            jobs=2, resilience=ResilienceOptions(checkpoint=str(journal), resume=True)
+        path = tmp_path / "sweep.db"
+        with ResultStore(str(path)) as store:
+            assert sweep(resilience=ResilienceOptions(store=store)) == serial
+        # Killed with its first eight rows stored.
+        forget_rows(
+            path,
+            Evaluator(workload, backend="auto"),
+            [e.config for e in serial[8:]],
         )
+        with ResultStore(str(path)) as store:
+            resumed = sweep(jobs=2, resilience=ResilienceOptions(store=store))
         assert resumed == serial
 
 

@@ -12,7 +12,7 @@ from repro.core.config import CacheConfig, config_sort_key, design_space
 from repro.core.metrics import PerformanceEstimate
 from repro.core.pareto import pareto_points
 from repro.engine import Evaluator, KernelWorkload
-from repro.engine.resilience import CheckpointMismatchError, SweepCancelledError
+from repro.engine.resilience import SweepCancelledError
 from repro.kernels import available_kernels, get_kernel
 from repro.moo import (
     OBJECTIVES,
@@ -27,8 +27,9 @@ from repro.moo import (
     objective_vector,
     row_index,
     run_search,
-    search_fingerprint,
 )
+from repro.obs.metrics import get_metrics
+from repro.serve.store import ResultStore
 from tests.test_search_golden import SPACES
 
 
@@ -475,7 +476,6 @@ class TestRunSearch:
             self._run(settings={"searcher": "simulated-annealing"})
 
     def test_resume_is_bit_identical(self, tmp_path):
-        journal = str(tmp_path / "search.moo.jsonl")
         clean = self._run()
 
         cancel = threading.Event()
@@ -484,40 +484,31 @@ class TestRunSearch:
             if event["generation"] == 1:
                 cancel.set()
 
-        with pytest.raises(SweepCancelledError):
-            self._run(
-                checkpoint=journal,
-                cancel_event=cancel,
-                on_generation=stop_after_two,
-            )
-        resumed = self._run(checkpoint=journal, resume=True)
+        evaluated = get_metrics().counter("engine.configs_evaluated")
+        with ResultStore(str(tmp_path / "search.db")) as store:
+            with pytest.raises(SweepCancelledError):
+                self._run(
+                    store=store,
+                    cancel_event=cancel,
+                    on_generation=stop_after_two,
+                )
+            stored = store.count()
+            assert 0 < stored < len(clean.estimates)
+            before = evaluated.value
+            resumed = self._run(store=store)
         assert resumed.events == clean.events
         assert [e.config for e in resumed.front] == [
             e.config for e in clean.front
         ]
         assert resumed.evaluations == clean.evaluations
-
-    def test_resume_rejects_changed_settings(self, tmp_path):
-        journal = str(tmp_path / "search.moo.jsonl")
-        self._run(checkpoint=journal)
-        with pytest.raises(CheckpointMismatchError):
-            self._run(checkpoint=journal, resume=True, settings={"seed": 99})
+        # The rerun evaluates only what the cancelled one left unstored.
+        assert evaluated.value - before == len(clean.estimates) - stored
 
     def test_cancel_before_first_generation(self):
         cancel = threading.Event()
         cancel.set()
         with pytest.raises(SweepCancelledError):
             self._run(cancel_event=cancel)
-
-    def test_fingerprint_tracks_settings_and_space(self):
-        evaluator = make_evaluator()
-        space = small_space()
-        base = search_fingerprint(evaluator, space, SearchSettings())
-        assert base == search_fingerprint(evaluator, space, SearchSettings())
-        assert base != search_fingerprint(
-            evaluator, space, SearchSettings(seed=1)
-        )
-        assert base != search_fingerprint(evaluator, space[:-1], SearchSettings())
 
 
 class TestSearcherUnits:

@@ -17,8 +17,8 @@ The load-bearing claims:
   ``measure_grid`` alike;
 * grouped evaluation (``evaluate_batch``, the serial sweep fast path,
   ``ParallelSweep`` chunks) produces sweep tables byte-identical to
-  per-config evaluation, including through checkpoint/resume journals
-  and the serve layer's persistent store;
+  per-config evaluation, including through a resumed result store and
+  the serve layer's store-backed evaluator;
 * :meth:`EvalCache.miss_many` fills and hits the same entries as
   per-key :meth:`EvalCache.miss` calls, with the same counter semantics.
 """
@@ -319,25 +319,23 @@ class TestGroupedEvaluation:
         ]
 
     def test_checkpoint_resume_identical(self, tmp_path):
+        from repro.serve.store import ResultStore
+
         workload = KernelWorkload(get_kernel("compress"))
-        journal = str(tmp_path / "sweep.ckpt")
         baseline = Evaluator(
             workload, backend="fastsim", cache=EvalCache()
         ).sweep(**_sweep_space()).estimates
-        first = Evaluator(workload, backend="onepass", cache=EvalCache()).sweep(
-            resilience=ResilienceOptions(checkpoint=journal),
-            **_sweep_space(),
-        )
-        assert first.estimates == baseline
-        # A resumed run loads every journaled chunk and must reproduce
-        # the table bit for bit without re-measuring anything.
-        passes = get_metrics().counter("onepass.passes").value
-        resumed = Evaluator(
-            workload, backend="onepass", cache=EvalCache()
-        ).sweep(
-            resilience=ResilienceOptions(checkpoint=journal, resume=True),
-            **_sweep_space(),
-        )
+        with ResultStore(str(tmp_path / "sweep.db")) as store:
+            first = Evaluator(
+                workload, backend="onepass", cache=EvalCache()
+            ).sweep(resilience=ResilienceOptions(store=store), **_sweep_space())
+            assert first.estimates == baseline
+            # A resumed run takes every stored row and must reproduce the
+            # table bit for bit without re-measuring anything.
+            passes = get_metrics().counter("onepass.passes").value
+            resumed = Evaluator(
+                workload, backend="onepass", cache=EvalCache()
+            ).sweep(resilience=ResilienceOptions(store=store), **_sweep_space())
         assert resumed.estimates == baseline
         assert get_metrics().counter("onepass.passes").value == passes
 

@@ -1,11 +1,12 @@
-"""Fault tolerance for sweeps: retries, timeouts, checkpoint/resume.
+"""Fault tolerance for sweeps: retries, timeouts, a resumable store.
 
 The load-bearing claims:
 
-* a sweep journaled to a checkpoint, killed at any point, and resumed
-  produces a result table bit-identical to an uninterrupted run (the
-  hypothesis property lives in ``test_chaos.py``; targeted kill points
-  here);
+* a sweep recorded in a result store, killed at any point, and rerun
+  over that store produces a result table bit-identical to an
+  uninterrupted run (the hypothesis property lives in ``test_chaos.py``;
+  targeted kill points here), and a store only ever serves rows to the
+  evaluator that wrote them;
 * injected crashes, hard kills, hangs and corrupt payloads are absorbed
   by per-chunk retries/timeouts and never change the results;
 * deterministic evaluator failures surface immediately as
@@ -15,16 +16,19 @@ The load-bearing claims:
   ``parallel.*`` counters.
 """
 
+import contextlib
 import copy
 import json
+import os
+import sqlite3
 from dataclasses import dataclass
 
 import pytest
 
+from repro.core.composite import CompositeProgram
 from repro.core.config import CacheConfig
+from repro.energy import get_energy_model, get_sram
 from repro.engine import (
-    CheckpointError,
-    CheckpointMismatchError,
     Evaluator,
     FaultInjector,
     InjectedCrash,
@@ -32,13 +36,13 @@ from repro.engine import (
     ParallelSweep,
     ResilienceOptions,
     RetryPolicy,
-    SweepCheckpoint,
     SweepChunkError,
+    evaluator_fingerprint,
     order_configs,
     sweep_fingerprint,
 )
 from repro.engine.resilience import (
-    CHECKPOINT_SCHEMA,
+    CircuitBreaker,
     estimate_from_json,
     estimate_to_json,
 )
@@ -46,6 +50,14 @@ from repro.engine.cache import EvalCache
 from repro.kernels import get_kernel, make_compress
 from repro.obs.metrics import get_metrics
 from repro.obs.spans import tracing
+from repro.serve.store import (
+    ResultStore,
+    StoreError,
+    StoreSchemaError,
+    config_key,
+)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 #: A quick retry policy so failure tests do not sleep for real.
 FAST_RETRY = RetryPolicy(max_retries=3, backoff_base_s=0.001, backoff_cap_s=0.01)
@@ -55,11 +67,59 @@ def _counter(name):
     return get_metrics().counter(name).value
 
 
-def _journaled(path, configs, kernel=None):
-    """The estimates a compress sweep's journal holds, in sweep order."""
-    evaluator = Evaluator(KernelWorkload(kernel or get_kernel("compress")))
-    done = SweepCheckpoint(path).load(sweep_fingerprint(evaluator, configs))
-    return [done[config] for config in configs if config in done]
+def stored_rows(path, evaluator, configs):
+    """The estimates the store at ``path`` holds for ``configs``, in order."""
+    with ResultStore(str(path)) as store:
+        found = store.get_many(evaluator_fingerprint(evaluator), configs)
+    return [found[config] for config in configs if config in found]
+
+
+def forget_rows(path, evaluator, configs):
+    """Delete the stored rows of ``configs``, as a kill before their commit
+    would have left the store."""
+    eval_id = evaluator_fingerprint(evaluator)
+    with contextlib.closing(sqlite3.connect(str(path))) as conn, conn:
+        conn.executemany(
+            "DELETE FROM estimates WHERE eval_id = ? AND config_key = ?",
+            [(eval_id, config_key(config)) for config in configs],
+        )
+
+
+def tear_row(path, evaluator, config):
+    """Corrupt one stored row on disk so it fails its checksum."""
+    with contextlib.closing(sqlite3.connect(str(path))) as conn, conn:
+        conn.execute(
+            "UPDATE estimates SET estimate = substr(estimate, 1, 20)"
+            " WHERE eval_id = ? AND config_key = ?",
+            (evaluator_fingerprint(evaluator), config_key(config)),
+        )
+
+
+def _paper_evaluator():
+    return Evaluator(KernelWorkload(make_compress(n=7)))
+
+
+def _other_energy_evaluators():
+    """The paper's evaluator under another SRAM part and another model."""
+    return [
+        Evaluator(
+            KernelWorkload(make_compress(n=7)),
+            energy_model=get_energy_model(name, **kwargs),
+        )
+        for name, kwargs in (
+            ("hwo", {"sram": get_sram("16Mbit")}),
+            ("kamble-ghose", {}),
+        )
+    ]
+
+
+def _store_sweep(path, evaluator, configs, **kwargs):
+    """One ``ParallelSweep`` run recorded in the store at ``path``."""
+    options = kwargs.pop("resilience", {})
+    with ResultStore(str(path)) as store:
+        return ParallelSweep(
+            resilience=ResilienceOptions(store=store, **options), **kwargs
+        ).run(evaluator, configs)
 
 
 def _small_configs():
@@ -137,10 +197,6 @@ class TestRetryPolicy:
 
 
 class TestResilienceOptions:
-    def test_resume_requires_checkpoint(self):
-        with pytest.raises(ValueError, match="checkpoint"):
-            ResilienceOptions(resume=True)
-
     def test_timeout_must_be_positive(self):
         with pytest.raises(ValueError, match="timeout"):
             ResilienceOptions(chunk_timeout_s=0.0)
@@ -187,209 +243,218 @@ class TestSweepFingerprint:
 
 
 class TestSweepCheckpoint:
+    """The checkpoint of a sweep is a result store keyed by its evaluator."""
+
     def test_missing_file_is_empty_resume(self, tmp_path):
-        journal = SweepCheckpoint(str(tmp_path / "none.jsonl"))
-        assert journal.load("anything") == {}
+        evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
+        configs = _small_configs()
+        path = tmp_path / "none.db"
+        before = _counter("resilience.resumed_configs")
+        run = _store_sweep(path, evaluator, configs, jobs=1)
+        assert run == [evaluator.evaluate(config) for config in configs]
+        assert _counter("resilience.resumed_configs") == before
+        assert stored_rows(path, evaluator, configs) == run
 
     def test_round_trip(self, tmp_path):
         evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
         configs = _small_configs()
-        pairs = [
-            (index, evaluator.evaluate(config))
-            for index, config in enumerate(configs[:4])
-        ]
-        fingerprint = sweep_fingerprint(evaluator, configs)
-        path = str(tmp_path / "sweep.jsonl")
-        with SweepCheckpoint(path) as journal:
-            journal.open_for_append(fingerprint, fresh=True, configs=len(configs))
-            journal.record_chunk(pairs[:2])
-            journal.record_chunk(pairs[2:])
-        assert SweepCheckpoint(path).load(fingerprint) == {
-            estimate.config: estimate for _, estimate in pairs
-        }
+        path = tmp_path / "sweep.db"
+        chunks = ParallelSweep(jobs=1, chunk_size=2)._chunks(evaluator, configs)
+        before = _counter("resilience.checkpoint_chunks")
+        run = _store_sweep(path, evaluator, configs, jobs=1, chunk_size=2)
+        # One store write per committed chunk, every field exact.
+        assert _counter("resilience.checkpoint_chunks") - before == len(chunks)
+        assert stored_rows(path, evaluator, configs) == run
+        assert all(e.energy_breakdown is not None for e in run)
 
-    def test_wrong_fingerprint_refused(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        with SweepCheckpoint(path) as journal:
-            journal.open_for_append("aaaa", fresh=True, configs=1)
-        with pytest.raises(CheckpointMismatchError, match="different sweep"):
-            SweepCheckpoint(path).load("bbbb")
+    def test_wrong_fingerprint_refused(self):
+        # Rows are keyed by everything an estimate depends on: an energy
+        # model or a composite's layout flag changes the key.
+        kernel = make_compress(n=7)
+        ids = {
+            evaluator_fingerprint(evaluator)
+            for evaluator in [_paper_evaluator()] + _other_energy_evaluators()
+        }
+        assert len(ids) == 3
+        layouts = {
+            evaluator_fingerprint(
+                CompositeProgram([kernel], optimize_layout=flag)
+            )
+            for flag in (True, False)
+        }
+        assert len(layouts) == 2
 
     def test_non_journal_file_refused(self, tmp_path):
-        path = tmp_path / "not-a-journal.jsonl"
+        path = tmp_path / "not-a-store.db"
         path.write_text("just some text\n")
-        with pytest.raises(CheckpointError, match=CHECKPOINT_SCHEMA):
-            SweepCheckpoint(str(path)).load("aaaa")
+        with pytest.raises(StoreError, match="not a repro.store/1 store"):
+            ResultStore(str(path))
+        assert path.read_text() == "just some text\n"
 
     def test_newer_schema_refused_with_clear_error(self, tmp_path):
-        path = tmp_path / "future.jsonl"
-        header = {"schema": "repro.checkpoint/2", "fingerprint": "aaaa", "configs": 4}
-        path.write_text(json.dumps(header) + "\n")
-        with pytest.raises(CheckpointError, match="newer than"):
-            SweepCheckpoint(str(path)).load("aaaa")
+        path = str(tmp_path / "future.db")
+        ResultStore(path).close()
+        with contextlib.closing(sqlite3.connect(path)) as conn, conn:
+            conn.execute(
+                "UPDATE meta SET value = 'repro.store/2' WHERE key = 'schema'"
+            )
+        with pytest.raises(StoreSchemaError, match="newer than"):
+            ResultStore(path)
 
-    def test_old_search_journal_refused_with_clear_error(self, tmp_path):
+    def test_old_search_journal_refused_with_clear_error(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
         path = tmp_path / "search.jsonl"
         header = {"schema": "repro.moo.checkpoint/1", "fingerprint": "aaaa"}
         path.write_text(json.dumps(header) + "\n")
-        with pytest.raises(CheckpointError, match="search journal"):
-            SweepCheckpoint(str(path)).load("aaaa")
-
-    def test_missing_fingerprint_refused_clearly(self, tmp_path):
-        path = tmp_path / "anon.jsonl"
-        header = {"schema": CHECKPOINT_SCHEMA, "configs": 4}
-        path.write_text(json.dumps(header) + "\n")
-        with pytest.raises(CheckpointError, match="fingerprint"):
-            SweepCheckpoint(str(path)).load("aaaa")
+        assert main([
+            "pareto", "compress", "--max-size", "32", "--checkpoint",
+            str(path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "repro.moo.checkpoint/1 sweep journal" in err
+        assert "retired" in err and "pick a new path" in err
 
     def test_torn_trailing_line_tolerated(self, tmp_path):
+        # A row damaged on disk fails its checksum: it is quarantined and
+        # evaluated again, never served.
         evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
         configs = _small_configs()
-        fingerprint = sweep_fingerprint(evaluator, configs)
-        pairs = [(0, evaluator.evaluate(configs[0]))]
-        path = str(tmp_path / "sweep.jsonl")
-        with SweepCheckpoint(path) as journal:
-            journal.open_for_append(fingerprint, fresh=True, configs=len(configs))
-            journal.record_chunk(pairs)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"chunk": [[1, {"config": [64,')  # killed mid-write
-        assert SweepCheckpoint(path).load(fingerprint) == {
-            pairs[0][1].config: pairs[0][1]
-        }
+        path = tmp_path / "sweep.db"
+        clean = _store_sweep(path, evaluator, configs, jobs=1)
+        tear_row(path, evaluator, configs[3])
+        before = _counter("engine.configs_evaluated")
+        assert _store_sweep(path, evaluator, configs, jobs=1) == clean
+        assert _counter("engine.configs_evaluated") - before == 1
 
     def test_record_requires_open(self, tmp_path):
-        journal = SweepCheckpoint(str(tmp_path / "sweep.jsonl"))
-        with pytest.raises(CheckpointError, match="not open"):
-            journal.record_chunk([])
+        # A chunk the store cannot record fails the sweep before anyone
+        # hears it committed: a lost row would be a wrong resume.
+        class _ReadOnlyStore(ResultStore):
+            def put_many(self, eval_id, pairs):
+                raise sqlite3.OperationalError("attempt to write a readonly database")
+
+        evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
+        commits = []
+        with _ReadOnlyStore(str(tmp_path / "sweep.db")) as store:
+            with pytest.raises(sqlite3.OperationalError, match="readonly"):
+                ParallelSweep(
+                    jobs=1,
+                    resilience=ResilienceOptions(store=store),
+                    on_commit=lambda estimates, done, total: commits.append(
+                        len(estimates)
+                    ),
+                ).run(evaluator, _small_configs())
+        assert commits == [0]
 
     def test_load_keys_estimates_by_config(self, tmp_path):
+        # Rows are keyed by configuration, not by one sweep's list: a
+        # later sweep over any subset, in any order, evaluates nothing.
         evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
         configs = _small_configs()
-        path = str(tmp_path / "sweep.jsonl")
-        run = evaluator.sweep(
-            configs=configs, resilience=ResilienceOptions(checkpoint=path)
-        )
-        loaded = SweepCheckpoint(path).load(
-            sweep_fingerprint(evaluator, configs)
-        )
-        assert loaded == {e.config: e for e in run.estimates}
+        path = tmp_path / "sweep.db"
+        run = _store_sweep(path, evaluator, configs, jobs=1)
+        subset = list(reversed(configs[2:9]))
+        before = _counter("engine.configs_evaluated")
+        assert _store_sweep(path, evaluator, subset, jobs=2) == [
+            {e.config: e for e in run}[config] for config in subset
+        ]
+        assert _counter("engine.configs_evaluated") == before
 
 
 class TestCheckpointResume:
     """Killed-and-resumed sweeps are bit-identical to uninterrupted ones."""
-
-    def _truncate(self, path, chunk_lines):
-        lines = open(path, encoding="utf-8").read().splitlines()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines[: 1 + chunk_lines]) + "\n")
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_truncated_journal_resumes_identically(self, tmp_path, jobs):
         evaluator = Evaluator(KernelWorkload(get_kernel("compress")))
         configs = _small_configs()
         clean = evaluator.sweep(configs=configs)
-        path = str(tmp_path / "sweep.jsonl")
-        journaled = evaluator.sweep(
-            configs=configs,
-            jobs=jobs,
-            resilience=ResilienceOptions(checkpoint=path),
-        )
-        assert list(journaled.estimates) == list(clean.estimates)
-        self._truncate(path, chunk_lines=2)
+        path = tmp_path / "sweep.db"
+        recorded = _store_sweep(path, evaluator, configs, jobs=jobs)
+        assert recorded == list(clean.estimates)
+        # Killed after storing the first four rows.
+        forget_rows(path, evaluator, configs[4:])
         before = _counter("resilience.resumed_configs")
-        resumed = evaluator.sweep(
-            configs=configs,
-            jobs=jobs,
-            resilience=ResilienceOptions(checkpoint=path, resume=True),
+        evaluated = _counter("engine.configs_evaluated")
+        resumed = _store_sweep(path, evaluator, configs, jobs=jobs)
+        assert resumed == list(clean.estimates)
+        assert _counter("resilience.resumed_configs") - before == 4
+        assert (
+            _counter("engine.configs_evaluated") - evaluated
+            == len(configs) - 4
         )
-        assert list(resumed.estimates) == list(clean.estimates)
-        assert _counter("resilience.resumed_configs") > before
 
     def test_torn_journal_stays_resumable_after_resume(self, tmp_path):
         evaluator = Evaluator(KernelWorkload(get_kernel("compress")))
         configs = _small_configs()
         clean = evaluator.sweep(configs=configs)
-        path = str(tmp_path / "sweep.jsonl")
-
-        def sweep(resume):
-            return ParallelSweep(
-                jobs=1,
-                chunk_size=2,
-                resilience=ResilienceOptions(checkpoint=path, resume=resume),
-            ).run(evaluator, configs)
-
-        sweep(resume=False)
-        # Killed mid-record after two chunks: the third line is torn.
-        lines = open(path, encoding="utf-8").read().splitlines()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines[:3]) + "\n" + lines[3][:30])
-        assert sweep(resume=True) == list(clean.estimates)
-        # The resumed run's records must not glue onto the fragment: the
-        # journal now holds every configuration...
-        assert _journaled(path, configs) == list(clean.estimates)
+        path = tmp_path / "sweep.db"
+        _store_sweep(path, evaluator, configs, jobs=1, chunk_size=2)
+        # Killed after three chunks, one committed row torn on disk.
+        forget_rows(path, evaluator, configs[6:])
+        tear_row(path, evaluator, configs[5])
+        resumed = _store_sweep(path, evaluator, configs, jobs=1, chunk_size=2)
+        assert resumed == list(clean.estimates)
+        # The resumed run stored the torn row again with the rest: the
+        # store now holds every configuration...
+        assert stored_rows(path, evaluator, configs) == list(clean.estimates)
         # ...so resuming again evaluates nothing.
         before = _counter("engine.configs_evaluated")
-        assert sweep(resume=True) == list(clean.estimates)
+        again = _store_sweep(path, evaluator, configs, jobs=1, chunk_size=2)
+        assert again == list(clean.estimates)
         assert _counter("engine.configs_evaluated") == before
 
     def test_resume_across_different_job_counts(self, tmp_path):
         evaluator = Evaluator(KernelWorkload(get_kernel("compress")))
         configs = _small_configs()
         clean = evaluator.sweep(configs=configs)
-        path = str(tmp_path / "sweep.jsonl")
-        evaluator.sweep(
-            configs=configs, resilience=ResilienceOptions(checkpoint=path)
-        )
-        self._truncate(path, chunk_lines=1)
-        resumed = evaluator.sweep(
-            configs=configs,
-            jobs=2,
-            resilience=ResilienceOptions(checkpoint=path, resume=True),
-        )
-        assert list(resumed.estimates) == list(clean.estimates)
+        path = tmp_path / "sweep.db"
+        _store_sweep(path, evaluator, configs, jobs=1)
+        forget_rows(path, evaluator, configs[2:])
+        resumed = _store_sweep(path, evaluator, configs, jobs=2)
+        assert resumed == list(clean.estimates)
+        assert stored_rows(path, evaluator, configs) == list(clean.estimates)
 
     def test_complete_journal_skips_all_evaluation(self, tmp_path):
         evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
         configs = _small_configs()
-        path = str(tmp_path / "sweep.jsonl")
-        first = evaluator.sweep(
-            configs=configs, resilience=ResilienceOptions(checkpoint=path)
-        )
+        path = tmp_path / "sweep.db"
+        first = _store_sweep(path, evaluator, configs, jobs=1)
         before = _counter("resilience.resumed_configs")
-        poisoned = _PoisonedEvaluator(make_compress(n=7), poison=None)
-        poisoned.poison = configs[0]  # would raise if anything re-evaluated
-        resumed = ParallelSweep(
-            jobs=1,
-            resilience=ResilienceOptions(checkpoint=path, resume=True),
-        ).run(evaluator, configs)
-        assert resumed == list(first.estimates)
+        evaluated = _counter("engine.configs_evaluated")
+        # A complete store needs no backend: an open breaker, which
+        # would refuse any dispatch, is neither consulted nor taken, and
+        # on_commit never hears of the run.
+        breaker = CircuitBreaker(name="t", failure_threshold=1, cooldown_s=60)
+        breaker.record_failure()
+        commits = []
+        with ResultStore(str(path)) as store:
+            resumed = ParallelSweep(
+                jobs=2,
+                resilience=ResilienceOptions(store=store, breaker=breaker),
+                on_commit=lambda *args: commits.append(args),
+            ).run(evaluator, configs)
+        assert resumed == first
         assert _counter("resilience.resumed_configs") - before == len(configs)
-
-    def test_fresh_run_truncates_stale_journal(self, tmp_path):
-        evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
-        configs = _small_configs()
-        path = str(tmp_path / "sweep.jsonl")
-        evaluator.sweep(
-            configs=configs, resilience=ResilienceOptions(checkpoint=path)
-        )
-        evaluator.sweep(
-            configs=configs[:4],
-            resilience=ResilienceOptions(checkpoint=path),
-        )
-        assert len(_journaled(path, configs[:4], make_compress(n=7))) == 4
+        assert _counter("engine.configs_evaluated") == evaluated
+        assert commits == [] and breaker.state == "open"
 
     def test_resume_refuses_foreign_journal(self, tmp_path):
-        evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
+        # A store holding another evaluator's rows serves none of them:
+        # a changed energy model never resumes stale estimates.
         configs = _small_configs()
-        path = str(tmp_path / "sweep.jsonl")
-        evaluator.sweep(
-            configs=configs, resilience=ResilienceOptions(checkpoint=path)
-        )
-        with pytest.raises(CheckpointMismatchError):
-            evaluator.sweep(
-                configs=configs[:-2],
-                resilience=ResilienceOptions(checkpoint=path, resume=True),
-            )
+        path = tmp_path / "sweep.db"
+        paper = _paper_evaluator()
+        _store_sweep(path, paper, configs, jobs=1)
+        for other in _other_energy_evaluators():
+            before = _counter("resilience.resumed_configs")
+            run = _store_sweep(path, other, configs, jobs=1)
+            assert _counter("resilience.resumed_configs") == before
+            assert run == [other.evaluate(config) for config in configs]
+            assert run != [paper.evaluate(config) for config in configs]
 
 
 class TestFaultInjector:
@@ -546,18 +611,19 @@ class TestFaultInjection:
         evaluator = Evaluator(KernelWorkload(get_kernel("compress")))
         configs = _small_configs()
         clean = evaluator.sweep(configs=configs)
-        path = str(tmp_path / "sweep.jsonl")
-        run = evaluator.sweep(
-            configs=configs,
-            jobs=2,
-            resilience=ResilienceOptions(
-                checkpoint=path,
-                retry=FAST_RETRY,
-                fault_injector=FaultInjector(seed=6, crash_rate=0.4),
-            ),
-        )
+        path = tmp_path / "sweep.db"
+        with ResultStore(str(path)) as store:
+            run = evaluator.sweep(
+                configs=configs,
+                jobs=2,
+                resilience=ResilienceOptions(
+                    store=store,
+                    retry=FAST_RETRY,
+                    fault_injector=FaultInjector(seed=6, crash_rate=0.4),
+                ),
+            )
         assert list(run.estimates) == list(clean.estimates)
-        assert _journaled(path, configs) == list(clean.estimates)
+        assert stored_rows(path, evaluator, configs) == list(clean.estimates)
 
 
 class TestDeterministicFailures:
@@ -624,40 +690,122 @@ class TestEnvironmentFallback:
         evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
         configs = _small_configs()
         clean = [evaluator.evaluate(config) for config in configs]
-        path = str(tmp_path / "sweep.jsonl")
+        path = tmp_path / "sweep.db"
         before = _counter("parallel.serial_fallbacks")
-        run = ParallelSweep(
-            jobs=4, resilience=ResilienceOptions(checkpoint=path)
-        ).run(evaluator, configs)
+        run = _store_sweep(path, evaluator, configs, jobs=4)
         assert run == clean
         assert _counter("parallel.serial_fallbacks") == before + 1
-        assert _journaled(path, configs, make_compress(n=7)) == clean
+        assert stored_rows(path, evaluator, configs) == clean
 
 
 class TestCliResilienceFlags:
-    def test_checkpoint_and_resume_flags(self, tmp_path, capsys):
+    EXPLORE = [
+        "explore", "compress", "--max-size", "32", "--min-size", "16",
+        "--tilings", "1", "2",
+    ]
+
+    def _explore(self, capsys, *extra):
         from repro.cli import main
 
-        path = str(tmp_path / "cli.jsonl")
-        argv = [
-            "explore", "compress", "--max-size", "32", "--min-size", "32",
-            "--tilings", "1", "--checkpoint", path,
-        ]
-        assert main(argv + ["--max-retries", "1"]) == 0
-        first = capsys.readouterr().out
-        lines = open(path, encoding="utf-8").read().splitlines()
-        assert json.loads(lines[1])["chunk"]
-        assert main(argv + ["--resume", "--chunk-timeout", "30"]) == 0
-        assert capsys.readouterr().out == first
+        assert main(self.EXPLORE + list(extra)) == 0
+        return capsys.readouterr().out
+
+    def test_checkpoint_and_resume_flags(self, tmp_path, capsys):
+        path = str(tmp_path / "cli.db")
+        first = self._explore(
+            capsys, "--checkpoint", path, "--max-retries", "1"
+        )
+        rows = first.split("\n\n")[0].splitlines()[1:]
+        with ResultStore(path) as store:
+            assert store.count() == len(rows) > 0
+        # The same command over the same store resumes from it: a
+        # complete store evaluates nothing.
+        report = str(tmp_path / "metrics.json")
+        again = self._explore(
+            capsys, "--checkpoint", path, "--chunk-timeout", "30",
+            "--metrics-out", report,
+        )
+        assert again == first + f"wrote repro.obs/1 report to {report}\n"
+        with open(report, encoding="utf-8") as handle:
+            counters = json.load(handle)["metrics"]["counters"]
+        assert counters.get("engine.configs_evaluated", 0) == 0
 
     def test_resume_without_checkpoint_rejected(self):
         from repro.cli import main
 
-        with pytest.raises(ValueError, match="checkpoint"):
-            main([
-                "explore", "compress", "--max-size", "32", "--min-size",
-                "32", "--tilings", "1", "--resume",
-            ])
+        # --resume is gone: rerunning over the same --checkpoint resumes.
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.EXPLORE + ["--resume"])
+        assert excinfo.value.code == 2
+
+    def test_energy_model_changes_never_resume_stale_rows(
+        self, tmp_path, capsys
+    ):
+        from repro.core.explorer import MemExplorer
+
+        path = str(tmp_path / "cli.db")
+        configs = None
+        for variant in (
+            [], ["--sram", "16Mbit"], ["--energy-model", "kamble-ghose"],
+        ):
+            stored = self._explore(capsys, *variant, "--checkpoint", path)
+            assert stored == self._explore(capsys, *variant)
+            # The rows this variant stored are its own clean estimates.
+            energy = dict(zip(variant[::2], variant[1::2]))
+            evaluator = MemExplorer(
+                get_kernel("compress"),
+                energy_model=get_energy_model(
+                    energy.get("--energy-model", "hwo"),
+                    sram=get_sram(energy.get("--sram", "CY7C-2Mbit")),
+                ),
+                backend="auto",
+            ).evaluator
+            clean = evaluator.sweep(
+                max_size=32, min_size=16, ways=(1,), tilings=(1, 2)
+            ).estimates
+            configs = [estimate.config for estimate in clean]
+            assert stored_rows(path, evaluator, configs) == list(clean)
+        with ResultStore(path) as store:
+            assert store.count() == 3 * len(configs)
+
+    def test_composite_layout_flag_keys_the_store(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "mpeg.db")
+        argv = ["mpeg", "--max-size", "32", "--min-size", "32"]
+        assert main(argv + ["--checkpoint", path]) == 0
+        laid_out = capsys.readouterr().out
+        assert main(argv + ["--no-layout-opt", "--checkpoint", path]) == 0
+        stored = capsys.readouterr().out
+        assert main(argv + ["--no-layout-opt"]) == 0
+        assert stored == capsys.readouterr().out != laid_out
+
+    def test_retired_journal_rejected_clearly(self, tmp_path, capsys):
+        from repro.cli import main
+
+        # A journal as the JSONL checkpoint format wrote it.
+        journal = tmp_path / "sweep.jsonl"
+        with open(os.path.join(DATA, "sweep_journal_v1.jsonl"), "rb") as src:
+            journal.write_bytes(src.read())
+        before = journal.read_bytes()
+        assert main(self.EXPLORE + ["--checkpoint", str(journal)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "repro.checkpoint/1 sweep journal" in captured.err
+        assert "retired" in captured.err and "pick a new path" in captured.err
+        assert "Traceback" not in captured.err
+        assert journal.read_bytes() == before
+
+    def test_non_store_file_rejected_clearly(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "notes.txt"
+        path.write_text("not a store\n")
+        assert main(self.EXPLORE + ["--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "is not a repro.store/1 store" in err
+        assert "Traceback" not in err
 
 
 class _CancellingEvaluator:
@@ -690,18 +838,20 @@ class TestCooperativeCancellation:
 
         evaluator = Evaluator(KernelWorkload(get_kernel("compress")))
         configs = _small_configs()
-        path = str(tmp_path / "sweep.jsonl")
+        path = tmp_path / "sweep.db"
         event = threading.Event()
         event.set()
         before = _counter("resilience.sweeps_cancelled")
         with pytest.raises(SweepCancelledError) as excinfo:
-            ParallelSweep(
+            _store_sweep(
+                path,
+                evaluator,
+                configs,
                 jobs=1,
-                resilience=ResilienceOptions(
-                    checkpoint=path, cancel_event=event
-                ),
-            ).run(evaluator, configs)
+                resilience={"cancel_event": event},
+            )
         assert excinfo.value.done == 0
+        assert stored_rows(path, evaluator, configs) == []
         assert _counter("resilience.sweeps_cancelled") == before + 1
 
     def test_mid_sweep_cancel_keeps_journal_and_resumes(self, tmp_path):
@@ -713,34 +863,36 @@ class TestCooperativeCancellation:
         clean = Evaluator(
             KernelWorkload(get_kernel("compress"))
         ).sweep(configs=configs)
-        path = str(tmp_path / "sweep.jsonl")
+        path = tmp_path / "sweep.db"
         event = threading.Event()
         evaluator = _CancellingEvaluator(get_kernel("compress"), event, after=3)
         with pytest.raises(SweepCancelledError) as excinfo:
-            ParallelSweep(
+            _store_sweep(
+                path,
+                evaluator,
+                configs,
                 jobs=1,
                 chunk_size=2,
-                resilience=ResilienceOptions(
-                    checkpoint=path, cancel_event=event
-                ),
-            ).run(evaluator, configs)
+                resilience={"cancel_event": event},
+            )
         # The cooperative stop committed its finished chunks first.
         assert 0 < excinfo.value.done < len(configs)
-        journaled = _journaled(path, configs)
-        assert 0 < len(journaled) < len(configs)
-        # Resuming the same journal without the event completes exactly.
-        resumed = ParallelSweep(
-            jobs=1,
-            chunk_size=2,
-            resilience=ResilienceOptions(checkpoint=path, resume=True),
-        ).run(Evaluator(KernelWorkload(get_kernel("compress"))), configs)
+        plain = Evaluator(KernelWorkload(get_kernel("compress")))
+        stored = stored_rows(path, plain, configs)
+        assert len(stored) == excinfo.value.done
+        # Rerunning over the same store without the event completes
+        # exactly, evaluating only what the cancelled run left out.
+        evaluated = _counter("engine.configs_evaluated")
+        resumed = _store_sweep(path, plain, configs, jobs=1, chunk_size=2)
         assert resumed == list(clean.estimates)
+        assert (
+            _counter("engine.configs_evaluated") - evaluated
+            == len(configs) - len(stored)
+        )
 
 
 class TestBreakerInSweep:
     def test_deterministic_failures_trip_the_breaker(self):
-        from repro.engine.resilience import CircuitBreaker
-
         configs = _small_configs()
         evaluator = _PoisonedEvaluator(get_kernel("compress"), configs[0])
         breaker = CircuitBreaker(name="t", failure_threshold=1, cooldown_s=60)
@@ -754,8 +906,6 @@ class TestBreakerInSweep:
         assert breaker.state == "open"
 
     def test_healthy_sweep_closes_the_breaker(self):
-        from repro.engine.resilience import CircuitBreaker
-
         breaker = CircuitBreaker(name="t", failure_threshold=2, cooldown_s=60)
         breaker.record_failure()  # a stale strike from an earlier job
         evaluator = Evaluator(KernelWorkload(get_kernel("compress")))
