@@ -248,37 +248,34 @@ def _open_store(path: str):
 
 
 @contextlib.contextmanager
-def _checkpoint_store(args: argparse.Namespace):
-    """The store ``--checkpoint`` names, open for the command (or ``None``)."""
-    if args.checkpoint is None:
+def _resilience(args: argparse.Namespace):
+    """:class:`ResilienceOptions` from the CLI flags (or ``None``).
+
+    The store ``--checkpoint`` names stays open for the command.
+    ``pareto`` has no ``--chunk-timeout`` or ``--max-retries``.
+    """
+    chunk_timeout = getattr(args, "chunk_timeout", None)
+    max_retries = getattr(args, "max_retries", None)
+    if (
+        args.checkpoint is None
+        and chunk_timeout is None
+        and max_retries is None
+    ):
         yield None
         return
-    store = _open_store(args.checkpoint)
+    from repro.engine.resilience import ResilienceOptions, RetryPolicy
+
+    store = None if args.checkpoint is None else _open_store(args.checkpoint)
+    retry = RetryPolicy()
+    if max_retries is not None:
+        retry = RetryPolicy(max_retries=max_retries)
     try:
-        yield store
-    finally:
-        store.close()
-
-
-@contextlib.contextmanager
-def _resilience(args: argparse.Namespace):
-    """:class:`ResilienceOptions` from the CLI flags (or ``None``)."""
-    with _checkpoint_store(args) as store:
-        if (
-            store is None
-            and args.chunk_timeout is None
-            and args.max_retries is None
-        ):
-            yield None
-            return
-        from repro.engine.resilience import ResilienceOptions, RetryPolicy
-
-        retry = RetryPolicy()
-        if args.max_retries is not None:
-            retry = RetryPolicy(max_retries=args.max_retries)
         yield ResilienceOptions(
-            store=store, chunk_timeout_s=args.chunk_timeout, retry=retry
+            store=store, chunk_timeout_s=chunk_timeout, retry=retry
         )
+    finally:
+        if store is not None:
+            store.close()
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -614,6 +611,7 @@ def _print_front(estimates, objectives) -> None:
 def _cmd_pareto(args: argparse.Namespace) -> int:
     if args.server is not None:
         return _pareto_remote(args)
+    from repro.engine.parallel import ParallelSweep
     from repro.moo import run_search
 
     settings = _search_settings(args)
@@ -633,13 +631,14 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
         )
     )
     try:
-        with _checkpoint_store(args) as store:
+        with _resilience(args) as resilience:
             run = run_search(
                 explorer.evaluator,
                 space,
                 settings,
-                jobs=args.jobs,
-                store=store,
+                sweep=ParallelSweep(
+                    jobs=max(1, args.jobs), resilience=resilience
+                ),
                 on_generation=lambda event, archive: print(
                     _front_line(event)
                 ),

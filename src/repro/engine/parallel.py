@@ -540,10 +540,22 @@ class ParallelSweep:
         configs: Sequence[CacheConfig],
         opts: ResilienceOptions,
     ) -> Dict[int, PerformanceEstimate]:
-        """Every estimate the store already holds, by sweep index."""
+        """Every estimate the store already holds, by sweep index.
+
+        An evaluator with neither ``workload`` nor ``kernels`` is refused:
+        its fingerprint names only its class, so two instances that
+        disagree would share one set of rows.
+        """
         self._eval_id = None
         if opts.store is None:
             return {}
+        if getattr(evaluator, "workload", None) is None and (
+            getattr(evaluator, "kernels", None) is None
+        ):
+            raise ValueError(
+                "a result store keys rows by workload or kernels; "
+                f"{type(evaluator).__qualname__} has neither"
+            )
         self._eval_id = evaluator_fingerprint(evaluator)
         stored = opts.store.get_many(self._eval_id, configs)
         if stored:

@@ -2,25 +2,26 @@
 
 :func:`run_search` owns the generation loop so searchers stay pure
 strategies.  Each generation it asks the searcher for candidates, dedupes
-them into canonical order, evaluates only the cold ones through
-``Evaluator.evaluate_batch`` (one grouped one-pass/store-deduplicated
-batch per generation; ``jobs > 1`` or a ``store`` routes it through
-:class:`~repro.engine.parallel.ParallelSweep`), updates the
+them into canonical order, evaluates only the cold ones -- through the
+caller's :class:`~repro.engine.parallel.ParallelSweep` when one is given,
+else as one ``evaluator.evaluate_batch`` call -- updates the
 :class:`~repro.moo.archive.FrontArchive` and tells the searcher its
 fitness vectors.
 
 Determinism is the core contract: for a fixed seed the sequence of asked
 configurations, the archive contents and the per-generation events are
-identical under ``jobs=1`` and ``jobs=N``, on a clean run and on a resume.
-The durable record is a :class:`~repro.serve.store.ResultStore` (the
-CLI's ``--checkpoint``): each generation takes the rows stored for its
+identical without a sweep and under a sweep of any ``jobs``, on a clean
+run and on a resume.  The durable record is the sweep's
+:class:`~repro.serve.store.ResultStore` (the CLI's ``--checkpoint``, the
+service's store): each generation takes the rows stored for its
 evaluator and writes the ones it evaluates, so a killed search rerun
 over the same store replays the stored generations without evaluating
 them, and any other search or sweep over that evaluator reuses them
 too.  "Evaluations used" counts unique configurations *requested*, not
 cold simulator calls, so resumed and clean runs report the same numbers.
 
-Cancellation follows the sweep convention: a set ``cancel_event`` raises
+Cancellation follows the sweep convention: a set
+``sweep.resilience.cancel_event`` raises
 :class:`~repro.engine.resilience.SweepCancelledError` between generations
 (and aborts a parallel in-flight generation), leaving the store intact
 so a resubmission resumes from the last complete generation.
@@ -29,13 +30,12 @@ so a resubmission resumes from the last complete generation.
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheConfig, config_sort_key
 from repro.core.metrics import PerformanceEstimate
-from repro.engine.resilience import ResilienceOptions, SweepCancelledError
+from repro.engine.resilience import SweepCancelledError
 from repro.engine.result import ExplorationResult
 from repro.moo.archive import FRONT_SCHEMA, FrontArchive
 from repro.moo.objectives import objective_vector, reference_point, validate_objectives
@@ -209,51 +209,29 @@ def _admissible(evaluator: Any, configs: List[CacheConfig]) -> List[CacheConfig]
     return admitted
 
 
-def _evaluate(
-    evaluator: Any,
-    configs: List[CacheConfig],
-    jobs: int,
-    cancel_event: Optional[threading.Event],
-    store: Optional[Any],
-) -> List[PerformanceEstimate]:
-    """One generation's cold evaluations (bit-identical serial/parallel)."""
-    if not configs:
-        return []
-    if (jobs and jobs > 1) or store is not None:
-        from repro.engine.parallel import ParallelSweep
-
-        resilience = (
-            ResilienceOptions(cancel_event=cancel_event, store=store)
-            if cancel_event is not None or store is not None
-            else None
-        )
-        return ParallelSweep(jobs=max(1, jobs), resilience=resilience).run(
-            evaluator, configs
-        )
-    return evaluator.evaluate_batch(configs)
-
-
 def run_search(
     evaluator: Any,
     space: Sequence[CacheConfig],
     settings: Optional[SearchSettings] = None,
     *,
-    jobs: int = 1,
-    store: Optional[Any] = None,
-    cancel_event: Optional[threading.Event] = None,
+    sweep: Optional[Any] = None,
     on_generation: Optional[Callable[[Dict[str, Any], FrontArchive], None]] = None,
     searcher: Optional[Searcher] = None,
 ) -> SearchRun:
     """Run one multi-objective search over ``space`` and return its front.
 
-    ``store`` (an open :class:`~repro.serve.store.ResultStore`) supplies
+    ``sweep`` (a :class:`~repro.engine.parallel.ParallelSweep`)
+    evaluates each generation's cold configurations: its store supplies
     every estimate it holds for ``evaluator`` and records each one this
-    search evaluates.  ``on_generation(event, archive)`` fires after
-    every completed generation with the ``repro.front/1`` event just
-    recorded -- the hook the serve layer uses to stream fronts and
-    persist partial state.
+    search evaluates, its workers fan them out, and its cancel event
+    stops the search between generations; without one they are one
+    ``evaluator.evaluate_batch`` call.  ``on_generation(event, archive)``
+    fires after every completed generation with the ``repro.front/1``
+    event just recorded -- the hook the serve layer uses to stream
+    fronts and persist partial state.
     """
     settings = settings if settings is not None else SearchSettings()
+    cancel_event = sweep.resilience.cancel_event if sweep is not None else None
     ordered_space = _order(set(space))
     if not ordered_space:
         raise ValueError("cannot search an empty configuration space")
@@ -312,9 +290,12 @@ def run_search(
                 configs=len(admitted),
                 cold=len(missing),
             ):
-                fresh = _evaluate(
-                    evaluator, missing, jobs, cancel_event, store
-                )
+                if not missing:
+                    fresh = []
+                elif sweep is not None:
+                    fresh = sweep.run(evaluator, missing)
+                else:
+                    fresh = evaluator.evaluate_batch(missing)
             for estimate in fresh:
                 evaluated[estimate.config] = estimate
             requested.update(admitted)

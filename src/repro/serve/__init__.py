@@ -8,18 +8,17 @@ evaluation, fleet-wide, instead of re-running one-shot CLI sweeps.
   (sqlite, schema ``repro.store/1``) result tier under the in-memory
   :class:`~repro.engine.cache.EvalCache`: finished estimates are
   content-addressed by evaluator fingerprint + configuration, survive
-  restarts, and are shared across processes.
-  :class:`StoreBackedEvaluator` layers the store under any engine
-  evaluator without changing sweep fingerprints.
+  restarts, and are shared across processes.  A
+  :class:`~repro.engine.parallel.ParallelSweep` given the store is how
+  sweeps, searches and result rebuilds read and extend it.
 * :mod:`repro.serve.jobs` -- :class:`JobSpec` (the canonical, hashable
   sweep request; an optional ``search`` section turns it into a
   multi-objective search job), :class:`JobManager` (bounded priority
   queue, request coalescing, admission control, persistence) and
-  :class:`JobRunner` (execution via
-  :class:`~repro.engine.parallel.ParallelSweep`, or
-  :func:`~repro.moo.driver.run_search` for search jobs, storing each
-  completed chunk -- either way a killed server resumes
-  bit-identically from the store).
+  :class:`JobRunner` (every job runs on the runner's
+  :class:`~repro.engine.parallel.ParallelSweep`, which a search job
+  hands to :func:`~repro.moo.driver.run_search`; each completed chunk is
+  stored, so a killed server resumes bit-identically from the store).
 * :mod:`repro.serve.tenancy` -- multi-tenant admission control:
   :class:`TenancyPolicy` / :class:`ClientPolicy` (per-client token-bucket
   rate limits, in-flight quotas, fair-share weights) consulted by the
@@ -65,7 +64,6 @@ from repro.serve.server import (
 from repro.serve.store import (
     STORE_SCHEMA,
     ResultStore,
-    StoreBackedEvaluator,
     StoreError,
     StoreSchemaError,
     config_key,
@@ -99,7 +97,6 @@ __all__ = [
     "ServeError",
     "ServeHTTPServer",
     "ServiceDrainingError",
-    "StoreBackedEvaluator",
     "StoreError",
     "StoreSchemaError",
     "TenancyError",

@@ -67,7 +67,7 @@ import sqlite3
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import CacheConfig, design_space
@@ -90,7 +90,7 @@ from repro.obs.metrics import get_metrics
 from repro.obs.report import build_document
 from repro.obs.spans import SpanRecorder, activate, deactivate, span
 from repro.registry import build_manifest, get_registry
-from repro.serve.store import ResultStore, StoreBackedEvaluator, evaluator_fingerprint
+from repro.serve.store import ResultStore, evaluator_fingerprint
 from repro.serve.tenancy import (
     DEFAULT_CLIENT,
     TenancyPolicy,
@@ -268,20 +268,15 @@ class JobSpec:
             return self.search.budget
         return len(self.configs())
 
-    def build_evaluator(
-        self, store: Optional[ResultStore] = None
-    ) -> Any:
-        """The engine evaluator for this spec (store-backed when given)."""
-        evaluator = Evaluator(
+    def build_evaluator(self) -> Evaluator:
+        """The engine evaluator for this spec."""
+        return Evaluator(
             KernelWorkload(
                 get_kernel(self.kernel), optimize_layout=self.optimize_layout
             ),
             backend=self.backend,
             energy_model=get_energy_model("hwo", sram=get_sram(self.sram)),
         )
-        if store is None:
-            return evaluator
-        return StoreBackedEvaluator(evaluator, store)
 
     def eval_id(self) -> str:
         """The store fingerprint of this spec's evaluator."""
@@ -990,29 +985,6 @@ class _DeadlineWatch:
                 self._timer.cancel()
 
 
-class _RunnerEvaluator(StoreBackedEvaluator):
-    """A search job's evaluator: each batch resolves through its runner.
-
-    Every generation reads the store in the runner's process and fans
-    only the misses out on the runner's pool (:meth:`JobRunner._resolve`).
-    """
-
-    def __init__(
-        self,
-        runner: "JobRunner",
-        evaluator: Any,
-        resilience: ResilienceOptions,
-    ) -> None:
-        super().__init__(evaluator, runner.manager.store)
-        self._runner = runner
-        self._resilience = resilience
-
-    def evaluate_batch(self, configs: Any) -> List[PerformanceEstimate]:
-        return self._runner._resolve(
-            self.eval_id, self.inner, list(configs), self._resilience
-        )
-
-
 class JobRunner(threading.Thread):
     """The worker loop: claim, sweep, record.
 
@@ -1188,53 +1160,48 @@ class JobRunner(threading.Thread):
         evaluator = spec.build_evaluator()
         eval_id = evaluator_fingerprint(evaluator)
         configs = spec.configs()
-        resilience = ResilienceOptions(cancel_event=cancel_event)
-        estimates = self._resolve(
+        sweep = self._resolve(
             eval_id,
-            evaluator,
-            configs,
-            resilience,
+            cancel_event,
             on_commit=lambda estimates, done, total: self.manager.progress(
                 job, done, total
             ),
         )
+        estimates = sweep.run(evaluator, configs)
         self._record_manifest(
-            job, eval_id, evaluator, configs, resilience=resilience
+            job, eval_id, evaluator, configs, resilience=sweep.resilience
         )
         return ExplorationResult(estimates)
 
     def _resolve(
         self,
         eval_id: str,
-        evaluator: Any,
-        configs: List[CacheConfig],
-        resilience: ResilienceOptions,
+        cancel_event: Optional[threading.Event],
         on_commit: Optional[
             Callable[[List[PerformanceEstimate], int, int], None]
         ] = None,
-    ) -> List[PerformanceEstimate]:
-        """Estimates for ``configs``: the store's rows, then only its misses.
+    ) -> ParallelSweep:
+        """The runner's sweep for the evaluator ``eval_id`` names.
 
-        :meth:`ParallelSweep.run <repro.engine.parallel.ParallelSweep.run>`
-        reads and writes the store here, in the runner's process, fans
-        only the configurations it lacks out on the runner's pool, and
+        Its :meth:`~repro.engine.parallel.ParallelSweep.run` reads and
+        writes the store here, in the runner's process, fans only the
+        configurations the store lacks out on the runner's pool, and
         writes each chunk's fresh rows as the chunk commits -- one write
         per chunk, whose failure fails the job -- so the store alone holds
         an interrupted job's progress.  A batch the store answers in full
         needs no backend: it neither consults nor takes the evaluator's
         circuit breaker, and an open breaker fails the rest fast.
         """
-        sweep = ParallelSweep(
+        return ParallelSweep(
             jobs=self.sweep_jobs,
-            resilience=replace(
-                resilience,
+            resilience=ResilienceOptions(
+                cancel_event=cancel_event,
                 store=self.manager.store,
                 breaker=self.breaker_for(eval_id),
             ),
             on_commit=on_commit,
             pool=self.pool,
         )
-        return sweep.run(evaluator, configs)
 
     def _search(
         self, job: Job, cancel_event: Optional[threading.Event] = None
@@ -1243,9 +1210,9 @@ class JobRunner(threading.Thread):
 
         One ``repro.front/1`` event per completed generation is published
         into the job's history (the ``/events`` wire).  Every generation
-        resolves through :meth:`_resolve`, which stores each committed
-        chunk, so a cancelled, expired or killed search replays the
-        stored generations without dispatching them and resumes
+        runs on the runner's sweep (:meth:`_resolve`), which stores each
+        committed chunk, so a cancelled, expired or killed search replays
+        the stored generations without dispatching them and resumes
         bit-identically on resubmission.  A cooperative cancellation
         persists the front as of the last complete generation in a
         partial search manifest before unwinding.
@@ -1253,11 +1220,8 @@ class JobRunner(threading.Thread):
         spec = job.spec
         settings = spec.search
         assert settings is not None
-        evaluator = _RunnerEvaluator(
-            self,
-            spec.build_evaluator(),
-            ResilienceOptions(cancel_event=cancel_event),
-        )
+        evaluator = spec.build_evaluator()
+        eval_id = evaluator_fingerprint(evaluator)
         configs = spec.configs()
         self.manager.progress(job, 0, settings.budget)
         last_event: Dict[str, Any] = {}
@@ -1278,14 +1242,14 @@ class JobRunner(threading.Thread):
                     evaluator,
                     configs,
                     settings,
-                    cancel_event=cancel_event,
+                    sweep=self._resolve(eval_id, cancel_event),
                     on_generation=publish,
                 )
         except SweepCancelledError:
             if last_event:
                 self._record_manifest(
                     job,
-                    evaluator.eval_id,
+                    eval_id,
                     evaluator,
                     configs,
                     search={
@@ -1302,7 +1266,7 @@ class JobRunner(threading.Thread):
             raise
         self._record_manifest(
             job,
-            evaluator.eval_id,
+            eval_id,
             evaluator,
             configs,
             search=run.manifest_doc(),

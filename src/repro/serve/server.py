@@ -91,6 +91,8 @@ from urllib.parse import parse_qs, urlparse
 from repro import obs
 from repro.core.config import CacheConfig
 from repro.engine.cache import get_eval_cache
+from repro.engine.parallel import ParallelSweep
+from repro.engine.resilience import ResilienceOptions
 from repro.engine.result import ExplorationResult
 from repro.moo.driver import run_search
 from repro.obs.metrics import get_metrics
@@ -320,14 +322,11 @@ class ExplorationService:
             result = self.store.result_for(eval_id, configs)
             if result is None:
                 # Rows were quarantined (or otherwise lost) since the
-                # job finished: re-evaluate the holes through the
-                # store-backed evaluator instead of serving a 404 for
-                # a done job.  The healthy rows come straight from
-                # sqlite; only the gaps recompute, and the fresh
+                # job finished: re-evaluate the holes instead of serving
+                # a 404 for a done job.  The healthy rows come straight
+                # from sqlite; only the gaps recompute, and the fresh
                 # estimates repopulate the store.
-                get_metrics().counter("serve.results_rebuilt").inc()
-                evaluator = job.spec.build_evaluator(self.store)
-                result = ExplorationResult(evaluator.evaluate_batch(configs))
+                result = self._rebuild(job, configs)
         return {
             "job_id": job.job_id,
             "schema": SERVE_SCHEMA,
@@ -339,10 +338,10 @@ class ExplorationService:
 
         The persisted manifest's ``search.front`` names the front
         configurations; their rows come from the store (re-evaluating
-        any quarantined hole through the store-backed evaluator).  With
-        no usable manifest the search re-runs deterministically -- every
-        row the original run evaluated is an L2 store hit, so the replay
-        touches no backend unless rows were lost too.
+        any quarantined hole).  With no usable manifest the search
+        re-runs deterministically over the store -- every row the
+        original run evaluated is stored, so the replay touches no
+        backend unless rows were lost too.
         """
         manifest = self.store.load_manifest(job.job_id) or {}
         search = manifest.get("search") or {}
@@ -360,13 +359,30 @@ class ExplorationService:
             result = self.store.result_for(eval_id, configs)
             if result is not None:
                 return result
-            get_metrics().counter("serve.results_rebuilt").inc()
-            evaluator = job.spec.build_evaluator(self.store)
-            return ExplorationResult(evaluator.evaluate_batch(configs))
+            return self._rebuild(job, configs)
         get_metrics().counter("serve.results_rebuilt").inc()
-        evaluator = job.spec.build_evaluator(self.store)
-        run = run_search(evaluator, job.spec.configs(), job.spec.search)
+        run = run_search(
+            job.spec.build_evaluator(),
+            job.spec.configs(),
+            job.spec.search,
+            sweep=self._rebuild_sweep(),
+        )
         return run.result
+
+    def _rebuild_sweep(self) -> ParallelSweep:
+        """A serial sweep over the store: stored rows read, holes recomputed."""
+        return ParallelSweep(
+            jobs=1, resilience=ResilienceOptions(store=self.store)
+        )
+
+    def _rebuild(
+        self, job: Job, configs: List[CacheConfig]
+    ) -> ExplorationResult:
+        """``configs``' rows for a done job whose store lost some of them."""
+        get_metrics().counter("serve.results_rebuilt").inc()
+        return ExplorationResult(
+            self._rebuild_sweep().run(job.spec.build_evaluator(), configs)
+        )
 
 
 class ServeHTTPServer(ThreadingHTTPServer):

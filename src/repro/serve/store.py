@@ -17,15 +17,12 @@ through :func:`~repro.engine.resilience.estimate_to_json`, whose floats
 serialise via ``repr``, so a stored result is bit-identical to a freshly
 computed one.
 
-:class:`StoreBackedEvaluator` wraps any engine evaluator with the store:
-``evaluate_batch(configs)`` first consults the store (an L2 hit skips the
-whole pipeline, including the EvalCache), and writes every freshly
-computed estimate back.  The wrapper delegates ``workload`` / ``backend``
-/ ``cache`` to the inner evaluator, so fingerprints and
-:class:`~repro.engine.parallel.ParallelSweep` chunking are identical with
-or without the store.  The store stays in the process
-that opened it: parallel evaluation fans out only the store's misses,
-and only the inner evaluator crosses into workers.
+A sweep's :meth:`~repro.engine.parallel.ParallelSweep.run` is the one
+path that reads stored estimates for evaluation (a stored row skips the
+whole pipeline, the EvalCache included), alongside the stored-job fast
+path :meth:`ResultStore.result_for`.  The store stays in the process
+that opened it: a sweep fans out only the store's misses, and only the
+evaluator crosses into workers.
 
 Store schema (``repro.store/1``)::
 
@@ -90,7 +87,7 @@ from repro.engine.resilience import (
     RetryPolicy,
     estimate_from_json,
     estimate_to_json,
-    evaluator_fingerprint,
+    evaluator_fingerprint,  # re-exported: the key of a store's rows
 )
 from repro.engine.result import ExplorationResult
 from repro.obs.metrics import get_metrics
@@ -98,7 +95,6 @@ from repro.obs.metrics import get_metrics
 __all__ = [
     "STORE_SCHEMA",
     "ResultStore",
-    "StoreBackedEvaluator",
     "StoreError",
     "StoreSchemaError",
     "config_key",
@@ -143,6 +139,10 @@ _MIGRATIONS = (
     "ALTER TABLE manifests ADD COLUMN checksum TEXT",
     "ALTER TABLE traces ADD COLUMN checksum TEXT",
 )
+
+#: Configurations per ``get_many`` query: with the ``eval_id`` parameter
+#: it stays under 999, the smallest bound-variable limit sqlite builds use.
+_READ_BATCH = 900
 
 #: SQLITE_BUSY / SQLITE_LOCKED surface as OperationalError with these
 #: markers in the message; anything else is a real error.
@@ -373,54 +373,41 @@ class ResultStore:
     def get(
         self, eval_id: str, config: CacheConfig
     ) -> Optional[PerformanceEstimate]:
-        """The stored estimate for one configuration, or ``None``.
-
-        A row that fails its checksum or no longer parses is quarantined
-        and reported as a miss -- the caller re-evaluates and the fresh
-        estimate repopulates the store.
-        """
-        started = time.perf_counter()
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT estimate, checksum FROM estimates"
-                " WHERE eval_id = ? AND config_key = ?",
-                (eval_id, config_key(config)),
-            ).fetchone()
-        self._read_hist.observe(time.perf_counter() - started)
-        if row is not None:
-            estimate = self._estimate_from_row(
-                eval_id, config_key(config), row[0], row[1]
-            )
-            if estimate is not None:
-                self._hit_counter.inc()
-                return estimate
-        self._miss_counter.inc()
-        return None
+        """The stored estimate for one configuration, or ``None``."""
+        return self.get_many(eval_id, [config]).get(config)
 
     def get_many(
         self, eval_id: str, configs: Sequence[CacheConfig]
     ) -> Dict[CacheConfig, PerformanceEstimate]:
-        """Every stored estimate among ``configs`` (missing ones omitted)."""
+        """Every stored estimate among ``configs`` (missing ones omitted).
+
+        One query per :data:`_READ_BATCH` configurations.  A row that
+        fails its checksum or no longer parses is quarantined and
+        reported as a miss -- the caller re-evaluates and the fresh
+        estimate repopulates the store.
+        """
         started = time.perf_counter()
-        found: Dict[CacheConfig, PerformanceEstimate] = {}
-        corrupt: List[Tuple[CacheConfig, str, Optional[str]]] = []
+        keys = {config_key(config): config for config in configs}
+        ordered = list(keys)
+        rows: Dict[str, Tuple[str, Optional[str]]] = {}
         with self._lock:
-            for config in configs:
-                row = self._conn.execute(
-                    "SELECT estimate, checksum FROM estimates"
-                    " WHERE eval_id = ? AND config_key = ?",
-                    (eval_id, config_key(config)),
-                ).fetchone()
-                if row is not None:
-                    corrupt.append((config, row[0], row[1]))
-        # Verification happens outside the row loop so quarantine writes
-        # never interleave with the read cursor.
-        for config, text, checksum in corrupt:
-            estimate = self._estimate_from_row(
-                eval_id, config_key(config), text, checksum
-            )
-            if estimate is not None:
-                found[config] = estimate
+            for first in range(0, len(ordered), _READ_BATCH):
+                batch = ordered[first:first + _READ_BATCH]
+                for key, text, checksum in self._conn.execute(
+                    "SELECT config_key, estimate, checksum FROM estimates"
+                    " WHERE eval_id = ? AND config_key IN (%s)"
+                    % ",".join("?" * len(batch)),
+                    (eval_id, *batch),
+                ):
+                    rows[key] = (text, checksum)
+        # Verification happens after the reads so quarantine writes never
+        # interleave with a read cursor.
+        found: Dict[CacheConfig, PerformanceEstimate] = {}
+        for key, config in keys.items():
+            if key in rows:
+                estimate = self._estimate_from_row(eval_id, key, *rows[key])
+                if estimate is not None:
+                    found[config] = estimate
         self._read_hist.observe(time.perf_counter() - started)
         hits = len(found)
         if hits:
@@ -726,87 +713,6 @@ class ResultStore:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-class StoreBackedEvaluator:
-    """An evaluator with the persistent store as its L2 result tier.
-
-    ``evaluate_batch(configs)`` returns the stored estimates that exist --
-    skipping trace generation, miss measurement and the in-memory
-    :class:`~repro.engine.cache.EvalCache` entirely -- and delegates the
-    rest to the wrapped evaluator's ``evaluate_batch``, recording the
-    fresh estimates.  The store is read and written in the caller's
-    process only: the wrapper never crosses a process boundary.
-    Every delegated attribute (``workload``, ``backend``, ``cache``,
-    ``energy_model``, ``gray_code``) and :meth:`analytic_explorer` mirror
-    the inner evaluator, so fingerprints, sweep chunking and search
-    seeding do not change when the store is layered in.
-    """
-
-    def __init__(
-        self,
-        evaluator: Any,
-        store: ResultStore,
-        eval_id: Optional[str] = None,
-    ) -> None:
-        self.inner = evaluator
-        self.eval_id = (
-            eval_id if eval_id is not None else evaluator_fingerprint(evaluator)
-        )
-        self.store = store
-
-    @property
-    def workload(self):
-        """The inner evaluator's workload (identity passthrough)."""
-        return getattr(self.inner, "workload", None)
-
-    @property
-    def backend(self):
-        """The inner evaluator's backend (identity passthrough)."""
-        return getattr(self.inner, "backend", None)
-
-    @property
-    def energy_model(self):
-        """The inner evaluator's energy model (identity passthrough)."""
-        return getattr(self.inner, "energy_model", None)
-
-    @property
-    def gray_code(self):
-        """The inner evaluator's Gray-coding flag (identity passthrough)."""
-        return getattr(self.inner, "gray_code", None)
-
-    @property
-    def cache(self):
-        """The inner evaluator's in-memory L1 cache."""
-        return getattr(self.inner, "cache", None)
-
-    def analytic_explorer(self):
-        """The inner evaluator's memoising analytic explorer (for seeding)."""
-        return self.inner.analytic_explorer()
-
-    def evaluate(self, config: CacheConfig) -> PerformanceEstimate:
-        """One configuration, from the store when possible (a batch of one)."""
-        return self.evaluate_batch([config])[0]
-
-    def evaluate_batch(
-        self, configs: Any
-    ) -> "list[PerformanceEstimate]":
-        """Many configurations: one store read, one batch for the rest.
-
-        Keeps the grouped cold path (one stack-filter pass per trace/line
-        size group) intact underneath the store tier: stored estimates
-        are returned as-is and only the misses reach the inner evaluator;
-        the fresh estimates are recorded in one store write.
-        """
-        configs = list(configs)
-        unique = list(dict.fromkeys(configs))
-        found = self.store.get_many(self.eval_id, unique)
-        cold = [config for config in unique if config not in found]
-        if cold:
-            fresh = self.inner.evaluate_batch(cold)
-            self.store.put_many(self.eval_id, zip(cold, fresh))
-            found.update(zip(cold, fresh))
-        return [found[config] for config in configs]
 
 
 def open_store(path: str) -> ResultStore:

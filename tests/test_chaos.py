@@ -87,6 +87,11 @@ def _stored_sweep(path, evaluator, configs, **kwargs):
         ).run(evaluator, configs)
 
 
+def _store_sweep(store):
+    """A serial sweep over ``store``, as a search's generations run."""
+    return ParallelSweep(jobs=1, resilience=ResilienceOptions(store=store))
+
+
 def _baseline(tmp_path_factory):
     """Clean estimates plus a complete store, computed once per session."""
     if not _STATE:
@@ -302,9 +307,9 @@ class TestMultiTenantChaos:
         # chaos-b's sweep finishes and lands in the store before the
         # crash; a seed-picked row of it is then torn on disk.
         done_spec = self.SPECS["chaos-b"][0]
-        warm = done_spec.build_evaluator(first.store)
-        for config in done_spec.configs():
-            warm.evaluate(config)
+        ParallelSweep(
+            jobs=1, resilience=ResilienceOptions(store=first.store)
+        ).run(done_spec.build_evaluator(), done_spec.configs())
 
         # The first DRR visit credits chaos-a's weight of two, so the
         # claim that dies between two chunk commits is deterministically
@@ -411,7 +416,9 @@ class TestSearchChaos:
         # stored (a deterministic searcher replays from any subset), and
         # optionally the last stored row is torn on disk.
         with ResultStore(path) as store:
-            run_search(evaluator, space, settings_, store=store)
+            run_search(
+                evaluator, space, settings_, sweep=_store_sweep(store)
+            )
         evaluated = [estimate.config for estimate in clean.estimates]
         kill_after = min(len(evaluated), int(fraction * (len(evaluated) + 1)))
         forget_rows(path, evaluator, evaluated[kill_after:])
@@ -423,7 +430,7 @@ class TestSearchChaos:
                 Evaluator(KernelWorkload(get_kernel("compress"))),
                 space,
                 settings_,
-                store=store,
+                sweep=_store_sweep(store),
             )
         assert resumed.events == clean.events
         assert [e.config for e in resumed.front] == [

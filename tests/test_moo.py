@@ -11,7 +11,12 @@ from repro.core.analytic import AnalyticExplorer
 from repro.core.config import CacheConfig, config_sort_key, design_space
 from repro.core.metrics import PerformanceEstimate
 from repro.core.pareto import pareto_points
-from repro.engine import Evaluator, KernelWorkload
+from repro.engine import (
+    Evaluator,
+    KernelWorkload,
+    ParallelSweep,
+    ResilienceOptions,
+)
 from repro.engine.resilience import SweepCancelledError
 from repro.kernels import available_kernels, get_kernel
 from repro.moo import (
@@ -343,16 +348,6 @@ class TestSeeding:
         seeds = analytic_seeds(evaluator, space)
         assert seeds and set(seeds) <= set(front)
 
-    def test_store_backed_evaluator_seeds_like_its_inner(self, tmp_path):
-        from repro.serve.store import ResultStore, StoreBackedEvaluator
-
-        evaluator = make_evaluator()
-        space = small_space()
-        with ResultStore(str(tmp_path / "results.db")) as store:
-            wrapped = StoreBackedEvaluator(evaluator, store)
-            assert wrapped.analytic_explorer() is evaluator.analytic_explorer()
-            assert analytic_seeds(wrapped, space) == analytic_seeds(evaluator, space)
-
 
 def pareto_point_seeds(evaluator, space, objectives, limit=32):
     """``analytic_seeds`` as it was built on ``pareto_points``: the oracle."""
@@ -442,8 +437,8 @@ class TestRunSearch:
         assert first.evaluations == second.evaluations
 
     def test_parallel_jobs_match_serial(self):
-        serial = self._run(jobs=1)
-        parallel = self._run(jobs=4)
+        serial = self._run()
+        parallel = self._run(sweep=ParallelSweep(jobs=4))
         assert serial.events == parallel.events
         assert [e.config for e in serial.front] == [
             e.config for e in parallel.front
@@ -488,14 +483,22 @@ class TestRunSearch:
         with ResultStore(str(tmp_path / "search.db")) as store:
             with pytest.raises(SweepCancelledError):
                 self._run(
-                    store=store,
-                    cancel_event=cancel,
+                    sweep=ParallelSweep(
+                        jobs=1,
+                        resilience=ResilienceOptions(
+                            store=store, cancel_event=cancel
+                        ),
+                    ),
                     on_generation=stop_after_two,
                 )
             stored = store.count()
             assert 0 < stored < len(clean.estimates)
             before = evaluated.value
-            resumed = self._run(store=store)
+            resumed = self._run(
+                sweep=ParallelSweep(
+                    jobs=1, resilience=ResilienceOptions(store=store)
+                )
+            )
         assert resumed.events == clean.events
         assert [e.config for e in resumed.front] == [
             e.config for e in clean.front
@@ -508,7 +511,11 @@ class TestRunSearch:
         cancel = threading.Event()
         cancel.set()
         with pytest.raises(SweepCancelledError):
-            self._run(cancel_event=cancel)
+            self._run(
+                sweep=ParallelSweep(
+                    resilience=ResilienceOptions(cancel_event=cancel)
+                )
+            )
 
 
 class TestSearcherUnits:

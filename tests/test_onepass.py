@@ -340,31 +340,33 @@ class TestGroupedEvaluation:
         assert get_metrics().counter("onepass.passes").value == passes
 
     def test_store_backed_batch(self, tmp_path):
-        from repro.serve.store import ResultStore, StoreBackedEvaluator
+        from repro.serve.store import ResultStore, evaluator_fingerprint
 
         workload = KernelWorkload(get_kernel("compress"))
         store = ResultStore(str(tmp_path / "results.db"))
+        sweep = ParallelSweep(
+            jobs=1, resilience=ResilienceOptions(store=store)
+        )
         inner = Evaluator(workload, backend="onepass", cache=EvalCache())
-        wrapped = StoreBackedEvaluator(inner, store)
         configs = _grid_configs(line_size=8, sets=(1, 2))
-        fresh = wrapped.evaluate_batch(configs)
+        fresh = sweep.run(inner, configs)
         assert fresh == [
             Evaluator(
                 workload, backend="onepass", cache=EvalCache()
             ).evaluate(config)
             for config in configs
         ]
+        eval_id = evaluator_fingerprint(inner)
         for config, estimate in zip(configs, fresh):
-            assert store.get(wrapped.eval_id, config) == estimate
+            assert store.get(eval_id, config) == estimate
 
-        class Exploding:
-            workload = backend = energy_model = gray_code = cache = None
-
-            def evaluate(self, config):
+        class Exploding(Evaluator):
+            def evaluate_batch(self, configs):
                 raise AssertionError("store hit must not reach the engine")
 
-        warm = StoreBackedEvaluator(Exploding(), store, eval_id=wrapped.eval_id)
-        assert warm.evaluate_batch(configs) == fresh
+        warm = Exploding(workload, backend="onepass", cache=EvalCache())
+        assert evaluator_fingerprint(warm) == eval_id
+        assert sweep.run(warm, configs) == fresh
 
     def test_trace_workload_grouping(self):
         rng = np.random.default_rng(11)

@@ -1351,6 +1351,81 @@ class TestStoreInRunner:
             service.stop()
 
 
+    def test_search_generations_share_the_runners_pool(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine.parallel import WorkerPool
+
+        spec = JobSpec(
+            kernel="compress",
+            max_size=256,
+            min_size=16,
+            search=SearchSettings(generations=4, population=8, seed=3),
+        )
+        service = ExplorationService(
+            str(tmp_path / "results.db"), str(tmp_path / "spool"), sweep_jobs=2
+        ).start()
+        dispatches = []
+        built = []
+        executor = WorkerPool.executor
+        init = WorkerPool.__init__
+
+        def recording_executor(pool):
+            dispatches.append((pool, executor(pool)))
+            return dispatches[-1][1]
+
+        def recording_init(pool, jobs):
+            built.append(jobs)
+            init(pool, jobs)
+
+        monkeypatch.setattr(WorkerPool, "executor", recording_executor)
+        monkeypatch.setattr(WorkerPool, "__init__", recording_init)
+        try:
+            job, _ = service.manager.submit(spec)
+            done = service.manager.wait(job.job_id, timeout_s=120)
+            assert done is not None and done.state == "done"
+        finally:
+            service.stop()
+        # Several generations fanned out, every one on the runner's one
+        # pool and its one executor; no generation built a pool.
+        assert len(dispatches) > 1
+        assert {id(pool) for pool, _ in dispatches} == {id(service.runner.pool)}
+        assert len({id(executor) for _, executor in dispatches}) == 1
+        assert built == []
+
+    def test_store_answered_search_leaves_an_open_breaker_alone(
+        self, tmp_path
+    ):
+        spec = TestSearchJobs.SEARCH
+        service = ExplorationService(
+            str(tmp_path / "results.db"),
+            str(tmp_path / "spool"),
+            breaker_threshold=1,
+            breaker_cooldown_s=60.0,
+        ).start()
+        try:
+            job, _ = service.manager.submit(spec)
+            first = service.manager.wait(job.job_id, timeout_s=120)
+            assert first is not None and first.state == "done"
+            breaker = service.runner.breaker_for(spec.eval_id())
+            assert breaker.record_failure()
+            failures = breaker._failures
+            evaluated = _evaluated()
+            job, coalesced = service.manager.submit(spec)
+            assert not coalesced
+            done = service.manager.wait(job.job_id, timeout_s=120)
+            assert done is not None and done.state == "done", done.error
+            assert _evaluated() == evaluated
+            assert breaker.state == "open"
+            assert breaker._failures == failures
+            assert (
+                service.job_result(done)["estimates"]
+                == service.job_result(first)["estimates"]
+            )
+        finally:
+            service.stop()
+
+
 class TestStoreIsTheOnlyRecord:
     """A served job's progress lives in the store alone: one write per
     committed chunk, and no file under the spool directory."""

@@ -10,12 +10,17 @@ The load-bearing claims:
 * an empty database migrates to ``repro.store/1`` on first open, a
   future-schema database is refused with a clear error, and garbage
   files are refused rather than clobbered;
-* :class:`StoreBackedEvaluator` is a transparent L2 tier: store hits
-  bypass the engine entirely, misses delegate and write back, and the
-  wrapper leaves sweep fingerprints unchanged.
+* a :class:`ParallelSweep` given the store is a transparent L2 tier:
+  stored rows bypass the engine entirely, misses are evaluated and
+  written back, and an evaluator the store cannot key is refused;
+* ``get_many`` reads any batch in a few queries, each under sqlite's
+  bound-variable limit.
 """
 
+import dataclasses
+import itertools
 import json
+import pickle
 import sqlite3
 
 import pytest
@@ -23,14 +28,18 @@ import pytest
 from repro.core.config import CacheConfig
 from repro.energy.model import EnergyModel
 from repro.energy.params import SRAM_CATALOG
-from repro.engine import Evaluator, KernelWorkload, order_configs
-from repro.engine.resilience import sweep_fingerprint
+from repro.engine import (
+    Evaluator,
+    KernelWorkload,
+    ParallelSweep,
+    ResilienceOptions,
+    order_configs,
+)
 from repro.kernels import get_kernel, make_compress
 from repro.obs.metrics import get_metrics
 from repro.serve import (
     STORE_SCHEMA,
     ResultStore,
-    StoreBackedEvaluator,
     StoreError,
     StoreSchemaError,
     config_key,
@@ -51,6 +60,20 @@ def _configs():
 
 def _counter(name):
     return get_metrics().counter(name).value
+
+
+def _stored_run(store, evaluator, configs, jobs=1):
+    """One sweep over ``store``: stored rows read, the rest evaluated."""
+    return ParallelSweep(
+        jobs=jobs, resilience=ResilienceOptions(store=store)
+    ).run(evaluator, configs)
+
+
+class _Exploding(Evaluator):
+    """Fingerprints like :func:`_evaluator`, but never evaluates."""
+
+    def evaluate_batch(self, configs):
+        raise AssertionError("a stored row must not reach the engine")
 
 
 class TestRoundTrip:
@@ -201,58 +224,151 @@ class TestEvaluatorFingerprint:
 
 
 class TestStoreBackedEvaluator:
+    """Store-backed evaluation: a ``ParallelSweep`` given the store."""
+
     def test_miss_delegates_and_writes_back(self, tmp_path):
         store = ResultStore(str(tmp_path / "r.db"))
-        wrapped = StoreBackedEvaluator(_evaluator(), store)
+        evaluator = _evaluator()
         config = CacheConfig(64, 8)
-        estimate = wrapped.evaluate(config)
-        assert store.get(wrapped.eval_id, config) == estimate
+        [estimate] = _stored_run(store, evaluator, [config])
+        assert estimate == evaluator.evaluate(config)
+        assert store.get(evaluator_fingerprint(evaluator), config) == estimate
 
     def test_hit_bypasses_engine(self, tmp_path):
         store = ResultStore(str(tmp_path / "r.db"))
-        first = StoreBackedEvaluator(_evaluator(), store)
-        config = CacheConfig(64, 8)
-        expected = first.evaluate(config)
-
-        class Exploding:
-            workload = backend = energy_model = gray_code = cache = None
-
-            def evaluate(self, config):
-                raise AssertionError("store hit must not reach the engine")
-
-        second = StoreBackedEvaluator(
-            Exploding(), store, eval_id=first.eval_id
-        )
-        assert second.evaluate(config) == expected
-
-    def test_sweep_fingerprint_unchanged_by_wrapper(self, tmp_path):
-        store = ResultStore(str(tmp_path / "r.db"))
-        evaluator = _evaluator()
         configs = _configs()
-        assert sweep_fingerprint(
-            StoreBackedEvaluator(evaluator, store), configs
-        ) == sweep_fingerprint(evaluator, configs)
+        expected = _stored_run(store, _evaluator(), configs)
+        exploding = _Exploding(KernelWorkload(make_compress(n=7)))
+        assert evaluator_fingerprint(exploding) == evaluator_fingerprint(
+            _evaluator()
+        )
+        assert _stored_run(store, exploding, configs) == expected
 
     def test_store_never_crosses_a_process_boundary(self, tmp_path):
-        import pickle
-
-        # Workers get the inner evaluator only; the wrapper, and with it
-        # the sqlite connection, stays in the process that opened it.
+        # Workers get the evaluator only; the store, and with it the
+        # sqlite connection, stays in the process that opened it.
         store = ResultStore(str(tmp_path / "r.db"))
-        wrapped = StoreBackedEvaluator(_evaluator(), store)
         with pytest.raises(TypeError):
-            pickle.dumps(wrapped)
-        pickle.dumps(wrapped.inner)
+            pickle.dumps(store)
+        evaluator = _evaluator()
+        configs = _configs()
+        chunks = _counter("parallel.chunks_completed")
+        assert _stored_run(store, evaluator, configs, jobs=2) == list(
+            evaluator.sweep(configs=configs).estimates
+        )
+        assert _counter("parallel.chunks_completed") > chunks
 
     def test_distinct_evaluators_do_not_share_rows(self, tmp_path):
         store = ResultStore(str(tmp_path / "r.db"))
         config = CacheConfig(64, 8)
-        fast = StoreBackedEvaluator(_evaluator(), store)
-        fast.evaluate(config)
-        other = StoreBackedEvaluator(
-            Evaluator(KernelWorkload(get_kernel("conv2d"))), store
+        _stored_run(store, _evaluator(), [config])
+        other = Evaluator(KernelWorkload(get_kernel("conv2d")))
+        assert store.get(evaluator_fingerprint(other), config) is None
+
+    def test_opaque_evaluator_refused_before_any_evaluation(self, tmp_path):
+        class Opaque:
+            """No ``workload``, no ``kernels``: keyed by its class alone."""
+
+            def __init__(self, kernel):
+                self.inner = Evaluator(KernelWorkload(kernel))
+                self.calls = 0
+
+            def evaluate_batch(self, configs):
+                self.calls += 1
+                return self.inner.evaluate_batch(configs)
+
+        small = Opaque(make_compress(n=7))
+        full = Opaque(get_kernel("compress"))
+        # Two evaluators that disagree share one fingerprint...
+        assert evaluator_fingerprint(small) == evaluator_fingerprint(full)
+        store = ResultStore(str(tmp_path / "r.db"))
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="Opaque has neither"):
+                _stored_run(store, small, _configs(), jobs=jobs)
+        # ...so neither may read or write the store.
+        assert small.calls == 0 and len(store) == 0
+        # Without a store an opaque evaluator still sweeps.
+        assert ParallelSweep(jobs=1).run(full, _configs()) == (
+            full.inner.evaluate_batch(_configs())
         )
-        assert store.get(other.eval_id, config) is None
+
+
+def _many_configs(count):
+    """``count`` distinct valid configurations (sizes, lines, tilings)."""
+    configs = []
+    for size, line, tiling in itertools.product(
+        (2 ** k for k in range(4, 24)),
+        (2 ** k for k in range(0, 4)),
+        (2 ** k for k in range(0, 25)),
+    ):
+        configs.append(CacheConfig(size, line, 1, tiling))
+    assert len(configs) >= count
+    return configs[:count]
+
+
+class TestGetMany:
+    """One query per batch of configurations, verification unchanged."""
+
+    COUNT = 2000  # more rows than sqlite's smallest bound-variable limit
+
+    def _filled(self, tmp_path):
+        store = open_store(str(tmp_path / "r.db"))
+        estimate = _evaluator().evaluate(CacheConfig(64, 8))
+        configs = _many_configs(self.COUNT)
+        rows = [(c, dataclasses.replace(estimate, config=c)) for c in configs]
+        store.put_many("eval-a", rows)
+        return store, dict(rows)
+
+    def test_batch_larger_than_the_variable_limit(self, tmp_path):
+        store, rows = self._filled(tmp_path)
+        if hasattr(store._conn, "setlimit"):
+            store._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
+        selects = []
+        store._conn.set_trace_callback(
+            lambda sql: selects.append(sql) if sql.startswith("SELECT") else None
+        )
+        configs = list(rows) + [CacheConfig(64, 8, 2, 1)]  # one miss
+        hits, misses = _counter("store.hits"), _counter("store.misses")
+        found = store.get_many("eval-a", configs)
+        store._conn.set_trace_callback(None)
+        assert found == rows
+        assert list(found) == list(rows)  # in request order
+        assert len(selects) == 3  # ceil(2001 / 900)
+        assert _counter("store.hits") == hits + self.COUNT
+        assert _counter("store.misses") == misses + 1
+
+    def test_duplicate_configurations(self, tmp_path):
+        store, rows = self._filled(tmp_path)
+        config = next(iter(rows))
+        hits, misses = _counter("store.hits"), _counter("store.misses")
+        assert store.get_many("eval-a", [config, config]) == {
+            config: rows[config]
+        }
+        # Counted per requested configuration, as before batching.
+        assert _counter("store.hits") == hits + 1
+        assert _counter("store.misses") == misses + 1
+        assert store.get("eval-a", config) == rows[config]
+
+    def test_corrupt_row_inside_a_large_batch(self, tmp_path):
+        store, rows = self._filled(tmp_path)
+        conn = sqlite3.connect(store.path)
+        with conn:
+            [key] = conn.execute(
+                "SELECT config_key FROM estimates WHERE rowid = 1500"
+            ).fetchone()
+            conn.execute(
+                "UPDATE estimates SET estimate = '{torn' WHERE rowid = 1500"
+            )
+        conn.close()
+        detected = _counter("store.corruption.detected")
+        found = store.get_many("eval-a", list(rows))
+        assert len(found) == self.COUNT - 1
+        [torn] = [c for c in rows if config_key(c) == key]
+        assert torn not in found
+        assert all(found[c] == rows[c] for c in found)
+        assert _counter("store.corruption.detected") == detected + 1
+        assert store.stats()["quarantine"] == 1
+        assert store.count("eval-a") == self.COUNT - 1
 
 
 class TestJobPersistence:
@@ -341,15 +457,15 @@ class TestChecksums:
         self, tmp_path
     ):
         store = open_store(str(tmp_path / "r.db"))
-        backed = StoreBackedEvaluator(_evaluator(), store)
+        evaluator = _evaluator()
         config = _configs()[0]
-        original = backed.evaluate(config)
+        [original] = _stored_run(store, evaluator, [config])
         _poison_estimate(store.path)
-        # The corrupt row reads as a miss; the evaluator recomputes and
-        # the fresh estimate (equal to the original) repopulates the row.
-        again = backed.evaluate(config)
-        assert again == original
-        assert store.get(backed.eval_id, config) == original
+        # The corrupt row reads as a miss; the sweep recomputes and the
+        # fresh estimate (equal to the original) repopulates the row.
+        assert _stored_run(store, evaluator, [config]) == [original]
+        assert store.get(evaluator_fingerprint(evaluator), config) == original
+        assert store.stats()["quarantine"] == 1
 
     def test_manifest_and_trace_checksummed(self, tmp_path):
         store = open_store(str(tmp_path / "r.db"))
