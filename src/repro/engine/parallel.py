@@ -10,20 +10,27 @@ workers (each chunk is one ``evaluate_batch`` call), and restores the
 deterministic order on collection.  Results are
 bit-identical to the serial path (asserted by the test suite).
 
+Every chunk goes through one round loop.  With ``jobs > 1`` and more
+than one chunk pending, a round submits to a :class:`WorkerPool`'s
+processes; otherwise to the in-process executor (what ``WorkerPool(1)``
+hands out), which runs one chunk at a time in the calling thread, in
+sweep order, committing each and checking cancellation before the next.
 Failure handling is per-chunk, not per-sweep (see
 :mod:`repro.engine.resilience`):
 
 * a chunk that fails transiently -- worker crash, broken pool, corrupt
-  payload, timeout -- is re-dispatched with exponential backoff up to
+  payload, timeout -- is re-dispatched in the next round with
+  exponential backoff up to
   :attr:`~repro.engine.resilience.RetryPolicy.max_retries` times, then
   degrades to clean in-parent serial evaluation of *that chunk only*;
 * a chunk whose evaluator raises any other exception fails the sweep
   immediately with a :class:`~repro.engine.resilience.SweepChunkError`
   naming the failing configurations (deterministic bugs do not deserve
   retries);
-* environments that cannot fork or pickle at all (restricted sandboxes)
-  still fall back to serial execution of whatever is unfinished, logged
-  at warning level so the degradation is never silent;
+* environments that cannot start workers at all (no fork, no pickling,
+  a ``__main__`` workers cannot re-import) still fall back to serial
+  execution of whatever is unfinished, logged at warning level so the
+  degradation is never silent;
 * with a result store (``ResilienceOptions.store``: the CLI's
   ``--checkpoint``, the exploration service's store), a sweep takes
   every row stored for its evaluator, dispatches only the rest, and
@@ -37,7 +44,8 @@ Failure handling is per-chunk, not per-sweep (see
 Per-chunk timeouts are watchdog-style: whenever ``chunk_timeout_s``
 elapses without *any* chunk completing, the in-flight chunks are declared
 wedged, the pool is abandoned (hung workers are never joined), and only
-those chunks are re-dispatched to a fresh pool.
+those chunks are re-dispatched to a fresh pool.  (Nothing can stop an
+in-process chunk.)
 
 Workers come from a :class:`WorkerPool`.  A standalone sweep builds one
 that lives for its :meth:`ParallelSweep.run`; a long-lived caller (the
@@ -58,7 +66,9 @@ lockstep with its cache's own, so the parent rebuilds the
 parent validates each payload whole, then merges it exactly once, as it
 completes -- retried chunks merge only their successful attempt -- so
 the metrics registry, ``EvalCache`` stats, profile and job trace stay
-truthful under ``jobs=N`` even across failures and resumes.
+truthful under ``jobs=N`` even across failures and resumes.  An
+in-process chunk records straight into the sweep's thread, so its delta
+is ``None`` and nothing of it merges.
 """
 
 from __future__ import annotations
@@ -110,10 +120,13 @@ __all__ = ["ParallelSweep", "WorkerPool"]
 
 logger = logging.getLogger(__name__)
 
-#: What one worker ships back: tagged estimates and one delta,
+#: What one chunk ships back: tagged estimates and one delta,
 #: ``{"metrics": <registry diff>, "spans": <recorder snapshot>}`` (no
-#: span events unless the parent's context asked for them).
-_ChunkPayload = Tuple[List[Tuple[int, PerformanceEstimate]], Dict[str, Any]]
+#: span events unless the parent's context asked for them), or ``None``
+#: for a chunk evaluated in the dispatching thread.
+_ChunkPayload = Tuple[
+    List[Tuple[int, PerformanceEstimate]], Optional[Dict[str, Any]]
+]
 
 #: One chunk of work: ``(index, config)`` pairs in sweep order.
 _Chunk = List[Tuple[int, CacheConfig]]
@@ -126,6 +139,10 @@ _TRANSIENT_ERRORS = (
 
 #: Failures that mean this *environment* cannot run a pool at all.
 _ENVIRONMENT_ERRORS = (OSError, PermissionError, pickle.PicklingError)
+
+#: The ``context`` of a chunk evaluated in the dispatching thread: its
+#: spans and counts land here as they happen, so it ships no delta.
+_IN_PROCESS = object()
 
 
 def _cache_delta(counters: Mapping[str, int]) -> Dict[str, Dict[str, int]]:
@@ -157,46 +174,35 @@ def _backend_name(evaluator: Any) -> Any:
     return getattr(backend, "name", backend)
 
 
-def _chunk_span(indexed: _Chunk, **attrs: Any):
-    """The ``chunk[<first index>]`` span a traced timeline shows per chunk.
-
-    Opened only under a trace: the profile keeps its per-stage rows.
-    """
-    if current_trace() is None:
-        return contextlib.nullcontext()
-    return span(
-        "chunk[%d]" % indexed[0][0],
-        configs=len(indexed),
-        pid=os.getpid(),
-        **attrs,
-    )
-
-
 def _evaluate_chunk(
     evaluator: Any,
     indexed: _Chunk,
-    context: Optional[Dict[str, Any]] = None,
+    context: Any = None,
     injector: Optional[Any] = None,
     attempt: int = 0,
 ) -> _ChunkPayload:
-    """Worker entry point: evaluate one chunk, tagging results by index.
+    """Evaluate one chunk, tagging results by index.
 
-    Metric deltas are taken against a chunk-start baseline because a
-    forked worker inherits the parent's (and, on a reused pool worker, the
-    previous chunks') counts.  ``context`` (from
+    In a worker, metric deltas are taken against a chunk-start baseline
+    because a forked worker inherits the parent's (and, on a reused pool
+    worker, the previous chunks') counts.  ``context`` (from
     :func:`~repro.obs.spans.export_context`, ``None`` when nothing
     records) activates one fresh recorder as the profile, the trace or
     both, continuing the dispatcher's span path; its snapshot ships back
-    in the delta.  ``injector`` is the deterministic fault harness
+    in the delta.  With ``context`` :data:`_IN_PROCESS` the chunk runs in
+    the dispatching thread: its spans nest under the open ``sweep`` span,
+    its counts land in the registry, and the delta is ``None``.
+    ``injector`` is the deterministic fault harness
     (:class:`~repro.engine.faults.FaultInjector`); it runs at this
     dispatch boundary only, so the parent's degradation paths stay clean.
     """
     token = indexed[0][0] if indexed else -1
     if injector is not None:
         injector.on_chunk_start(token, attempt)
-    metrics_base = get_metrics().snapshot()
+    in_process = context is _IN_PROCESS
+    metrics_base = None if in_process else get_metrics().snapshot()
     recorder = activation = None
-    if context is not None:
+    if context is not None and not in_process:
         recorder = SpanRecorder(context["trace_id"])
         activation = activate(
             recorder,
@@ -204,9 +210,19 @@ def _evaluate_chunk(
             trace=context["trace_id"] is not None,
             path=context["path"],
         )
+    # The chunk[<first index>] span a traced timeline shows per chunk;
+    # the profile keeps its per-stage rows.
+    chunk_span = contextlib.nullcontext()
+    if current_trace() is not None:
+        chunk_span = span(
+            "chunk[%d]" % token,
+            configs=len(indexed),
+            pid=os.getpid(),
+            attempt=attempt,
+        )
     chunk_started = time.perf_counter()
     try:
-        with _chunk_span(indexed, attempt=attempt):
+        with chunk_span:
             pairs = _evaluate_pairs(evaluator, indexed)
     finally:
         get_metrics().histogram("engine.chunk_seconds").observe(
@@ -214,7 +230,7 @@ def _evaluate_chunk(
         )
         if activation is not None:
             deactivate(activation)
-    delta = {
+    delta = None if metrics_base is None else {
         "metrics": get_metrics().diff(metrics_base),
         "spans": recorder.snapshot() if recorder is not None else [],
     }
@@ -228,8 +244,14 @@ def _is_count(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _validate_payload(payload: Any, indexed: _Chunk) -> _ChunkPayload:
-    """Check every field the merge reads; a corrupt payload is transient."""
+def _validate_payload(
+    payload: Any, indexed: _Chunk, in_process: bool
+) -> _ChunkPayload:
+    """Check every field the merge reads; a corrupt payload is transient.
+
+    An in-process chunk's delta is dropped unread: its counts and spans
+    already landed here.
+    """
     try:
         pairs, delta = payload
     except (TypeError, ValueError):
@@ -247,6 +269,8 @@ def _validate_payload(payload: Any, indexed: _Chunk) -> _ChunkPayload:
         raise CorruptPayloadError(
             "worker returned estimates for the wrong configurations"
         )
+    if in_process:
+        return pairs, None
     metrics = delta.get("metrics") if isinstance(delta, dict) else None
     spans = delta.get("spans") if isinstance(delta, dict) else None
     if not isinstance(metrics, dict) or not all(
@@ -281,7 +305,7 @@ def _group_key(evaluator: Any, config: CacheConfig):
     return (config.size, config.line_size, config.tiling)
 
 
-def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
+def _pool_context() -> multiprocessing.context.BaseContext:
     """The start method of a worker pool: a fork server under threads.
 
     A worker forked while another thread holds a lock blocks on it the
@@ -292,12 +316,31 @@ def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
     fork server is a single-threaded process, so its children start with
     no lock held.  A single-threaded caller, or a platform without a fork
     server, keeps the default start method.
+
+    Raises :class:`OSError`, an environment failure, when the workers
+    could not start: a worker not forked re-imports ``__main__`` by its
+    module name or else from its file, and a script piped to ``python -``
+    has neither (its ``__file__`` is ``"<stdin>"``).
     """
-    if threading.active_count() > 1 and (
+    import sys
+
+    threaded = threading.active_count() > 1 and (
         "forkserver" in multiprocessing.get_all_start_methods()
+    )
+    context = multiprocessing.get_context("forkserver" if threaded else None)
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    if (
+        context.get_start_method() != "fork"
+        and getattr(main.__spec__, "name", None) is None
+        and path is not None
+        and not os.path.isfile(path)
     ):
-        return multiprocessing.get_context("forkserver")
-    return None
+        raise OSError(
+            "%s workers cannot re-import __main__ from %r"
+            % (context.get_start_method(), path)
+        )
+    return context
 
 
 #: How often a worker checks that the process owning its pool still runs.
@@ -331,6 +374,22 @@ def _exit_with_owner(owner_pid: int) -> None:
     ).start()
 
 
+class _InProcessExecutor(concurrent.futures.Executor):
+    """A pool with no processes: ``submit`` runs the call now, here."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+#: The executor of every in-process round.
+_IN_PROCESS_EXECUTOR = _InProcessExecutor()
+
+
 class WorkerPool:
     """Worker processes shared by every sweep dispatched to them.
 
@@ -339,7 +398,9 @@ class WorkerPool:
     cancellation) calls :meth:`discard`, which shuts it down without
     joining; the next :meth:`executor` call starts a fresh one.  Workers
     exit on their own once the process that started them is gone (see
-    :func:`_exit_with_owner`).  Not thread-safe: one dispatcher at a time.
+    :func:`_exit_with_owner`).  A pool of one job has no processes: its
+    executor runs each chunk in the calling thread.  Not thread-safe: one
+    dispatcher at a time.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -350,8 +411,10 @@ class WorkerPool:
             concurrent.futures.ProcessPoolExecutor
         ] = None
 
-    def executor(self) -> concurrent.futures.ProcessPoolExecutor:
+    def executor(self) -> concurrent.futures.Executor:
         """The live executor, started now if there is none."""
+        if self.jobs == 1:
+            return _IN_PROCESS_EXECUTOR
         if self._executor is None:
             self._executor = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.jobs,
@@ -381,7 +444,7 @@ class ParallelSweep:
     ----------
     jobs:
         Worker count; ``None`` uses the machine's CPU count.  ``jobs <= 1``
-        runs serially.
+        evaluates every chunk in the calling thread.
     chunk_size:
         Minimum configurations per task; ``None`` picks a size that gives
         each worker a few chunks for load balancing.  Chunks never split a
@@ -518,15 +581,13 @@ class ParallelSweep:
             len(tagged),
             self.jobs,
         )
-        if self.jobs <= 1 or len(pending) <= 1:
-            self._run_chunks_serial(evaluator, pending, opts, tagged)
-            return
-        owned = None
-        pool = self.pool
-        if pool is None:
-            pool = owned = WorkerPool(min(self.jobs, len(pending)))
+        pool = owned = None
+        if self.jobs > 1 and len(pending) > 1:
+            pool = self.pool
+            if pool is None:
+                pool = owned = WorkerPool(min(self.jobs, len(pending)))
         try:
-            self._run_chunks_parallel(pool, evaluator, pending, opts, tagged)
+            self._run_chunks(pool, evaluator, pending, opts, tagged)
         finally:
             if owned is not None:
                 owned.close()
@@ -643,15 +704,6 @@ class ParallelSweep:
                 retry_after_s=breaker.retry_after_s(),
             )
 
-    def _interruptible_sleep(
-        self, opts: ResilienceOptions, delay_s: float
-    ) -> None:
-        """Back off before a retry, waking early on cancellation."""
-        if opts.cancel_event is not None:
-            opts.cancel_event.wait(delay_s)
-        else:
-            time.sleep(delay_s)
-
     def _merge_delta(self, evaluator: Any, delta: Dict[str, Any]) -> None:
         """Fold one worker's validated delta into this process."""
         cache = getattr(evaluator, "cache", None)
@@ -662,160 +714,90 @@ class ParallelSweep:
         if delta["spans"]:
             merge_active(delta["spans"])
 
-    # ------------------------------------------------------------------
-    # serial paths (jobs=1, tiny sweeps, degraded chunks, no-fork sandboxes)
-
-    def _evaluate_clean(
-        self, evaluator: Any, indexed: _Chunk
-    ) -> List[Tuple[int, PerformanceEstimate]]:
-        """In-parent evaluation; deterministic failures name the chunk."""
-        started = time.perf_counter()
-        try:
-            with _chunk_span(indexed, serial=True):
-                return _evaluate_pairs(evaluator, indexed)
-        except Exception as exc:
-            if self.resilience.breaker is not None:
-                self.resilience.breaker.record_failure()
-            raise SweepChunkError.from_chunk(indexed, exc) from exc
-        finally:
-            get_metrics().histogram("engine.chunk_seconds").observe(
-                time.perf_counter() - started
-            )
-
-    def _run_chunks_serial(
-        self,
-        evaluator: Any,
-        pending: Sequence[_Chunk],
-        opts: ResilienceOptions,
-        tagged: Dict[int, PerformanceEstimate],
-    ) -> None:
-        """Each chunk in-process, honouring the injector and retry policy."""
-        injector = opts.fault_injector
-        metrics = get_metrics()
-        for indexed in pending:
-            token = indexed[0][0]
-            attempt = 0
-            while True:
-                self._check_cancel(opts, tagged)
-                try:
-                    if injector is not None:
-                        injector.on_chunk_start(token, attempt)
-                    pairs = self._evaluate_clean(evaluator, indexed)
-                except TransientChunkError as exc:
-                    metrics.counter("resilience.chunk_failures").inc()
-                    self._record_chunk_failure(opts)
-                    if attempt >= opts.retry.max_retries:
-                        self._evaluate_in_parent(
-                            evaluator,
-                            [indexed],
-                            tagged,
-                            "resilience.degraded_chunks",
-                            "chunk at index %d exhausted %d retries (%s); "
-                            "degrading to clean serial evaluation",
-                            token,
-                            opts.retry.max_retries,
-                            exc,
-                        )
-                        break
-                    metrics.counter("resilience.chunk_retries").inc()
-                    self._interruptible_sleep(
-                        opts, opts.retry.delay_s(attempt, token)
-                    )
-                    attempt += 1
-                else:
-                    self._commit(evaluator, pairs, None, tagged)
-                    break
+    def _chunk_error(self, indexed: _Chunk, exc: Exception) -> SweepChunkError:
+        """A deterministic chunk failure: one breaker strike, a typed error."""
+        if self.resilience.breaker is not None:
+            self.resilience.breaker.record_failure()
+        return SweepChunkError.from_chunk(indexed, exc)
 
     def _evaluate_in_parent(
         self,
         evaluator: Any,
         chunks: Sequence[_Chunk],
+        attempts: Mapping[int, int],
         tagged: Dict[int, PerformanceEstimate],
         counter: str,
-        warning: str,
-        *args: Any,
+        reason: Any,
     ) -> None:
         """Degrade: count and warn once, then evaluate ``chunks`` here.
 
         The one path for a chunk out of retries and for an environment
         that cannot run a pool.  Each chunk is evaluated cleanly (no fault
-        injection) and committed with no worker delta to merge, so
-        counters stay truthful after the degradation.
+        injection) in this thread, so any failure now fails the sweep.
         """
         get_metrics().counter(counter).inc()
-        logger.warning(warning, *args)
+        logger.warning(
+            "sweep (jobs=%d) fell back to serial in-parent evaluation of "
+            "%d chunk(s): %s", self.jobs, len(chunks), reason,
+        )
         for indexed in chunks:
-            pairs = self._evaluate_clean(evaluator, indexed)
+            try:
+                pairs, _ = _evaluate_chunk(
+                    evaluator,
+                    indexed,
+                    _IN_PROCESS,
+                    attempt=attempts[indexed[0][0]],
+                )
+            except Exception as exc:
+                raise self._chunk_error(indexed, exc) from exc
             self._commit(evaluator, pairs, None, tagged)
 
-    def _environment_fallback(
-        self,
-        evaluator: Any,
-        chunks: Sequence[_Chunk],
-        tagged: Dict[int, PerformanceEstimate],
-        exc: BaseException,
-    ) -> None:
-        """No fork / no pickling here: finish every unfinished chunk here."""
-        self._evaluate_in_parent(
-            evaluator,
-            chunks,
-            tagged,
-            "parallel.serial_fallbacks",
-            "parallel sweep (jobs=%d) fell back to serial execution: %s",
-            self.jobs,
-            exc,
-        )
-
     # ------------------------------------------------------------------
-    # the parallel executor proper
+    # the one chunk executor
 
-    def _run_chunks_parallel(
+    def _run_chunks(
         self,
-        pool: WorkerPool,
+        pool: Optional[WorkerPool],
         evaluator: Any,
         pending: Sequence[_Chunk],
         opts: ResilienceOptions,
         tagged: Dict[int, PerformanceEstimate],
     ) -> None:
+        """The one retry loop: rounds until every chunk has committed.
+
+        ``pool`` ``None`` runs every round in-process.  A round's transient
+        failures go again in the next round, after a backoff; a chunk out
+        of retries degrades to :meth:`_evaluate_in_parent`.
+        """
         retry = opts.retry
         attempts: Dict[int, int] = {chunk[0][0]: 0 for chunk in pending}
         queue: List[_Chunk] = list(pending)
         round_no = 0
         while queue:
             self._check_cancel(opts, tagged)
-            overdue = [
-                chunk for chunk in queue
-                if attempts[chunk[0][0]] > retry.max_retries
-            ]
-            queue = [
-                chunk for chunk in queue
-                if attempts[chunk[0][0]] <= retry.max_retries
-            ]
-            for indexed in overdue:
-                self._evaluate_in_parent(
-                    evaluator,
-                    [indexed],
-                    tagged,
-                    "resilience.degraded_chunks",
-                    "chunk at index %d exhausted its retries; "
-                    "evaluating it serially in-parent",
-                    indexed[0][0],
-                )
+            for indexed in queue:
+                if attempts[indexed[0][0]] > retry.max_retries:
+                    self._evaluate_in_parent(
+                        evaluator, [indexed], attempts, tagged,
+                        "resilience.degraded_chunks",
+                        "chunk at index %d exhausted its %d retries"
+                        % (indexed[0][0], retry.max_retries),
+                    )
+            queue = [chunk for chunk in queue if chunk[0][0] not in tagged]
             if not queue:
                 break
             if round_no > 0:
                 get_metrics().counter("resilience.chunk_retries").inc(
                     len(queue)
                 )
-                self._interruptible_sleep(
-                    opts,
-                    max(
-                        retry.delay_s(
-                            max(0, attempts[chunk[0][0]] - 1), chunk[0][0]
-                        )
-                        for chunk in queue
-                    ),
+                delay_s = max(
+                    retry.delay_s(max(0, attempts[c[0][0]] - 1), c[0][0])
+                    for c in queue
                 )
+                if opts.cancel_event is not None:  # wakes on cancellation
+                    opts.cancel_event.wait(delay_s)
+                else:
+                    time.sleep(delay_s)
                 self._check_cancel(opts, tagged)
             queue = self._dispatch_round(
                 pool, evaluator, queue, opts, attempts, tagged
@@ -824,14 +806,14 @@ class ParallelSweep:
 
     def _dispatch_round(
         self,
-        pool: WorkerPool,
+        pool: Optional[WorkerPool],
         evaluator: Any,
         queue: Sequence[_Chunk],
         opts: ResilienceOptions,
         attempts: Dict[int, int],
         tagged: Dict[int, PerformanceEstimate],
     ) -> List[_Chunk]:
-        """One pool round over ``queue``; returns the transient failures.
+        """One round over ``queue``; returns the transient failures.
 
         Successes commit (merge + tag + store) as they arrive.  A round
         that stalls past ``chunk_timeout_s`` without any completion
@@ -844,45 +826,59 @@ class ParallelSweep:
         """
         metrics = get_metrics()
         injector = opts.fault_injector
+        try:
+            executor = (
+                pool.executor() if pool is not None else _IN_PROCESS_EXECUTOR
+            )
+        except _ENVIRONMENT_ERRORS as exc:
+            self._evaluate_in_parent(
+                evaluator, queue, attempts, tagged,
+                "parallel.serial_fallbacks", exc,
+            )
+            return []
+        in_process = executor is _IN_PROCESS_EXECUTOR
         # Exported once per round: what records here plus this thread's
         # open span path, so worker chunk events nest under our "sweep".
-        context = export_context()
-        try:
-            executor = pool.executor()
-        except _ENVIRONMENT_ERRORS as exc:
-            self._environment_fallback(evaluator, queue, tagged, exc)
-            return []
+        context = _IN_PROCESS if in_process else export_context()
+        # With no process boundary an OSError is the evaluator's own bug.
+        environment_errors = () if in_process else _ENVIRONMENT_ERRORS
+        # An in-process future is done when submit returns: one chunk at a
+        # time, so each commits and checks cancellation before the next.
+        window = 1 if in_process else len(queue)
         transient: List[_Chunk] = []
         abandoned = False
         cancel = opts.cancel_event
         try:
-            futures = {}
-            for indexed in queue:
-                try:
-                    future = executor.submit(
-                        _evaluate_chunk,
-                        evaluator,
-                        indexed,
-                        context,
-                        injector,
-                        attempts[indexed[0][0]],
-                    )
-                except concurrent.futures.process.BrokenProcessPool as exc:
-                    # A worker died between rounds: fail the chunk like
-                    # one that was in flight when it died.
-                    future = concurrent.futures.Future()
-                    future.set_exception(exc)
-                futures[future] = indexed
-            not_done = set(futures)
+            futures: Dict[concurrent.futures.Future, _Chunk] = {}
+            unsent = list(queue)
+            not_done = set()
             # The watchdog window is measured from the last completion, so
             # slicing the wait below (for cancellation responsiveness)
             # never changes when "no progress for a whole window" fires.
             last_progress = time.monotonic()
-            while not_done:
+            while unsent or not_done:
                 if cancel is not None and cancel.is_set():
                     for future in not_done:
                         future.cancel()
                     self._check_cancel(opts, tagged)
+                while unsent and len(not_done) < window:
+                    indexed = unsent.pop(0)
+                    try:
+                        future = executor.submit(
+                            _evaluate_chunk,
+                            evaluator,
+                            indexed,
+                            context,
+                            injector,
+                            attempts[indexed[0][0]],
+                        )
+                    except concurrent.futures.process.BrokenProcessPool as exc:
+                        # A worker died between rounds: fail the chunk like
+                        # one that was in flight when it died.
+                        future = concurrent.futures.Future()
+                        future.set_exception(exc)
+                    futures[future] = indexed
+                    not_done.add(future)
                 if cancel is not None:
                     wait_timeout: Optional[float] = 0.2
                     if opts.chunk_timeout_s is not None:
@@ -931,7 +927,7 @@ class ParallelSweep:
                     token = indexed[0][0]
                     try:
                         pairs, delta = _validate_payload(
-                            future.result(), indexed
+                            future.result(), indexed, in_process
                         )
                     except _TRANSIENT_ERRORS as exc:
                         if isinstance(
@@ -949,24 +945,24 @@ class ParallelSweep:
                             exc,
                         )
                         self._record_chunk_failure(opts)
-                    except _ENVIRONMENT_ERRORS as exc:
+                    except environment_errors as exc:
                         abandoned = True
                         remaining = [indexed]
                         remaining.extend(futures[f] for f in not_done)
                         remaining.extend(transient)
                         for f in not_done:
                             f.cancel()
-                        self._environment_fallback(
-                            evaluator, remaining, tagged, exc
+                        self._evaluate_in_parent(
+                            evaluator, remaining, attempts, tagged,
+                            "parallel.serial_fallbacks", exc,
                         )
                         return []
                     except Exception as exc:
-                        if opts.breaker is not None:
-                            opts.breaker.record_failure()
-                        raise SweepChunkError.from_chunk(indexed, exc) from exc
+                        raise self._chunk_error(indexed, exc) from exc
                     else:
                         self._commit(evaluator, pairs, delta, tagged)
-                        metrics.counter("parallel.chunks_completed").inc()
+                        if not in_process:
+                            metrics.counter("parallel.chunks_completed").inc()
         except BaseException:
             # Fail fast on any way out (chunk error, open breaker,
             # cancellation, failed commit): never join the workers still
@@ -976,6 +972,6 @@ class ParallelSweep:
         finally:
             # A broken or abandoned pool must not be joined (hung workers
             # are exactly what we are escaping); a healthy one stays warm.
-            if abandoned:
+            if abandoned and pool is not None:
                 pool.discard()
         return transient

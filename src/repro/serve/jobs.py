@@ -992,10 +992,12 @@ class JobRunner(threading.Thread):
     job comes from ``sweep_jobs`` workers
     (:class:`~repro.engine.parallel.ParallelSweep` fan-out) of one
     :class:`~repro.engine.parallel.WorkerPool` that the runner keeps for
-    its whole life.  The result store is read and written here, in the
-    runner's process: a job first takes every row the store holds, a job
-    the store answers in full finishes without touching the pool, and
-    only the missing configurations are dispatched.  Each completed
+    its whole life (with ``sweep_jobs=1`` it has no processes: every
+    chunk runs in the runner's thread).  The result store is read and
+    written here, in the runner's process: a job first takes every row
+    the store holds, a job the store answers in full finishes without
+    touching the pool, and only the missing configurations are
+    dispatched.  Each completed
     chunk's rows are written to the store as the chunk commits, so a job
     interrupted by ``kill -9`` -- or cancelled by a client or its
     deadline -- finds every committed chunk stored on resubmission,

@@ -12,6 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.simulator import CacheGeometry, CacheSimulator
+from repro.core.config import design_space
+from repro.engine import Evaluator, KernelWorkload
+from repro.engine.cache import EvalCache
+from repro.kernels.base import Kernel
 from repro.layout.address_map import layouts_overlap
 from repro.layout.assignment import (
     _array_forms,
@@ -303,3 +307,51 @@ class TestSamplingProperties:
             )
             total_sampled_misses += round(est.miss_rate * est.sampled_accesses)
         assert total_sampled_misses == exact
+
+
+class TestRandomNestOracle:
+    """The composed estimate, checked outside the golden kernels.
+
+    One ``onepass`` batch must reproduce, bit for bit, a fresh
+    ``reference`` evaluator per configuration.  The batch shares the
+    layout memo per ``(T, L)``, the traces keyed on ``B``, the
+    certificate's trace reused as the ``(T, L, 1)`` bundle, the miss
+    store and ``Add_bs`` per trace; the reference shares nothing.
+    """
+
+    #: T 8-64, L 2-8, S 1-2 and B 1-4.
+    CONFIGS = list(
+        design_space(
+            max_size=64, min_size=8, min_line=2, max_line=8,
+            ways=(1, 2), tilings=(1, 2, 4),
+        )
+    )
+    #: Shared by every example, so entries of different nests must never
+    #: collide either.
+    CACHE = EvalCache()
+
+    @given(
+        nest=st.one_of(
+            compatible_nests(),
+            compatible_nests(transposed=True),
+            compatible_nests(element_sizes=(1, 2, 4)),
+        ),
+        n_tiled=st.sampled_from([None, 1, 2]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_onepass_batch_matches_fresh_reference(self, nest, n_tiled):
+        kernel = Kernel(nest, n_tiled=n_tiled)
+        batch = Evaluator(
+            KernelWorkload(kernel), "onepass", cache=self.CACHE
+        ).evaluate_batch(self.CONFIGS)
+        for config, estimate in zip(self.CONFIGS, batch):
+            oracle = Evaluator(
+                KernelWorkload(kernel), "reference", cache=EvalCache()
+            ).evaluate(config)
+            for field in (
+                "miss_rate", "cycles", "energy_nj", "add_bs",
+                "conflict_free_layout",
+            ):
+                assert getattr(estimate, field) == getattr(oracle, field), (
+                    config, field,
+                )

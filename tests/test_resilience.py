@@ -21,6 +21,8 @@ import copy
 import json
 import os
 import sqlite3
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -145,6 +147,19 @@ class _PoisonedEvaluator:
 
     def evaluate_batch(self, configs):
         return [self.evaluate(config) for config in configs]
+
+
+class _StoredPoisonedEvaluator(_PoisonedEvaluator):
+    """A poisoned evaluator a result store accepts; records what it saw."""
+
+    def __init__(self, kernel, poison):
+        super().__init__(kernel, poison)
+        self.workload = self.inner.workload
+        self.seen = []
+
+    def evaluate(self, config):
+        self.seen.append(config)
+        return super().evaluate(config)
 
 
 @dataclass(frozen=True)
@@ -607,6 +622,41 @@ class TestFaultInjection:
         assert list(run.estimates) == list(clean.estimates)
         assert _counter("resilience.degraded_chunks") > before
 
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_one_retry_policy_for_every_job_count(self, seed):
+        # jobs=1 runs its chunks in-process through the same round loop
+        # as the worker pool: the same faults, retries and degradations.
+        evaluator = Evaluator(KernelWorkload(get_kernel("compress")))
+        configs = _small_configs()
+        names = (
+            "resilience.chunk_failures",
+            "resilience.chunk_retries",
+            "resilience.degraded_chunks",
+        )
+        runs = []
+        for jobs in (1, 2):
+            base = get_metrics().snapshot()
+            estimates = ParallelSweep(
+                jobs=jobs,
+                chunk_size=2,
+                resilience=ResilienceOptions(
+                    retry=RetryPolicy(
+                        max_retries=1, backoff_base_s=0.001, backoff_cap_s=0.01
+                    ),
+                    fault_injector=FaultInjector(
+                        seed=seed, crash_rate=0.3, corrupt_rate=0.3
+                    ),
+                ),
+            ).run(evaluator, configs)
+            delta = get_metrics().diff(base)["counters"]
+            runs.append((estimates, [delta.get(name, 0) for name in names]))
+        (serial, serial_counts), (parallel, parallel_counts) = runs
+        assert serial == parallel == list(
+            evaluator.sweep(configs=configs).estimates
+        )
+        assert serial_counts == parallel_counts
+        assert all(serial_counts)
+
     def test_faults_never_reach_the_journal(self, tmp_path):
         evaluator = Evaluator(KernelWorkload(get_kernel("compress")))
         configs = _small_configs()
@@ -676,6 +726,38 @@ class TestDeterministicFailures:
             ).run(evaluator, configs)
         assert _counter("resilience.chunk_retries") == before
 
+    def test_in_process_chunks_commit_in_order_and_stop_at_a_bug(
+        self, tmp_path
+    ):
+        configs = _small_configs()
+        evaluator = _StoredPoisonedEvaluator(get_kernel("compress"), None)
+        chunks = ParallelSweep(jobs=1, chunk_size=2)._chunks(
+            evaluator, configs
+        )
+        bad = 2
+        evaluator.poison = chunks[bad][-1][1]
+        committed = []
+        path = tmp_path / "sweep.db"
+        with pytest.raises(SweepChunkError):
+            with ResultStore(str(path)) as store:
+                ParallelSweep(
+                    jobs=1,
+                    chunk_size=2,
+                    resilience=ResilienceOptions(store=store),
+                    on_commit=lambda estimates, done, total: committed.append(
+                        [estimate.config for estimate in estimates]
+                    ),
+                ).run(evaluator, configs)
+        before = [[config for _, config in chunk] for chunk in chunks[:bad]]
+        assert committed == [[]] + before
+        assert [e.config for e in stored_rows(path, evaluator, configs)] == [
+            config for chunk in before for config in chunk
+        ]
+        # No chunk after the failing one started.
+        assert evaluator.seen == [
+            config for chunk in chunks[: bad + 1] for _, config in chunk
+        ]
+
 
 class TestEnvironmentFallback:
     def test_no_pool_degrades_serially_and_journals(self, tmp_path, monkeypatch):
@@ -696,6 +778,32 @@ class TestEnvironmentFallback:
         assert run == clean
         assert _counter("parallel.serial_fallbacks") == before + 1
         assert stored_rows(path, evaluator, configs) == clean
+
+    def test_workers_that_cannot_import_main_fall_back(self):
+        # A threaded caller's workers start from a fork server and must
+        # re-import __main__; a script piped to `python -` has none to
+        # import, so the sweep falls back once instead of failing chunks.
+        script = os.path.join(DATA, "threaded_stdin_sweep.py")
+        src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        with open(script) as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-"],
+                stdin=stdin,
+                capture_output=True,
+                text=True,
+                timeout=300,
+                env=env,
+            )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["correct"], report["error"]
+        assert report["counters"]["parallel.serial_fallbacks"] == 1
+        assert "resilience.chunk_failures" not in report["counters"]
+        assert report["breaker_failures"] == 0
 
 
 class TestCliResilienceFlags:
