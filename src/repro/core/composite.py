@@ -158,25 +158,24 @@ class CompositeProgram:
     ) -> ExplorationResult:
         """Aggregate estimates over a configuration set.
 
+        Runs through :class:`~repro.engine.parallel.ParallelSweep`:
         ``jobs > 1`` distributes whole-program evaluations (each one covers
-        every kernel) across processes via
-        :class:`~repro.engine.parallel.ParallelSweep`, preserving order.
-        ``resilience`` (a
+        every kernel) across processes, preserving order, and a failing
+        evaluation raises its
+        :class:`~repro.engine.resilience.SweepChunkError` at any job
+        count.  ``resilience`` (a
         :class:`~repro.engine.resilience.ResilienceOptions`) opts into
         per-chunk retries, timeouts and a resumable result store, whose
         key covers every kernel, trip count and the layout flag of the
         composite.
         """
-        ordered = order_configs(configs)
-        if (jobs and jobs > 1) or resilience is not None:
-            from repro.engine.parallel import ParallelSweep
+        from repro.engine.parallel import ParallelSweep
 
-            return ExplorationResult(
-                ParallelSweep(jobs=jobs or 1, resilience=resilience).run(
-                    self, ordered
-                )
+        return ExplorationResult(
+            ParallelSweep(jobs=jobs or 1, resilience=resilience).run(
+                self, order_configs(configs)
             )
-        return ExplorationResult(self.evaluate_batch(ordered))
+        )
 
     def shared_cache_trace(self, config: CacheConfig) -> "MemoryTrace":
         """One interleaved trace of the whole program through a single cache.

@@ -301,19 +301,22 @@ class Evaluator:
     ) -> ExplorationResult:
         """Evaluate a configuration set (default: the MemExplore space).
 
-        ``jobs > 1`` fans the sweep out across processes through
-        :class:`~repro.engine.parallel.ParallelSweep`; results are returned
-        in the same deterministic order (and are bit-identical to the
-        serial path, which the tests assert).
+        Every sweep runs through
+        :class:`~repro.engine.parallel.ParallelSweep`, which opens the
+        ``sweep`` span once it has work to do.  ``jobs > 1`` fans it out
+        across processes; results come back in the same deterministic
+        order, bit-identical to ``jobs=1`` (which the tests assert).  A
+        configuration the backend fails on raises
+        :class:`~repro.engine.resilience.SweepChunkError` at any job
+        count.
 
-        ``resilience`` opts into fault tolerance -- per-chunk retries and
-        timeouts, and a result store that supplies what it holds and
-        records each committed chunk (see
-        :class:`~repro.engine.resilience.ResilienceOptions`).  It applies
-        to serial sweeps too: ``jobs=1`` with a store resumes and records
-        chunk by chunk through the same executor, which opens the
-        ``sweep`` span itself once it has work to do.
+        ``resilience`` sets per-chunk retries and timeouts, and a result
+        store that supplies what it holds and records each committed
+        chunk (see :class:`~repro.engine.resilience.ResilienceOptions`);
+        ``jobs=1`` with a store resumes and records chunk by chunk too.
         """
+        from repro.engine.parallel import ParallelSweep
+
         if configs is None:
             configs = design_space(max_size=max_size, **space_kwargs)
         ordered = order_configs(configs)
@@ -324,20 +327,9 @@ class Evaluator:
             jobs,
         )
         started = time.perf_counter()
-        if (jobs and jobs > 1) or resilience is not None:
-            from repro.engine.parallel import ParallelSweep
-
-            estimates = ParallelSweep(
-                jobs=jobs or 1, resilience=resilience
-            ).run(self, ordered)
-        else:
-            with span(
-                "sweep",
-                backend=self.backend.name,
-                configs=len(ordered),
-                jobs=jobs,
-            ):
-                estimates = self.evaluate_batch(ordered)
+        estimates = ParallelSweep(jobs=jobs or 1, resilience=resilience).run(
+            self, ordered
+        )
         elapsed = time.perf_counter() - started
         metrics = get_metrics()
         metrics.counter("engine.sweeps").inc()

@@ -10,11 +10,13 @@ workers (each chunk is one ``evaluate_batch`` call), and restores the
 deterministic order on collection.  Results are
 bit-identical to the serial path (asserted by the test suite).
 
-Every chunk goes through one round loop.  With ``jobs > 1`` and more
+Every sweep goes through one round loop.  With ``jobs > 1`` and more
 than one chunk pending, a round submits to a :class:`WorkerPool`'s
 processes; otherwise to the in-process executor (what ``WorkerPool(1)``
 hands out), which runs one chunk at a time in the calling thread, in
 sweep order, committing each and checking cancellation before the next.
+An in-process sweep with no store, ``on_commit`` or ``chunk_size`` is
+one chunk, since nothing reads its boundaries.
 Failure handling is per-chunk, not per-sweep (see
 :mod:`repro.engine.resilience`):
 
@@ -137,9 +139,6 @@ _TRANSIENT_ERRORS = (
     concurrent.futures.process.BrokenProcessPool,
 )
 
-#: Failures that mean this *environment* cannot run a pool at all.
-_ENVIRONMENT_ERRORS = (OSError, PermissionError, pickle.PicklingError)
-
 #: The ``context`` of a chunk evaluated in the dispatching thread: its
 #: spans and counts land here as they happen, so it ships no delta.
 _IN_PROCESS = object()
@@ -161,14 +160,6 @@ def _cache_delta(counters: Mapping[str, int]) -> Dict[str, Dict[str, int]]:
     }
 
 
-def _evaluate_pairs(
-    evaluator: Any, indexed: Sequence[Tuple[int, CacheConfig]]
-) -> List[Tuple[int, PerformanceEstimate]]:
-    """Evaluate an indexed chunk as one ``evaluate_batch`` call."""
-    estimates = evaluator.evaluate_batch([config for _, config in indexed])
-    return [(index, est) for (index, _), est in zip(indexed, estimates)]
-
-
 def _backend_name(evaluator: Any) -> Any:
     backend = getattr(evaluator, "backend", None)
     return getattr(backend, "name", backend)
@@ -181,7 +172,7 @@ def _evaluate_chunk(
     injector: Optional[Any] = None,
     attempt: int = 0,
 ) -> _ChunkPayload:
-    """Evaluate one chunk, tagging results by index.
+    """Evaluate one chunk as one ``evaluate_batch`` call, tagged by index.
 
     In a worker, metric deltas are taken against a chunk-start baseline
     because a forked worker inherits the parent's (and, on a reused pool
@@ -223,7 +214,8 @@ def _evaluate_chunk(
     chunk_started = time.perf_counter()
     try:
         with chunk_span:
-            pairs = _evaluate_pairs(evaluator, indexed)
+            estimates = evaluator.evaluate_batch([c for _, c in indexed])
+        pairs = [(i, e) for (i, _), e in zip(indexed, estimates)]
     finally:
         get_metrics().histogram("engine.chunk_seconds").observe(
             time.perf_counter() - chunk_started
@@ -437,6 +429,10 @@ class WorkerPool:
             self._executor = None
 
 
+#: The pool of every in-process sweep: it has no processes and no state.
+_IN_PROCESS_POOL = WorkerPool(1)
+
+
 class ParallelSweep:
     """Evaluate configurations across processes with deterministic order.
 
@@ -485,7 +481,6 @@ class ParallelSweep:
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk size must be at least 1")
         self.chunk_size = chunk_size
-        self._explicit_resilience = resilience is not None
         self.resilience = (
             resilience if resilience is not None else ResilienceOptions()
         )
@@ -526,9 +521,11 @@ class ParallelSweep:
         ``evaluator`` is anything with a picklable
         ``evaluate_batch(configs)`` method -- an
         :class:`~repro.engine.evaluator.Evaluator`, a
-        :class:`~repro.core.composite.CompositeProgram`, etc.  With a
-        store, this is the one path that reads it, fans out only what it
-        lacks and writes every committed chunk back.
+        :class:`~repro.core.composite.CompositeProgram`, etc.  It is the
+        one code that evaluates a sweep, so an evaluator that raises gets
+        a :class:`SweepChunkError` at any ``jobs``.  With a store, it
+        reads it, fans out only what it lacks and writes every committed
+        chunk back.
         """
         configs = list(configs)
         opts = self.resilience
@@ -540,17 +537,7 @@ class ParallelSweep:
                 configs=len(configs),
                 jobs=self.jobs,
             ):
-                # Without explicit resilience options, tiny/serial sweeps
-                # keep the historical direct path (raw exceptions, no
-                # wrapping).
-                if not (self._explicit_resilience or self.on_commit) and (
-                    self.jobs <= 1 or len(configs) <= 1
-                ):
-                    tagged = dict(
-                        _evaluate_pairs(evaluator, list(enumerate(configs)))
-                    )
-                else:
-                    self._fan_out(evaluator, configs, opts, tagged)
+                self._fan_out(evaluator, configs, opts, tagged)
         return [tagged[index] for index in range(len(configs))]
 
     def _fan_out(
@@ -573,7 +560,16 @@ class ParallelSweep:
         if self.on_commit is not None:
             self.on_commit([], len(tagged), len(configs))
         self._check_cancel(opts, tagged)
-        pending = self._pending_chunks(evaluator, configs, tagged)
+        if self.jobs <= 1 and (
+            self.chunk_size is None
+            and opts.store is None
+            and self.on_commit is None
+        ):
+            # Nothing reads this sweep's chunk boundaries: one chunk, so one
+            # evaluate_batch groups a dense-layout trace across sizes.
+            pending = [list(enumerate(configs))]
+        else:
+            pending = self._pending_chunks(evaluator, configs, tagged)
         logger.debug(
             "dispatching %d configs as %d chunks (%d stored) to %d workers",
             len(configs),
@@ -581,16 +577,14 @@ class ParallelSweep:
             len(tagged),
             self.jobs,
         )
-        pool = owned = None
+        pool = _IN_PROCESS_POOL
         if self.jobs > 1 and len(pending) > 1:
-            pool = self.pool
-            if pool is None:
-                pool = owned = WorkerPool(min(self.jobs, len(pending)))
+            pool = self.pool or WorkerPool(min(self.jobs, len(pending)))
         try:
             self._run_chunks(pool, evaluator, pending, opts, tagged)
         finally:
-            if owned is not None:
-                owned.close()
+            if pool is not self.pool:
+                pool.close()
 
     # ------------------------------------------------------------------
     # store plumbing
@@ -757,7 +751,7 @@ class ParallelSweep:
 
     def _run_chunks(
         self,
-        pool: Optional[WorkerPool],
+        pool: WorkerPool,
         evaluator: Any,
         pending: Sequence[_Chunk],
         opts: ResilienceOptions,
@@ -765,7 +759,7 @@ class ParallelSweep:
     ) -> None:
         """The one retry loop: rounds until every chunk has committed.
 
-        ``pool`` ``None`` runs every round in-process.  A round's transient
+        A ``WorkerPool(1)`` runs every round in-process.  A round's transient
         failures go again in the next round, after a backoff; a chunk out
         of retries degrades to :meth:`_evaluate_in_parent`.
         """
@@ -806,7 +800,7 @@ class ParallelSweep:
 
     def _dispatch_round(
         self,
-        pool: Optional[WorkerPool],
+        pool: WorkerPool,
         evaluator: Any,
         queue: Sequence[_Chunk],
         opts: ResilienceOptions,
@@ -826,22 +820,30 @@ class ParallelSweep:
         """
         metrics = get_metrics()
         injector = opts.fault_injector
-        try:
-            executor = (
-                pool.executor() if pool is not None else _IN_PROCESS_EXECUTOR
-            )
-        except _ENVIRONMENT_ERRORS as exc:
+        not_done: set = set()
+
+        def fall_back(exc: Exception) -> List[_Chunk]:
+            for future in not_done:
+                future.cancel()
+            pool.discard()
             self._evaluate_in_parent(
-                evaluator, queue, attempts, tagged,
-                "parallel.serial_fallbacks", exc,
+                evaluator,
+                [chunk for chunk in queue if chunk[0][0] not in tagged],
+                attempts, tagged, "parallel.serial_fallbacks", exc,
             )
             return []
+
+        try:  # an OSError starting the pool means no pool can run here
+            executor = pool.executor()
+        except OSError as exc:
+            return fall_back(exc)
         in_process = executor is _IN_PROCESS_EXECUTOR
         # Exported once per round: what records here plus this thread's
         # open span path, so worker chunk events nest under our "sweep".
         context = _IN_PROCESS if in_process else export_context()
-        # With no process boundary an OSError is the evaluator's own bug.
-        environment_errors = () if in_process else _ENVIRONMENT_ERRORS
+        # A worker's own OSError is a chunk error; only an unpicklable
+        # chunk or result (never in-process) is the environment's.
+        unpicklable = () if in_process else (pickle.PicklingError,)
         # An in-process future is done when submit returns: one chunk at a
         # time, so each commits and checks cancellation before the next.
         window = 1 if in_process else len(queue)
@@ -851,7 +853,6 @@ class ParallelSweep:
         try:
             futures: Dict[concurrent.futures.Future, _Chunk] = {}
             unsent = list(queue)
-            not_done = set()
             # The watchdog window is measured from the last completion, so
             # slicing the wait below (for cancellation responsiveness)
             # never changes when "no progress for a whole window" fires.
@@ -877,6 +878,8 @@ class ParallelSweep:
                         # one that was in flight when it died.
                         future = concurrent.futures.Future()
                         future.set_exception(exc)
+                    except OSError as exc:  # could not start a worker
+                        return fall_back(exc)
                     futures[future] = indexed
                     not_done.add(future)
                 if cancel is not None:
@@ -945,18 +948,8 @@ class ParallelSweep:
                             exc,
                         )
                         self._record_chunk_failure(opts)
-                    except environment_errors as exc:
-                        abandoned = True
-                        remaining = [indexed]
-                        remaining.extend(futures[f] for f in not_done)
-                        remaining.extend(transient)
-                        for f in not_done:
-                            f.cancel()
-                        self._evaluate_in_parent(
-                            evaluator, remaining, attempts, tagged,
-                            "parallel.serial_fallbacks", exc,
-                        )
-                        return []
+                    except unpicklable as exc:
+                        return fall_back(exc)
                     except Exception as exc:
                         raise self._chunk_error(indexed, exc) from exc
                     else:
@@ -972,6 +965,6 @@ class ParallelSweep:
         finally:
             # A broken or abandoned pool must not be joined (hung workers
             # are exactly what we are escaping); a healthy one stays warm.
-            if abandoned and pool is not None:
+            if abandoned:
                 pool.discard()
         return transient

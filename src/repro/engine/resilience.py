@@ -287,14 +287,15 @@ class ResilienceOptions:
     ``store`` is an open :class:`~repro.serve.store.ResultStore` (the
     CLI's ``--checkpoint``, the service's result store): the executor
     takes every row it holds for the evaluator, dispatches only the
-    rest, and writes each committed chunk there.  ``chunk_timeout_s`` bounds how long the executor waits without *any*
-    chunk completing before declaring the in-flight chunks wedged and
-    re-dispatching them.  ``fault_injector`` is the deterministic chaos
-    harness (:class:`~repro.engine.faults.FaultInjector`) wrapped around
-    worker dispatch -- tests and the nightly CI chaos job only.
+    rest, and writes each committed chunk there.  ``chunk_timeout_s``
+    bounds how long the executor waits without *any* chunk completing
+    before declaring the in-flight chunks wedged and re-dispatching them.
+    ``fault_injector`` is the deterministic chaos harness
+    (:class:`~repro.engine.faults.FaultInjector`) wrapped around worker
+    dispatch -- tests and the nightly CI chaos job only.
 
     ``cancel_event`` is the cooperative kill switch: the executor polls
-    it between dispatch rounds (and between serial chunks) and raises
+    it between dispatch rounds (and between in-process chunks) and raises
     :class:`SweepCancelledError` when set, leaving the store intact.
     ``breaker`` is an optional :class:`CircuitBreaker`: a sweep with work
     to dispatch fails fast while it is open, and feeds it one

@@ -3,15 +3,15 @@
 :func:`run_search` owns the generation loop so searchers stay pure
 strategies.  Each generation it asks the searcher for candidates, dedupes
 them into canonical order, evaluates only the cold ones -- through the
-caller's :class:`~repro.engine.parallel.ParallelSweep` when one is given,
-else as one ``evaluator.evaluate_batch`` call -- updates the
+caller's :class:`~repro.engine.parallel.ParallelSweep`, or a serial one
+built once per search -- updates the
 :class:`~repro.moo.archive.FrontArchive` and tells the searcher its
 fitness vectors.
 
 Determinism is the core contract: for a fixed seed the sequence of asked
 configurations, the archive contents and the per-generation events are
-identical without a sweep and under a sweep of any ``jobs``, on a clean
-run and on a resume.  The durable record is the sweep's
+identical under a sweep of any ``jobs``, with or without a store, on a
+clean run and on a resume.  The durable record is the sweep's
 :class:`~repro.serve.store.ResultStore` (the CLI's ``--checkpoint``, the
 service's store): each generation takes the rows stored for its
 evaluator and writes the ones it evaluates, so a killed search rerun
@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CacheConfig, config_sort_key
 from repro.core.metrics import PerformanceEstimate
+from repro.engine.parallel import ParallelSweep
 from repro.engine.resilience import SweepCancelledError
 from repro.engine.result import ExplorationResult
 from repro.moo.archive import FRONT_SCHEMA, FrontArchive
@@ -214,24 +215,27 @@ def run_search(
     space: Sequence[CacheConfig],
     settings: Optional[SearchSettings] = None,
     *,
-    sweep: Optional[Any] = None,
+    sweep: Optional[ParallelSweep] = None,
     on_generation: Optional[Callable[[Dict[str, Any], FrontArchive], None]] = None,
     searcher: Optional[Searcher] = None,
 ) -> SearchRun:
     """Run one multi-objective search over ``space`` and return its front.
 
-    ``sweep`` (a :class:`~repro.engine.parallel.ParallelSweep`)
-    evaluates each generation's cold configurations: its store supplies
-    every estimate it holds for ``evaluator`` and records each one this
-    search evaluates, its workers fan them out, and its cancel event
-    stops the search between generations; without one they are one
-    ``evaluator.evaluate_batch`` call.  ``on_generation(event, archive)``
-    fires after every completed generation with the ``repro.front/1``
-    event just recorded -- the hook the serve layer uses to stream
-    fronts and persist partial state.
+    ``sweep`` (a :class:`~repro.engine.parallel.ParallelSweep`, by
+    default ``ParallelSweep(jobs=1)``) evaluates each generation's cold
+    configurations: its store supplies every estimate it holds for
+    ``evaluator`` and records each one this search evaluates, its workers
+    fan them out, and its cancel event stops the search between
+    generations.  An evaluator that raises fails the search with a
+    :class:`~repro.engine.resilience.SweepChunkError`.
+    ``on_generation(event, archive)`` fires after every completed
+    generation with the ``repro.front/1`` event just recorded -- the hook
+    the serve layer uses to stream fronts and persist partial state.
     """
     settings = settings if settings is not None else SearchSettings()
-    cancel_event = sweep.resilience.cancel_event if sweep is not None else None
+    if sweep is None:
+        sweep = ParallelSweep(jobs=1)
+    cancel_event = sweep.resilience.cancel_event
     ordered_space = _order(set(space))
     if not ordered_space:
         raise ValueError("cannot search an empty configuration space")
@@ -290,12 +294,7 @@ def run_search(
                 configs=len(admitted),
                 cold=len(missing),
             ):
-                if not missing:
-                    fresh = []
-                elif sweep is not None:
-                    fresh = sweep.run(evaluator, missing)
-                else:
-                    fresh = evaluator.evaluate_batch(missing)
+                fresh = sweep.run(evaluator, missing) if missing else []
             for estimate in fresh:
                 evaluated[estimate.config] = estimate
             requested.update(admitted)

@@ -136,17 +136,25 @@ def _small_configs():
 class _PoisonedEvaluator:
     """Raises deterministically on one configuration; picklable."""
 
+    error = ValueError
+
     def __init__(self, kernel, poison):
         self.inner = Evaluator(KernelWorkload(kernel))
         self.poison = poison
 
     def evaluate(self, config):
         if config == self.poison:
-            raise ValueError("poisoned configuration")
+            raise self.error("poisoned configuration")
         return self.inner.evaluate(config)
 
     def evaluate_batch(self, configs):
         return [self.evaluate(config) for config in configs]
+
+
+class _MissingFileEvaluator(_PoisonedEvaluator):
+    """A worker-side ``OSError``: the evaluator's own, not the pool's."""
+
+    error = FileNotFoundError
 
 
 class _StoredPoisonedEvaluator(_PoisonedEvaluator):
@@ -778,6 +786,49 @@ class TestEnvironmentFallback:
         assert run == clean
         assert _counter("parallel.serial_fallbacks") == before + 1
         assert stored_rows(path, evaluator, configs) == clean
+
+    def test_a_workers_own_os_error_is_a_chunk_error(self):
+        # Only starting or reaching the pool is environmental: an OSError
+        # the evaluator raises in a worker fails the sweep at once, as it
+        # does at jobs=1, with no serial re-run.
+        configs = _small_configs()
+        evaluator = _MissingFileEvaluator(get_kernel("compress"), configs[5])
+        before = _counter("parallel.serial_fallbacks")
+        with pytest.raises(SweepChunkError, match="poisoned") as exc_info:
+            ParallelSweep(jobs=2, chunk_size=2).run(evaluator, configs)
+        assert isinstance(exc_info.value.__cause__, FileNotFoundError)
+        assert configs[5] in exc_info.value.configs
+        assert _counter("parallel.serial_fallbacks") == before
+
+    def test_a_pool_that_cannot_start_workers_falls_back_once(
+        self, monkeypatch
+    ):
+        import concurrent.futures
+
+        from repro.engine import WorkerPool
+
+        def no_processes(self, *args, **kwargs):
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        # submit is where ProcessPoolExecutor starts its processes; none
+        # starts here.
+        monkeypatch.setattr(
+            concurrent.futures.ProcessPoolExecutor, "submit", no_processes
+        )
+        evaluator = Evaluator(KernelWorkload(make_compress(n=7)))
+        configs = _small_configs()
+        clean = [evaluator.evaluate(config) for config in configs]
+        before = _counter("parallel.serial_fallbacks")
+        pool = WorkerPool(2)
+        try:
+            run = ParallelSweep(jobs=2, chunk_size=2, pool=pool).run(
+                evaluator, configs
+            )
+            assert pool._executor is None  # discarded, never joined
+        finally:
+            pool.close()
+        assert run == clean
+        assert _counter("parallel.serial_fallbacks") == before + 1
 
     def test_workers_that_cannot_import_main_fall_back(self):
         # A threaded caller's workers start from a fork server and must
