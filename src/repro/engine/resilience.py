@@ -86,7 +86,14 @@ class CorruptPayloadError(TransientChunkError):
 
 
 class SweepChunkError(RuntimeError):
-    """A chunk failed deterministically; names the failing configurations."""
+    """A chunk failed deterministically; ``configs`` lists the chunk.
+
+    The message names the first :attr:`NAMED` configurations and counts
+    the rest, so a failing sweep of hundreds of points stays readable.
+    """
+
+    #: Configurations the message names before counting the rest.
+    NAMED = 8
 
     def __init__(self, message: str, configs: Sequence[CacheConfig]) -> None:
         super().__init__(message)
@@ -97,7 +104,11 @@ class SweepChunkError(RuntimeError):
         cls, indexed: Sequence[Tuple[int, CacheConfig]], cause: BaseException
     ) -> "SweepChunkError":
         configs = [config for _, config in indexed]
-        labels = ", ".join(config.label(full=True) for config in configs)
+        labels = ", ".join(
+            config.label(full=True) for config in configs[: cls.NAMED]
+        )
+        if len(configs) > cls.NAMED:
+            labels += f" and {len(configs) - cls.NAMED} more"
         error = cls(
             f"sweep chunk failed on [{labels}]: "
             f"{type(cause).__name__}: {cause}",

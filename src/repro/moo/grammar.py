@@ -1,16 +1,15 @@
 """Integer-genome to cache-configuration grammar.
 
-Grammatical evolution evolves flat integer genomes; this module maps them
-onto valid :class:`~repro.core.config.CacheConfig` points.  The grammar is
-a sequence of *axes* (cache size, line size, associativity, tiling -- and,
-when hierarchy/victim/prefetch knobs land, more), each with its candidate
-value list derived from the search space.  Decoding consumes one codon per
-axis modulo the *feasible* choices at that derivation step, so every
-genome decodes to a structurally valid configuration: line size never
-exceeds cache size, associativity never exceeds the line count, tiling
-never exceeds the line count.  Codons wrap when the genome is shorter than
-the axis list, the classic GE trick that keeps genome length independent
-of grammar depth.
+The evolutionary searchers breed flat integer genomes; this module maps
+them onto valid :class:`~repro.core.config.CacheConfig` points.  The
+grammar is a sequence of *axes* (cache size, line size, associativity,
+tiling -- and, when hierarchy/victim/prefetch knobs land, more), each with
+its candidate value list derived from the search space.  A genome carries
+exactly one codon per axis, and decoding takes each codon modulo the
+*feasible* choices at that derivation step, so every genome decodes to a
+structurally valid configuration: line size never exceeds cache size,
+associativity never exceeds the line count, tiling never exceeds the line
+count.
 
 Searchers run on integer *rows* rather than on configurations.  A
 :class:`RowIndex` numbers every configuration a search can meet -- the
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.core.config import CacheConfig, config_sort_key
@@ -91,19 +89,19 @@ class ConfigGrammar:
         return ways_pool, tiling_pool
 
     def decode(self, genome: Sequence[int]) -> CacheConfig:
-        """Derive a valid configuration from an integer genome (wrapping)."""
-        if not genome:
-            raise ValueError("cannot decode an empty genome")
-
-        def codon(index: int) -> int:
-            return int(genome[index % len(genome)])
-
-        size = self.sizes[codon(0) % len(self.sizes)]
+        """Derive a valid configuration from a one-codon-per-axis genome."""
+        if len(genome) != self.length:
+            raise ValueError(
+                f"a genome carries one codon per axis ({self.length}), "
+                f"not {len(genome)}"
+            )
+        size_codon, line_codon, ways_codon, tiling_codon = (int(c) for c in genome)
+        size = self.sizes[size_codon % len(self.sizes)]
         line_pool = tuple(l for l in self.line_sizes if l <= size)
-        line = line_pool[codon(1) % len(line_pool)]
+        line = line_pool[line_codon % len(line_pool)]
         ways_pool, tiling_pool = self._feasible(size, line)
-        ways = ways_pool[codon(2) % len(ways_pool)]
-        tiling = tiling_pool[codon(3) % len(tiling_pool)]
+        ways = ways_pool[ways_codon % len(ways_pool)]
+        tiling = tiling_pool[tiling_codon % len(tiling_pool)]
         return CacheConfig(size, line, ways, tiling)
 
     def encode(self, config: CacheConfig) -> Tuple[int, ...]:
@@ -132,14 +130,6 @@ class ConfigGrammar:
             nearest(tiling_pool, config.tiling),
         )
 
-    def random_genome(self, rng: random.Random, length: int = 0) -> Tuple[int, ...]:
-        """A uniform random genome (default length: one codon per axis)."""
-        length = length or self.length
-        limits = self.axis_sizes
-        return tuple(
-            rng.randrange(limits[i % len(limits)]) for i in range(length)
-        )
-
     def configs(self) -> List[CacheConfig]:
         """The full product space the grammar can derive, canonical order."""
         result = []
@@ -164,7 +154,7 @@ class RowIndex:
     to its row, ``space_rows`` lists the space members' rows in order,
     ``genome_of[row]`` equals ``grammar.encode(rows[row])`` and
     :meth:`decode` equals ``grammar.decode`` for every in-range genome --
-    the genomes ``random_genome``, mutation and ``genome_of`` produce.
+    the genomes crossover, mutation and ``genome_of`` produce.
     ``extra`` configurations (seeds off the space) get rows too without
     changing the grammar.
     """
@@ -194,9 +184,8 @@ class RowIndex:
     def decode(self, genome: Sequence[int]) -> int:
         """The row of ``grammar.decode(genome)`` for an in-range genome.
 
-        The genome carries at least one codon per axis (later codons are
-        ignored, as decoding never wraps round to them) and each axis's
-        codon lies in ``range(axis_sizes[axis])``.
+        The genome carries one codon per axis, and each axis's codon lies
+        in ``range(axis_sizes[axis])``.
         """
         flat = 0
         for codon, limit in zip(genome, self._limits):

@@ -14,7 +14,7 @@ driver can run them with deduplicated, store-deduplicated generations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import CacheConfig, config_sort_key, powers_of_two
 from repro.core.metrics import PerformanceEstimate
@@ -54,25 +54,17 @@ def _candidate_values(
     ways: Sequence[int],
     tilings: Sequence[int],
 ) -> List[CacheConfig]:
-    candidates = []
     if kind == "size":
-        pool = [CacheConfig(v, config.line_size, config.ways, config.tiling)
+        return [CacheConfig(v, config.line_size, config.ways, config.tiling)
                 for v in sizes if v >= config.line_size * config.ways]
-    elif kind == "line":
-        pool = [CacheConfig(config.size, v, config.ways, config.tiling)
+    if kind == "line":
+        return [CacheConfig(config.size, v, config.ways, config.tiling)
                 for v in line_sizes if v * config.ways <= config.size]
-    elif kind == "ways":
-        pool = [CacheConfig(config.size, config.line_size, v, config.tiling)
+    if kind == "ways":
+        return [CacheConfig(config.size, config.line_size, v, config.tiling)
                 for v in ways if v * config.line_size <= config.size]
-    else:
-        pool = [CacheConfig(config.size, config.line_size, config.ways, v)
-                for v in tilings]
-    for candidate in pool:
-        try:
-            candidates.append(candidate)
-        except ValueError:
-            continue
-    return candidates
+    return [CacheConfig(config.size, config.line_size, config.ways, v)
+            for v in tilings]
 
 
 def greedy_descent(
@@ -164,16 +156,18 @@ def pruned_min_energy(
 class GreedyDescentSearcher:
     """Batch coordinate descent expressed in the ask/tell protocol.
 
-    Each generation asks for every one-axis neighbour of the incumbent
-    best (minimising the objective vector lexicographically, so the first
-    objective dominates) and moves to the best improvement; it finishes --
-    ``ask`` returns ``[]`` -- once a full round improves nothing.
+    It opens on the seeds plus the smallest-geometry member of the middle
+    cache size.  Each generation asks for every one-axis neighbour of the
+    incumbent best (minimising the objective vector lexicographically, so
+    the first objective dominates) and moves to the best improvement; it
+    finishes -- ``ask`` returns ``[]`` -- once a full round improves
+    nothing.  It asks only for members of the space.
     """
 
     name = "greedy"
 
     def __init__(self) -> None:
-        self._space: List[CacheConfig] = []
+        self._members: Set[CacheConfig] = set()
         self._axes: Dict[str, Tuple[int, ...]] = {}
         self._fitness: Dict[CacheConfig, Point] = {}
         self._best: Optional[CacheConfig] = None
@@ -189,27 +183,27 @@ class GreedyDescentSearcher:
         seed: int = 0,
         seeds: Sequence[CacheConfig] = (),
     ) -> None:
-        self._space = sorted(set(space), key=config_sort_key)
-        if not self._space:
+        self._members = set(space)
+        if not self._members:
             raise ValueError("cannot search an empty space")
         self._axes = {
-            "sizes": tuple(sorted({c.size for c in self._space})),
-            "line_sizes": tuple(sorted({c.line_size for c in self._space})),
-            "ways": tuple(sorted({c.ways for c in self._space})),
-            "tilings": tuple(sorted({c.tiling for c in self._space})),
+            "sizes": tuple(sorted({c.size for c in self._members})),
+            "line_sizes": tuple(sorted({c.line_size for c in self._members})),
+            "ways": tuple(sorted({c.ways for c in self._members})),
+            "tilings": tuple(sorted({c.tiling for c in self._members})),
         }
         self._fitness = {}
         self._done = False
         self._best = None
         sizes = self._axes["sizes"]
-        start = CacheConfig(
-            sizes[len(sizes) // 2],
-            self._axes["line_sizes"][0],
-            self._axes["ways"][0],
-            self._axes["tilings"][0],
+        middle = sizes[len(sizes) // 2]
+        start = min(
+            (c for c in self._members if c.size == middle),
+            key=lambda c: (c.line_size, c.ways, c.tiling),
         )
-        opening = list(dict.fromkeys(list(seeds) + [start]))
-        self._pending = opening
+        self._pending = [
+            c for c in dict.fromkeys([*seeds, start]) if c in self._members
+        ]
 
     def _neighbours(self, config: CacheConfig) -> List[CacheConfig]:
         axes = self._axes
@@ -225,7 +219,7 @@ class GreedyDescentSearcher:
                     axes["tilings"],
                 )
             )
-        return list(dict.fromkeys(pool))
+        return [c for c in dict.fromkeys(pool) if c in self._members]
 
     def ask(self) -> List[CacheConfig]:
         if self._done:

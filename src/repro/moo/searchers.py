@@ -9,12 +9,13 @@ strategy object.  Two evolutionary searchers ship here:
 * :class:`NSGA2Searcher` -- the classic non-dominated-sort +
   crowding-distance genetic algorithm (Deb et al.), operating on the
   axis-index genomes of :class:`~repro.moo.grammar.ConfigGrammar`;
-* :class:`GrammaticalEvolutionSearcher` -- evolves redundant integer
-  genomes (longer than the grammar, with codon wrapping) mapped through
-  the grammar, following the L1-cache GE line of work in PAPERS.md.
+* :class:`GrammaticalEvolutionSearcher` -- the same population, selection
+  and per-codon reset mutation, with GE's one-point crossover over the
+  one-codon-per-axis genome, following the L1-cache GE line of work in
+  PAPERS.md.
 
-Both keep their populations as integers -- rows of the space's
-:class:`~repro.moo.grammar.RowIndex` and genomes -- and meet
+Both keep their populations as rows of the space's
+:class:`~repro.moo.grammar.RowIndex`, breed them as genomes, and meet
 configurations only in ``ask`` and ``tell``.
 
 Both are registered under the ``searcher`` registry kind, so third-party
@@ -107,10 +108,10 @@ def _select(
 ) -> Tuple[List, List[Tuple[int, float, object]]]:
     """The ``count`` best items by (rank, -crowding); plus their tournament keys.
 
-    Items are rows (which order as their configurations do) or genomes,
-    and break exact score ties themselves.  Returns the survivors in
-    deterministic order and, per survivor, the ``(rank, -crowding
-    distance, item)`` key binary tournaments compare.
+    Items are rows, which order as their configurations do and so break
+    exact score ties.  Returns the survivors in deterministic order and,
+    per survivor, the ``(rank, -crowding distance, item)`` key binary
+    tournaments compare.
     """
     survivors: List = []
     keys: List[Tuple[int, float, object]] = []
@@ -141,27 +142,14 @@ def _check_rate(value: float, label: str) -> float:
     return value
 
 
-def _record_fitness(
-    fitness: Dict[int, Point],
-    row_of: Dict[CacheConfig, int],
-    results: Sequence[Tuple[CacheConfig, Point]],
-) -> None:
-    # Only asked configurations can re-enter a population, and every asked
-    # configuration has a row.
-    for config, vector in results:
-        row = row_of.get(config)
-        if row is not None:
-            fitness[row] = tuple(vector)
-
-
 class NSGA2Searcher(Searcher):
     """Non-dominated sorting GA with crowding distance (NSGA-II).
 
     Individuals are rows of the space's :class:`~repro.moo.grammar.RowIndex`,
-    bred as their axis-index genomes; variation is uniform crossover plus
-    per-axis random-reset mutation.  Selection is the standard (mu+lambda)
-    environmental selection over parents and offspring.  Configurations
-    appear only in :meth:`ask` and :meth:`tell`.
+    bred as their axis-index genomes; variation is crossover (uniform, in
+    :meth:`_cross`) plus per-axis random-reset mutation.  Selection is the
+    standard (mu+lambda) environmental selection over parents and
+    offspring.  Configurations appear only in :meth:`ask` and :meth:`tell`.
     """
 
     name = "nsga2"
@@ -216,7 +204,13 @@ class NSGA2Searcher(Searcher):
 
     def tell(self, results: Sequence[Tuple[CacheConfig, Point]]) -> None:
         assert self._index is not None
-        _record_fitness(self._fitness, self._index.row_of, results)
+        # Only asked configurations can re-enter a population, and every
+        # asked configuration has a row.
+        row_of = self._index.row_of
+        for config, vector in results:
+            row = row_of.get(config)
+            if row is not None:
+                self._fitness[row] = tuple(vector)
         pool = [
             row
             for row in dict.fromkeys(self._parents + self._pending)
@@ -248,116 +242,37 @@ class NSGA2Searcher(Searcher):
             genome_b = genomes[_tournament(rng, keys)]
             child = list(genome_a)
             if rng.random() < self.crossover_rate:
-                child = [
-                    genome_b[i] if rng.random() < 0.5 else genome_a[i]
-                    for i in range(width)
-                ]
+                child = self._cross(rng, genome_a, genome_b)
             for position in range(width):
                 if rng.random() < mutation:
                     child[position] = rng.randrange(limits[position])
             children.append(index.decode(child))
         return children
 
+    def _cross(
+        self, rng: random.Random, a: Sequence[int], b: Sequence[int]
+    ) -> List[int]:
+        """Uniform crossover of two parent genomes into a child genome."""
+        return [b[i] if rng.random() < 0.5 else a[i] for i in range(len(a))]
 
-class GrammaticalEvolutionSearcher(Searcher):
-    """Grammatical evolution over redundant, wrapping integer genomes.
 
-    Genomes carry twice as many codons as the grammar has axes, decoded
-    with wrapping -- the neutral redundancy that gives GE its smooth
-    search surface.  Environmental selection reuses the NSGA-II ranking
-    on decoded phenotype fitness; variation is one-point crossover plus
-    per-codon reset mutation.  Genomes decode to rows of the space's
-    :class:`~repro.moo.grammar.RowIndex` by table lookup.
+class GrammaticalEvolutionSearcher(NSGA2Searcher):
+    """Grammatical evolution: NSGA-II's rows bred by one-point crossover.
+
+    Each individual is a row whose axis-index genome carries one codon per
+    grammar axis.  Population, environmental selection and tournaments
+    are NSGA-II's.  Variation is one-point crossover plus per-codon reset
+    mutation at rate 0.1 by default (NSGA-II's default is one codon in
+    ``grammar.length``).
     """
 
     name = "ge"
 
-    def __init__(
-        self,
-        genome_length: int = 8,
-        crossover_rate: float = 0.9,
-        mutation_rate: float = 0.1,
-    ) -> None:
-        if genome_length < 4:
-            raise ValueError("genome length must be at least 4")
-        self.genome_length = genome_length
-        self.crossover_rate = _check_rate(crossover_rate, "crossover")
-        self.mutation_rate = _check_rate(mutation_rate, "mutation")
-        self._rng: random.Random = random.Random(0)
-        self._index: Optional[RowIndex] = None
-        self._population = 0
-        self._fitness: Dict[int, Point] = {}
-        self._parents: List[Tuple[int, ...]] = []
-        self._pending: List[Tuple[int, ...]] = []
+    def __init__(self, crossover_rate: float = 0.9, mutation_rate: float = 0.1) -> None:
+        super().__init__(crossover_rate, mutation_rate)
 
-    def setup(
-        self,
-        space: Sequence[CacheConfig],
-        *,
-        population: int,
-        generations: int,
-        seed: int = 0,
-        seeds: Sequence[CacheConfig] = (),
-    ) -> None:
-        if population < 2:
-            raise ValueError("population must be at least 2")
-        if not space:
-            raise ValueError("cannot search an empty space")
-        self._rng = random.Random(seed)
-        self._index = row_index(space)
-        grammar = self._index.grammar
-        self._population = population
-        self._fitness = {}
-        self._parents = []
-        genomes: List[Tuple[int, ...]] = []
-        for config in dict.fromkeys(seeds):
-            base = grammar.encode(config)
-            padded = tuple(base[i % len(base)] for i in range(self.genome_length))
-            genomes.append(padded)
-            if len(genomes) == population:
-                break
-        while len(genomes) < population:
-            genomes.append(grammar.random_genome(self._rng, self.genome_length))
-        self._pending = genomes
-
-    def ask(self) -> List[CacheConfig]:
-        index = self._index
-        assert index is not None
-        return [index.rows[index.decode(genome)] for genome in self._pending]
-
-    def tell(self, results: Sequence[Tuple[CacheConfig, Point]]) -> None:
-        index = self._index
-        assert index is not None
-        _record_fitness(self._fitness, index.row_of, results)
-        scored: List[Tuple[int, ...]] = []
-        vectors: List[Point] = []
-        for genome in dict.fromkeys(self._parents + self._pending):
-            vector = self._fitness.get(index.decode(genome))
-            if vector is not None:
-                scored.append(genome)
-                vectors.append(vector)
-        if not scored:
-            self._pending = []
-            return
-        survivors, keys = _select(scored, vectors, min(self._population, len(scored)))
-        self._parents = survivors
-        self._pending = self._breed(survivors, keys)
-
-    def _breed(self, survivors: List[Tuple[int, ...]], keys) -> List[Tuple[int, ...]]:
-        index = self._index
-        assert index is not None
-        rng = self._rng
-        limits = index.grammar.axis_sizes
-        children: List[Tuple[int, ...]] = []
-        while len(children) < self._population:
-            mother = survivors[_tournament(rng, keys)]
-            father = survivors[_tournament(rng, keys)]
-            child = list(mother)
-            if rng.random() < self.crossover_rate:
-                cut = rng.randrange(1, self.genome_length)
-                child = list(mother[:cut]) + list(father[cut:])
-            for position in range(len(child)):
-                if rng.random() < self.mutation_rate:
-                    child[position] = rng.randrange(limits[position % len(limits)])
-            children.append(tuple(child))
-        return children
+    def _cross(
+        self, rng: random.Random, a: Sequence[int], b: Sequence[int]
+    ) -> List[int]:
+        cut = rng.randrange(1, len(a))
+        return list(a[:cut]) + list(b[cut:])

@@ -140,6 +140,18 @@ class TestGoldenOutputs:
                  "6", "--population", "8", "--seed", "11", "--searcher", "ge"],
                 "cli_pareto_compress_ge.txt",
             ),
+            (
+                ["pareto", "compress", "--max-size", "256", "--generations",
+                 "6", "--population", "8", "--seed", "11", "--searcher",
+                 "greedy"],
+                "cli_pareto_compress_greedy.txt",
+            ),
+            (
+                ["pareto", "compress", "--max-size", "256", "--generations",
+                 "6", "--population", "8", "--seed", "11", "--searcher",
+                 "pruned"],
+                "cli_pareto_compress_pruned.txt",
+            ),
         ],
     )
     def test_output_is_byte_identical(self, capsys, argv, golden):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.core.composite import CompositeProgram
-from repro.core.config import CacheConfig
+from repro.core.config import CacheConfig, design_space
 from repro.energy import get_energy_model, get_sram
 from repro.engine import (
     Evaluator,
@@ -698,6 +698,19 @@ class TestDeterministicFailures:
             ).run(evaluator, configs)
         assert poison in exc_info.value.configs
         assert poison.label(full=True) in str(exc_info.value)
+
+    def test_chunk_error_names_a_few_configs_and_counts_the_rest(self):
+        configs = order_configs(design_space(max_size=1024))
+        evaluator = _PoisonedEvaluator(get_kernel("compress"), configs[0])
+        with pytest.raises(SweepChunkError, match="poisoned") as exc_info:
+            ParallelSweep(jobs=1).run(evaluator, configs)
+        error = exc_info.value
+        named = SweepChunkError.NAMED
+        assert error.configs == configs
+        listed = str(error)[str(error).index("[") + 1:str(error).index("]")]
+        labels = [c.label(full=True) for c in configs[:named]]
+        assert listed == ", ".join(labels) + f" and {len(configs) - named} more"
+        assert len(str(error)) < 250
 
     def test_chunk_error_discards_a_shared_pool(self):
         from repro.engine import WorkerPool
